@@ -8,8 +8,8 @@ two-party session.  It provides:
 - `simple`: the four-symbol and continuous-angle warm-up schemes;
 - `lattice`: the lattice-coordinate scheme whose security sharpens with its
   dimension d and range L;
-- `engine`: generic sessions, transcripts, the group-twirl compiler, and
-  parallel composition;
+- `engine`: generic sessions and parties, transcripts, the group-twirl
+  compiler, and parallel composition;
 - `analysis`: exact (rational) and Monte Carlo security figures plus
   deterministic text reports;
 - `cli`: the `framebc` command with analyze / simulate / twirl-check /

@@ -23,7 +23,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def _offset_grid(d: int, norm: int, shell_only: bool) -> np.ndarray:
 
 
 def _acceptance_matrix(
-    d: int, offsets: np.ndarray, predicate: str
+    events: list[tuple[int, int]], offsets: np.ndarray, predicate: str
 ) -> np.ndarray:
     """accept[event, offset]: does noise event (j, m) pass with reveal offset delta?
 
@@ -173,7 +173,6 @@ def _acceptance_matrix(
     so the difference the verifier sees is m*e_j - delta, independent of the
     commit point; boundary effects enter only through validity masks.
     """
-    events = [(j, m) for j in range(d) for m in (1, 2)]
     accept = np.zeros((len(events), len(offsets)), dtype=bool)
     for row, (j, m) in enumerate(events):
         diff = -offsets.copy()
@@ -193,6 +192,32 @@ def _commit_candidate_values(L: int) -> list[int]:
     # honest-range top L-1, and to the decodable top L+1, each saturating at 3
     raw = {0, 1, 2, 3, L // 2, L - 4, L - 3, L - 2, L - 1, L, L + 1}
     return sorted(v for v in raw if 0 <= v <= L + 1)
+
+
+def _binding_scan(
+    params: LatticeParams, offsets: np.ndarray, predicate: str
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (commit point, counts) for one representative of each commit class.
+
+    counts[k] is the number of the 2d noise events under which the reveal
+    commit + offsets[k] is accepted, or -1 when that reveal leaves the
+    honest range {0..L-1}^d.  An event counts only when the bumped point
+    stays in the codebook, i.e. decodes.
+    """
+    d, L = params.d, params.L
+    events = list(noise_support(params))
+    accept = _acceptance_matrix(events, offsets, predicate)
+    for commit_point in itertools.combinations_with_replacement(
+        _commit_candidate_values(L), d
+    ):
+        commit_arr = np.array(commit_point, dtype=int)
+        decode_ok = np.array(
+            [commit_arr[j] + m <= L + 1 for j, m in events], dtype=bool
+        )
+        counts = accept[decode_ok].sum(axis=0)
+        reveals = offsets + commit_arr
+        valid = (reveals >= 0).all(axis=1) & (reveals <= L - 1).all(axis=1)
+        yield commit_point, np.where(valid, counts, -1)
 
 
 def binding_search(
@@ -217,28 +242,16 @@ def binding_search(
     reveal passes iff its offset-difference is accepted by the predicate.
     """
     predicate = predicate or params.predicate
-    d, L = params.d, params.L
+    d = params.d
     offsets = _offset_grid(d, offset_norm, shell_only)
     offsets = offsets[np.abs(offsets).sum(axis=1) % 2 == 1]
     if len(offsets) == 0:
         return BindingSearchResult(Fraction(0), (0,) * d, (0,) * d, 0)
-    accept = _acceptance_matrix(d, offsets, predicate)
-    events = [(j, m) for j in range(d) for m in (1, 2)]
 
     best_count = -1
     best_commit: tuple[int, ...] | None = None
     best_offset: np.ndarray | None = None
-    for commit_point in itertools.combinations_with_replacement(
-        _commit_candidate_values(L), d
-    ):
-        commit_arr = np.array(commit_point, dtype=int)
-        decode_ok = np.array(
-            [commit_arr[j] + m <= L + 1 for j, m in events], dtype=bool
-        )
-        counts = accept[decode_ok].sum(axis=0)
-        reveals = offsets + commit_arr
-        valid = (reveals >= 0).all(axis=1) & (reveals <= L - 1).all(axis=1)
-        counts = np.where(valid, counts, -1)
+    for commit_point, counts in _binding_scan(params, offsets, predicate):
         idx = int(np.argmax(counts))
         if counts[idx] > best_count:
             best_count = int(counts[idx])
@@ -260,25 +273,13 @@ def binding_sum_max(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Max over commit points of best-reveal-0 plus best-reveal-1 acceptance."""
     predicate = predicate or params.predicate
-    d, L = params.d, params.L
+    d = params.d
     offsets = _offset_grid(d, 2, shell_only=False)
     odd_mask = np.abs(offsets).sum(axis=1) % 2 == 1
-    accept = _acceptance_matrix(d, offsets, predicate)
-    events = [(j, m) for j in range(d) for m in (1, 2)]
 
     best_sum = Fraction(-1)
     best_commit: tuple[int, ...] = (0,) * d
-    for commit_point in itertools.combinations_with_replacement(
-        _commit_candidate_values(L), d
-    ):
-        commit_arr = np.array(commit_point, dtype=int)
-        decode_ok = np.array(
-            [commit_arr[j] + m <= L + 1 for j, m in events], dtype=bool
-        )
-        counts = accept[decode_ok].sum(axis=0)
-        reveals = offsets + commit_arr
-        valid = (reveals >= 0).all(axis=1) & (reveals <= L - 1).all(axis=1)
-        counts = np.where(valid, counts, -1)
+    for commit_point, counts in _binding_scan(params, offsets, predicate):
         best_odd = counts[odd_mask].max() if odd_mask.any() else -1
         best_even = counts[~odd_mask].max() if (~odd_mask).any() else -1
         total = Fraction(max(best_odd, 0) + max(best_even, 0), 2 * d)
@@ -555,6 +556,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _mode_config(mode: str, trials: int, seed: int) -> tuple[tuple[str, object], ...]:
+    """Config rows for the run mode; sampling inputs read 0 in exact mode."""
+    if mode not in ("exact", "monte-carlo", "both"):
+        raise ValueError("mode must be exact, monte-carlo, or both")
+    sampled = mode != "exact"
+    return (
+        ("mode", mode), ("trials", trials if sampled else 0), ("seed", seed if sampled else 0)
+    )
+
+
 @dataclass(frozen=True)
 class SecurityReport:
     """Self-describing, byte-deterministic security summary.
@@ -611,8 +622,6 @@ def lattice_report(
     only, "both" does both; exact binding and concealing are cheap enough to
     include whenever requested.
     """
-    if mode not in ("exact", "monte-carlo", "both"):
-        raise ValueError("mode must be exact, monte-carlo, or both")
     config = (
         ("d", params.d),
         ("L", params.L),
@@ -620,10 +629,7 @@ def lattice_report(
         ("predicate", params.predicate),
         ("min_gap", params.basis.min_gap),
         ("separation", params.basis.separation),
-        ("mode", mode),
-        ("trials", trials if mode != "exact" else 0),
-        ("seed", seed if mode != "exact" else 0),
-    )
+    ) + _mode_config(mode, trials, seed)
     results: list[tuple[str, object]] = []
     notes: list[str] = []
     if mode in ("exact", "both"):
@@ -662,13 +668,7 @@ def lattice_report(
 def four_symbol_report(
     *, mode: str = "exact", trials: int = 10_000, seed: int = 42
 ) -> SecurityReport:
-    if mode not in ("exact", "monte-carlo", "both"):
-        raise ValueError("mode must be exact, monte-carlo, or both")
-    config = (
-        ("mode", mode),
-        ("trials", trials if mode != "exact" else 0),
-        ("seed", seed if mode != "exact" else 0),
-    )
+    config = _mode_config(mode, trials, seed)
     results: list[tuple[str, object]] = []
     if mode in ("exact", "both"):
         flip, _ = four_symbol_flip_cheat()
@@ -694,15 +694,8 @@ def continuous_report(
     trials: int = 10_000,
     seed: int = 42,
 ) -> SecurityReport:
-    if mode not in ("exact", "monte-carlo", "both"):
-        raise ValueError("mode must be exact, monte-carlo, or both")
+    config = (("alpha", float(alpha)),) + _mode_config(mode, trials, seed)
     p0, p1 = interpolation_acceptance(alpha)
-    config = (
-        ("alpha", float(alpha)),
-        ("mode", mode),
-        ("trials", trials if mode != "exact" else 0),
-        ("seed", seed if mode != "exact" else 0),
-    )
     results: list[tuple[str, object]] = [
         ("soundness", continuous_soundness_exact()),
         ("concealing_exact", Fraction(0)),

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, engine, lattice, so3
+from .analysis import _fmt
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,14 +59,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return repr(float(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _parse_group(text: str) -> so3.MisalignmentDistribution:
@@ -155,8 +148,8 @@ def cmd_twirl_check(args) -> int:
             for k in range(group.n)
         )
         lines.append("method = exact-enumeration")
-        lines.append(f"transcript_distributions_equal = {str(equal).lower()}")
-        lines.append(f"relative_frame_uniform = {str(frame_uniform).lower()}")
+        lines.append(f"transcript_distributions_equal = {_fmt(equal)}")
+        lines.append(f"relative_frame_uniform = {_fmt(frame_uniform)}")
         lines.append(f"support_size = {len(base)}")
         ok = equal and frame_uniform
     elif isinstance(group, so3.HaarSO3):
@@ -193,9 +186,9 @@ def cmd_mingap(args) -> int:
     ]
     ok = True
     if args.eps is not None:
-        ok = args.eps >= 0 and basis.separation > 2.0 * args.eps
+        ok = basis.certifies(args.eps)
         lines.append(f"eps = {_fmt(args.eps)}")
-        lines.append(f"eps_certified = {str(ok).lower()}")
+        lines.append(f"eps_certified = {_fmt(ok)}")
     lines.append(f"verdict = {'pass' if ok else 'fail'}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_CHECK

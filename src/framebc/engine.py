@@ -114,27 +114,30 @@ class Party:
     def decide(self) -> ProtocolOutcome:
         raise NotImplementedError
 
-    def received(self) -> list[Message]:
-        return [m for m in self.view if m.sender != self.role]
-
 
 class ScriptedParty(Party):
-    """Sends a fixed list of messages in order; optional fixed decider."""
+    """Sends a list of (kind, payload) messages in order; optional fixed decider.
+
+    `payloads` may instead be a callable that draws the list from the
+    session rng at `begin`.
+    """
 
     def __init__(
         self,
         role: str,
-        payloads: list[tuple[str, object]],
+        payloads: list[tuple[str, object]]
+        | Callable[[np.random.Generator | None], list[tuple[str, object]]],
         decider: Callable[[list[Message]], ProtocolOutcome] | None = None,
     ) -> None:
         super().__init__()
         self.role = role
-        self._payloads = payloads
+        self._script = payloads
         self._cursor = 0
         self._decider = decider
 
     def begin(self, rng) -> None:
         super().begin(rng)
+        self._payloads = self._script(rng) if callable(self._script) else self._script
         self._cursor = 0
 
     def _produce(self, rng) -> Message:
@@ -150,6 +153,37 @@ class ScriptedParty(Party):
         return self._decider(self.view)
 
 
+def commit_reveal_script(vector: np.ndarray, b: int, a: object) -> list:
+    """Committer's two messages: the commit vector, then the clear reveal (b, a)."""
+    return [(VEC, vector), (DATA, (b, a))]
+
+
+def commit_reveal_decider(
+    decode: Callable[[np.ndarray], object | None],
+    verify: Callable[[object, object, object], bool],
+) -> Callable[[list[Message]], ProtocolOutcome]:
+    """Receiver's verdict on a view holding a commit vector and a reveal (b, a).
+
+    `decode` maps the received vector to the scheme's decoded value, or None
+    when it decodes nowhere; `verify(decoded, b, a)` is the reveal test.
+    """
+
+    def decide(view: list[Message]) -> ProtocolOutcome:
+        vecs = [m for m in view if m.is_vec()]
+        datas = [m for m in view if not m.is_vec()]
+        if not vecs or not datas:
+            return Aborted("malformed-session")
+        decoded = decode(vecs[0].payload)
+        if decoded is None:
+            return Aborted("commit-decode")
+        b, a = datas[0].payload
+        if verify(decoded, b, a):
+            return Accepted(int(b))
+        return Aborted("reveal-reject")
+
+    return decide
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """A runnable protocol: schedule, channel law, and honest party factories.
@@ -163,6 +197,28 @@ class ProtocolSpec:
     mu: MisalignmentDistribution
     make_alice: Callable[[], Party]
     make_bob: Callable[[], Party]
+
+
+def commit_reveal_protocol(
+    name: str,
+    mu: MisalignmentDistribution,
+    script: list[tuple[str, object]] | Callable,
+    decode: Callable[[np.ndarray], object | None],
+    verify: Callable[[object, object, object], bool],
+) -> ProtocolSpec:
+    """Two-message commit/reveal spec shared by every scheme.
+
+    Alice plays `script` (see `ScriptedParty`), normally a
+    `commit_reveal_script`; Bob judges with `commit_reveal_decider`.
+    """
+    decider = commit_reveal_decider(decode, verify)
+    return ProtocolSpec(
+        name=name,
+        schedule=((ALICE, "send"), (ALICE, "send"), (BOB, "decide")),
+        mu=mu,
+        make_alice=lambda: ScriptedParty(ALICE, script),
+        make_bob=lambda: ScriptedParty(BOB, [], decider=decider),
+    )
 
 
 @dataclass(frozen=True)

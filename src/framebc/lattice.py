@@ -57,7 +57,8 @@ class AngleBasis:
     chosen so sum_i (L+1)*angles[i] = pi/2, which keeps every codebook angle
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
     angular distance between distinct codebook angles, certified by sorting
-    the full codebook at construction.
+    the full codebook at construction; `build_angle_basis` keeps that sorted
+    table (points and their angles) for the decoder.
     """
 
     d: int
@@ -65,6 +66,8 @@ class AngleBasis:
     angles: tuple[float, ...]
     scale: float
     min_gap: float
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def separation(self) -> float:
@@ -76,6 +79,10 @@ class AngleBasis:
         """Strict upper bound for usable measurement tolerances."""
         return self.separation / 2.0
 
+    def certifies(self, eps_meas: float) -> bool:
+        """Whether every tolerance ball of radius eps_meas holds at most one codeword."""
+        return 0.0 <= eps_meas and 2.0 * eps_meas < self.separation
+
 
 def codebook_size(d: int, L: int) -> int:
     return (L + 2) ** d
@@ -83,7 +90,8 @@ def codebook_size(d: int, L: int) -> int:
 
 def codebook_points(d: int, L: int) -> np.ndarray:
     """All decodable lattice points {0..L+1}^d as an (N, d) int array."""
-    return np.array(list(itertools.product(range(L + 2), repeat=d)), dtype=int)
+    # same lexicographic order as itertools.product(range(L + 2), repeat=d)
+    return np.ascontiguousarray(np.indices((L + 2,) * d).reshape(d, -1).T)
 
 
 def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> AngleBasis:
@@ -105,18 +113,23 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     roots = np.sqrt(np.array(first_primes(d), dtype=float))
     scale = (math.pi / 2.0) / ((L + 1) * float(roots.sum()))
     angles = scale * roots
-    alphas = codebook_points(d, L) @ angles
-    alphas.sort()
+    points = codebook_points(d, L)
+    alphas = points @ angles
+    order = np.argsort(alphas, kind="stable")
+    alphas = alphas[order]
     min_gap = float(np.diff(alphas).min()) if len(alphas) > 1 else math.tau
     if min_gap <= 0.0:
         raise ValueError("degenerate basis: duplicate codebook angles")
-    return AngleBasis(
+    basis = AngleBasis(
         d=d,
         L=L,
         angles=tuple(float(a) for a in angles),
         scale=scale,
         min_gap=min_gap,
     )
+    object.__setattr__(basis, "_points", points[order])
+    object.__setattr__(basis, "_angles", alphas)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -142,18 +155,14 @@ class LatticeParams:
     def __post_init__(self) -> None:
         if self.predicate not in PREDICATES:
             raise ValueError(f"predicate must be one of {PREDICATES}")
-        if self.eps_meas < 0.0:
-            raise ValueError("eps_meas must be nonnegative")
-        if self.basis.separation <= 2.0 * self.eps_meas:
+        if not self.basis.certifies(self.eps_meas):
             raise ValueError(
-                f"eps_meas={self.eps_meas!r} too coarse: codeword separation "
-                f"{self.basis.separation!r} must exceed 2*eps_meas"
+                f"eps_meas={self.eps_meas!r} not certified: it must be nonnegative "
+                f"and the codeword separation {self.basis.separation!r} must "
+                "exceed 2*eps_meas"
             )
-        points = codebook_points(self.d, self.L)
-        alphas = points @ np.asarray(self.basis.angles)
-        order = np.argsort(alphas, kind="stable")
-        object.__setattr__(self, "_points", points[order])
-        object.__setattr__(self, "_angles", alphas[order])
+        object.__setattr__(self, "_points", self.basis._points)
+        object.__setattr__(self, "_angles", self.basis._angles)
         object.__setattr__(self, "_cos", np.cos(self._angles))
         object.__setattr__(self, "_sin", np.sin(self._angles))
 
@@ -190,10 +199,6 @@ def make_params(
 
 def parity(a) -> int:
     return int(np.sum(np.asarray(a, dtype=int))) % 2
-
-
-def lattice_angle(params: LatticeParams, a) -> float:
-    return math.fsum(float(x) * theta for x, theta in zip(a, params.angles))
 
 
 def encode(params: LatticeParams, a) -> np.ndarray:
@@ -367,89 +372,31 @@ def honest_run(params: LatticeParams, b: int, rng: np.random.Generator) -> bool:
 # protocol parties
 # ---------------------------------------------------------------------------
 
-class LatticeAlice(engine.Party):
-    """Honest committer: sends the encoded point, then the clear reveal."""
-
-    role = engine.ALICE
-
-    def __init__(self, params: LatticeParams, b: int, fixed_a=None) -> None:
-        super().__init__()
-        self.params = params
-        self.b = b
-        self.fixed_a = None if fixed_a is None else np.asarray(fixed_a, dtype=int)
-        self._a: np.ndarray | None = None
-        self._step = 0
-
-    def begin(self, rng) -> None:
-        super().begin(rng)
-        self._step = 0
-        if self.fixed_a is not None:
-            self._a = self.fixed_a
-        else:
-            self._a, _ = commit(self.params, self.b, rng)
-
-    def _produce(self, rng) -> engine.Message:
-        self._step += 1
-        if self._step == 1:
-            return engine.vec_message(self.role, encode(self.params, self._a))
-        return engine.data_message(self.role, (self.b, tuple(int(x) for x in self._a)))
-
-
-class CheatingLatticeAlice(engine.Party):
+def CheatingLatticeAlice(
+    params: LatticeParams, payload, reveal_b: int, reveal_a
+) -> engine.ScriptedParty:
     """Non-adaptive cheat: arbitrary commit payload, arbitrary fixed reveal."""
-
-    role = engine.ALICE
-
-    def __init__(self, params: LatticeParams, payload, reveal_b: int, reveal_a) -> None:
-        super().__init__()
-        self.params = params
-        self.payload = np.asarray(payload, dtype=float)
-        self.reveal_b = reveal_b
-        self.reveal_a = tuple(int(x) for x in reveal_a)
-        self._step = 0
-
-    def begin(self, rng) -> None:
-        super().begin(rng)
-        self._step = 0
-
-    def _produce(self, rng) -> engine.Message:
-        self._step += 1
-        if self._step == 1:
-            return engine.vec_message(self.role, self.payload)
-        return engine.data_message(self.role, (self.reveal_b, self.reveal_a))
-
-
-class LatticeBob(engine.Party):
-    """Honest receiver: decodes the commit vector, then checks the reveal."""
-
-    role = engine.BOB
-
-    def __init__(self, params: LatticeParams) -> None:
-        super().__init__()
-        self.params = params
-
-    def decide(self) -> engine.ProtocolOutcome:
-        vecs = [m for m in self.view if m.is_vec()]
-        datas = [m for m in self.view if not m.is_vec()]
-        if not vecs or not datas:
-            return engine.Aborted("malformed-session")
-        decoded = decode_commit(self.params, vecs[0].payload)
-        if decoded is None:
-            return engine.Aborted("commit-decode")
-        revealed_b, revealed_a = datas[0].payload
-        if verify_reveal(self.params, decoded, revealed_b, revealed_a):
-            return engine.Accepted(int(revealed_b))
-        return engine.Aborted("reveal-reject")
+    reveal = tuple(int(x) for x in reveal_a)
+    return engine.ScriptedParty(
+        engine.ALICE, engine.commit_reveal_script(payload, reveal_b, reveal)
+    )
 
 
 def lattice_protocol(
     params: LatticeParams, b: int, fixed_a=None
 ) -> engine.ProtocolSpec:
-    """Commit/reveal session spec for the lattice scheme."""
-    return engine.ProtocolSpec(
-        name=f"lattice(d={params.d},L={params.L},{params.predicate})",
-        schedule=((engine.ALICE, "send"), (engine.ALICE, "send"), (engine.BOB, "decide")),
-        mu=lattice_mu(params),
-        make_alice=lambda: LatticeAlice(params, b, fixed_a=fixed_a),
-        make_bob=lambda: LatticeBob(params),
+    """Commit/reveal session spec; the honest point is drawn per session unless fixed."""
+
+    def honest_script(rng):
+        a = commit(params, b, rng)[0] if fixed_a is None else fixed_a
+        return engine.commit_reveal_script(
+            encode(params, a), b, tuple(int(x) for x in a)
+        )
+
+    return engine.commit_reveal_protocol(
+        f"lattice(d={params.d},L={params.L},{params.predicate})",
+        lattice_mu(params),
+        honest_script,
+        lambda received: decode_commit(params, received),
+        lambda decoded, rb, ra: verify_reveal(params, decoded, rb, ra),
     )

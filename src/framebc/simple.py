@@ -136,73 +136,27 @@ def four_symbol_received_distribution(b: int) -> dict[int, Fraction]:
     return dist
 
 
-class FourSymbolAlice(engine.Party):
-    """Honest committer for the four-symbol scheme."""
-
-    role = engine.ALICE
-
-    def __init__(self, codeword: FourSymbolCodeword) -> None:
-        super().__init__()
-        self.codeword = codeword
-        self._step = 0
-
-    def begin(self, rng) -> None:
-        super().begin(rng)
-        self._step = 0
-
-    def _produce(self, rng) -> engine.Message:
-        self._step += 1
-        if self._step == 1:
-            return engine.vec_message(self.role, symbol_vector(self.codeword.symbol))
-        return engine.data_message(self.role, (self.codeword.b, self.codeword.a))
-
-
-class CheatingFourSymbolAlice(engine.Party):
+def CheatingFourSymbolAlice(
+    commit_symbol: int, reveal: FourSymbolCodeword
+) -> engine.ScriptedParty:
     """Commits one symbol, reveals an arbitrary codeword."""
-
-    role = engine.ALICE
-
-    def __init__(self, commit_symbol: int, reveal: FourSymbolCodeword) -> None:
-        super().__init__()
-        self.commit_symbol = commit_symbol
-        self.reveal = reveal
-        self._step = 0
-
-    def begin(self, rng) -> None:
-        super().begin(rng)
-        self._step = 0
-
-    def _produce(self, rng) -> engine.Message:
-        self._step += 1
-        if self._step == 1:
-            return engine.vec_message(self.role, symbol_vector(self.commit_symbol))
-        return engine.data_message(self.role, (self.reveal.b, self.reveal.a))
-
-
-class FourSymbolBob(engine.Party):
-    role = engine.BOB
-
-    def decide(self) -> engine.ProtocolOutcome:
-        vecs = [m for m in self.view if m.is_vec()]
-        datas = [m for m in self.view if not m.is_vec()]
-        if not vecs or not datas:
-            return engine.Aborted("malformed-session")
-        received = decode_symbol(vecs[0].payload)
-        if received is None:
-            return engine.Aborted("commit-decode")
-        b, a = datas[0].payload
-        if four_symbol_verify(received, FourSymbolCodeword(int(a), int(b))):
-            return engine.Accepted(int(b))
-        return engine.Aborted("reveal-reject")
+    return engine.ScriptedParty(
+        engine.ALICE,
+        engine.commit_reveal_script(symbol_vector(commit_symbol), reveal.b, reveal.a),
+    )
 
 
 def four_symbol_protocol(codeword: FourSymbolCodeword) -> engine.ProtocolSpec:
-    return engine.ProtocolSpec(
-        name="four-symbol",
-        schedule=((engine.ALICE, "send"), (engine.ALICE, "send"), (engine.BOB, "decide")),
-        mu=four_symbol_mu(),
-        make_alice=lambda: FourSymbolAlice(codeword),
-        make_bob=lambda: FourSymbolBob(),
+    return engine.commit_reveal_protocol(
+        "four-symbol",
+        four_symbol_mu(),
+        engine.commit_reveal_script(
+            symbol_vector(codeword.symbol), codeword.b, codeword.a
+        ),
+        decode_symbol,
+        lambda received, b, a: four_symbol_verify(
+            received, FourSymbolCodeword(int(a), int(b))
+        ),
     )
 
 
@@ -318,73 +272,21 @@ def quadrant_indicator_distribution(b: int) -> dict[tuple[int, ...], Fraction]:
     return dist
 
 
-class ContinuousAlice(engine.Party):
-    """Honest committer: axis codeword now, clear (b, a) later."""
-
-    role = engine.ALICE
-
-    def __init__(self, a: int, b: int) -> None:
-        super().__init__()
-        self.a = a
-        self.b = b
-        self._step = 0
-
-    def begin(self, rng) -> None:
-        super().begin(rng)
-        self._step = 0
-
-    def _produce(self, rng) -> engine.Message:
-        self._step += 1
-        if self._step == 1:
-            return engine.vec_message(self.role, planar_unit(codeword_angle(self.a, self.b)))
-        return engine.data_message(self.role, (self.b, self.a))
-
-
-class InterpolatingAlice(engine.Party):
+def InterpolatingAlice(
+    strategy: InterpolationStrategy, reveal_b: int, reveal_a: int = 0
+) -> engine.ScriptedParty:
     """Sends the interpolated vector, then reveals a fixed codeword."""
-
-    role = engine.ALICE
-
-    def __init__(self, strategy: InterpolationStrategy, reveal_b: int, reveal_a: int = 0) -> None:
-        super().__init__()
-        self.strategy = strategy
-        self.reveal_b = reveal_b
-        self.reveal_a = reveal_a
-        self._step = 0
-
-    def begin(self, rng) -> None:
-        super().begin(rng)
-        self._step = 0
-
-    def _produce(self, rng) -> engine.Message:
-        self._step += 1
-        if self._step == 1:
-            return engine.vec_message(self.role, planar_unit(self.strategy.angle))
-        return engine.data_message(self.role, (self.reveal_b, self.reveal_a))
-
-
-class ContinuousBob(engine.Party):
-    role = engine.BOB
-
-    def decide(self) -> engine.ProtocolOutcome:
-        vecs = [m for m in self.view if m.is_vec()]
-        datas = [m for m in self.view if not m.is_vec()]
-        if not vecs or not datas:
-            return engine.Aborted("malformed-session")
-        angle = continuous_receive_angle(vecs[0].payload)
-        if angle is None:
-            return engine.Aborted("commit-decode")
-        b, a = datas[0].payload
-        if arc_accepts(angle, codeword_angle(int(a), int(b))):
-            return engine.Accepted(int(b))
-        return engine.Aborted("reveal-reject")
+    return engine.ScriptedParty(
+        engine.ALICE,
+        engine.commit_reveal_script(planar_unit(strategy.angle), reveal_b, reveal_a),
+    )
 
 
 def continuous_protocol(a: int, b: int) -> engine.ProtocolSpec:
-    return engine.ProtocolSpec(
-        name="continuous",
-        schedule=((engine.ALICE, "send"), (engine.ALICE, "send"), (engine.BOB, "decide")),
-        mu=continuous_mu(),
-        make_alice=lambda: ContinuousAlice(a, b),
-        make_bob=lambda: ContinuousBob(),
+    return engine.commit_reveal_protocol(
+        "continuous",
+        continuous_mu(),
+        engine.commit_reveal_script(planar_unit(codeword_angle(a, b)), b, a),
+        continuous_receive_angle,
+        lambda angle, rb, ra: arc_accepts(angle, codeword_angle(int(ra), int(rb))),
     )

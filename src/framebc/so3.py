@@ -63,19 +63,6 @@ def rot_z(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rot_z_batch(thetas: np.ndarray) -> np.ndarray:
-    """Stack of z-rotations, shape (n, 3, 3)."""
-    thetas = np.asarray(thetas, dtype=float)
-    c, s = np.cos(thetas), np.sin(thetas)
-    out = np.zeros(thetas.shape + (3, 3))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    out[..., 2, 2] = 1.0
-    return out
-
-
 def identity_rotation() -> np.ndarray:
     return np.eye(3)
 
@@ -83,11 +70,6 @@ def identity_rotation() -> np.ndarray:
 def rotate(rotation: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix action of a rotation on a 3-vector."""
     return rotation @ np.asarray(v, dtype=float)
-
-
-def compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
-    """Rotation equal to applying `first`, then `then` (i.e. then @ first)."""
-    return then @ first
 
 
 def inverse(rotation: np.ndarray) -> np.ndarray:
@@ -258,32 +240,6 @@ def sample(mu: MisalignmentDistribution, rng: np.random.Generator) -> np.ndarray
             if u < acc:
                 return np.array(rotation, dtype=float)
         return np.array(mu.elements[-1][0], dtype=float)
-    raise TypeError(f"not a misalignment distribution: {mu!r}")
-
-
-def sample_batch(mu: MisalignmentDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent rotations as an (n, 3, 3) stack.
-
-    Same laws as `sample`, vectorized for Monte Carlo moment checks; the
-    stream is not element-for-element identical to repeated `sample` calls.
-    """
-    if isinstance(mu, HaarSO3):
-        return haar_rotations(n, rng)
-    if isinstance(mu, CyclicZ):
-        ks = rng.integers(mu.n, size=n)
-        return rot_z_batch(TAU * ks / mu.n)
-    if isinstance(mu, TwoPointAngleMixture):
-        js = rng.integers(len(mu.angles), size=n)
-        multipliers = 1 + rng.integers(2, size=n)
-        thetas = np.asarray(mu.angles)[js] * multipliers
-        return rot_z_batch(thetas)
-    if isinstance(mu, UniformSegment):
-        return rot_z_batch(rng.uniform(0.0, mu.phi_max, size=n))
-    if isinstance(mu, FiniteSupport):
-        probs = np.array([float(p) for _, p in mu.elements])
-        idx = rng.choice(len(mu.elements), size=n, p=probs / probs.sum())
-        mats = np.stack([np.asarray(r, dtype=float) for r, _ in mu.elements])
-        return mats[idx]
     raise TypeError(f"not a misalignment distribution: {mu!r}")
 
 

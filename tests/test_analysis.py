@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -169,6 +170,46 @@ def test_binding_sum_metric():
     assert total == 1 + Fraction(1, 3)
     total_strict, _ = analysis.binding_sum_max(params, "strict")
     assert total_strict == 1 + Fraction(1, 6)
+
+
+def _brute_force_binding(params, predicate):
+    """Unreduced flip and sum figures, for cross-checking the reduced search.
+
+    Every commit point in {0..L+1}^d against every reveal in {0..L-1}^d,
+    each scored over the 2d noise events with `verify_reveal`.
+    """
+    d, L = params.d, params.L
+    reveals = list(itertools.product(range(L), repeat=d))
+    bits = np.array([sum(r) % 2 for r in reveals])
+    # passes[x][k]: Bob, having decoded x, accepts the reveal reveals[k]
+    passes = {
+        x: np.array([
+            lattice.verify_reveal(params, x, sum(r) % 2, r, predicate=predicate)
+            for r in reveals
+        ])
+        for x in itertools.product(range(L + 2), repeat=d)
+    }
+    flip = total = 0
+    for commit in passes:
+        counts = np.zeros(len(reveals), dtype=int)
+        for j in range(d):
+            for m in (1, 2):
+                decoded = list(commit)
+                decoded[j] += m
+                if decoded[j] <= L + 1:
+                    counts += passes[tuple(decoded)]
+        flip = max(flip, int(counts[bits != sum(commit) % 2].max()))
+        total = max(total, int(counts[bits == 0].max() + counts[bits == 1].max()))
+    return Fraction(flip, 2 * d), Fraction(total, 2 * d)
+
+
+@pytest.mark.parametrize("predicate", ["strict", "lenient"])
+@pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3) for L in range(2, 8)])
+def test_binding_reductions_match_brute_force(d, L, predicate):
+    params = lattice.make_params(d, L)
+    flip, total = _brute_force_binding(params, predicate)
+    assert analysis.binding_search(params, predicate).probability == flip
+    assert analysis.binding_sum_max(params, predicate)[0] == total
 
 
 # --- finite precision ------------------------------------------------------------

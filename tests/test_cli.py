@@ -213,7 +213,8 @@ def test_bad_lattice_parameters_exit_one(capsys):
 
 
 def test_coarse_eps_exits_one(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--protocol", "lattice",
-                           "--d", "2", "--L", "4", "--eps", "0.5")
-    assert code == 1
-    assert "separation" in err
+    for eps in ("0.5", "nan"):
+        code, _, err = run_cli(capsys, "analyze", "--protocol", "lattice",
+                               "--d", "2", "--L", "4", "--eps", eps)
+        assert code == 1
+        assert "separation" in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framebc import engine, lattice, so3
+from framebc import engine, lattice, simple, so3
 
 
 class EchoAlice(engine.Party):
@@ -271,12 +271,11 @@ def test_parallel_flip_one_instance_probability():
             cheat = lattice.CheatingLatticeAlice(
                 params, lattice.encode(params, commit_point), 1, reveal_point
             )
-            honest = lattice.LatticeAlice(params, 0, fixed_a=(2, 2))
             outcome, _ = engine.run_parallel(
                 composed,
                 rotations=[r1, r2],
-                alices=[cheat, honest],
-                bobs=[lattice.LatticeBob(params), lattice.LatticeBob(params)],
+                alices=[cheat, spec.make_alice()],
+                bobs=[spec.make_bob(), spec.make_bob()],
             )
             if outcome == engine.Accepted((1, 0)):
                 success += p1 * p2
@@ -330,3 +329,32 @@ def test_replay_detects_tampering():
         t.outcome,
     )
     assert engine.replay_verdict(tampered, spec.make_bob) != t.outcome
+
+
+# --- shared commit/reveal decider ------------------------------------------------
+
+COMMIT_REVEAL_SPECS = {
+    "lattice": lambda: lattice.lattice_protocol(lattice.make_params(2, 4), 0, fixed_a=(2, 2)),
+    "four-symbol": lambda: simple.four_symbol_protocol(simple.FourSymbolCodeword(0, 0)),
+    "continuous": lambda: simple.continuous_protocol(0, 0),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(COMMIT_REVEAL_SPECS))
+def test_commit_reveal_decider_malformed_sessions(scheme):
+    spec = COMMIT_REVEAL_SPECS[scheme]()
+    honest = engine.run_session(spec, np.random.default_rng(12))
+    assert isinstance(honest.outcome, engine.Accepted)
+    commit_vector = honest.alice_view[0].payload
+
+    no_reveal = engine.ScriptedParty(
+        engine.ALICE, [(engine.VEC, commit_vector), (engine.VEC, commit_vector)]
+    )
+    t = engine.run_session(spec, np.random.default_rng(13), alice=no_reveal)
+    assert t.outcome == engine.Aborted("malformed-session")
+
+    short_reveal = engine.ScriptedParty(
+        engine.ALICE, [(engine.VEC, commit_vector), (engine.DATA, (0,))]
+    )
+    t = engine.run_session(spec, np.random.default_rng(14), alice=short_reveal)
+    assert t.outcome == engine.Aborted("strategy-error:bob:ValueError")

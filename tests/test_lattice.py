@@ -81,6 +81,8 @@ def test_params_reject_coarse_eps():
     basis = lattice.build_angle_basis(2, 4)
     with pytest.raises(ValueError, match="separation"):
         lattice.LatticeParams(basis, eps_meas=basis.max_safe_eps * 2)
+    with pytest.raises(ValueError, match="separation"):
+        lattice.LatticeParams(basis, eps_meas=float("nan"))
     with pytest.raises(ValueError, match="predicate"):
         lattice.LatticeParams(basis, eps_meas=0.0, predicate="other")
 
