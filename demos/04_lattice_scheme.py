@@ -36,8 +36,8 @@ print()
 print("== the channel is a coordinate bump ==")
 law = {}
 for _ in range(12):
-    bumped = lattice.apply_channel_noise(params, a, rng)
-    delta = tuple(int(x) for x in (bumped - a))
+    received = so3.sample(lattice.lattice_mu(params), rng) @ payload
+    delta = tuple(int(x) for x in (lattice.decode_commit(params, received) - a))
     law[delta] = law.get(delta, 0) + 1
 print("12 draws of (decoded - committed):", law)
 

@@ -34,7 +34,6 @@ from .lattice import (
     AngleBasis,
     BudgetExceededError,
     LatticeParams,
-    apply_channel_noise,
     build_angle_basis,
     commit,
     decode_commit,

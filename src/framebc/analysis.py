@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -31,6 +32,7 @@ from .lattice import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     LatticeParams,
+    accepting_reveals,
     decode_commit,
     encode,
     noise_support,
@@ -155,36 +157,26 @@ class BindingSearchResult:
     reveal_bit: int
 
 
-def _offset_grid(d: int, norm: int, shell_only: bool) -> np.ndarray:
-    grid = np.array(
-        list(itertools.product(range(-norm, norm + 1), repeat=d)), dtype=int
-    )
-    if shell_only:
-        grid = grid[np.abs(grid).max(axis=1) == norm]
-    return grid
+def _best_reveals(
+    params: LatticeParams, events: list[tuple[int, ...] | None], predicate: str
+) -> dict[int, tuple[int, tuple[int, ...] | None]]:
+    """Best reveal of each parity against one commit's decoded noise events.
 
-
-def _acceptance_matrix(
-    events: list[tuple[int, int]], offsets: np.ndarray, predicate: str
-) -> np.ndarray:
-    """accept[event, offset]: does noise event (j, m) pass with reveal offset delta?
-
-    The decoded point is commit + m*e_j and the revealed one commit + delta,
-    so the difference the verifier sees is m*e_j - delta, independent of the
-    commit point; boundary effects enter only through validity masks.
+    events holds Bob's decoded point under each noise event, None where the
+    event does not decode.  A reveal scores the number of events under which
+    Bob accepts it; only reveals in `accepting_reveals` of some event can
+    score at all.  Ties go to the lexicographically smallest reveal.
     """
-    accept = np.zeros((len(events), len(offsets)), dtype=bool)
-    for row, (j, m) in enumerate(events):
-        diff = -offsets.copy()
-        diff[:, j] += m
-        nonzeros = np.count_nonzero(diff, axis=1)
-        value = diff.sum(axis=1)  # equals the single nonzero entry when nonzeros == 1
-        single = (nonzeros == 1) & ((value == 1) | (value == 2))
-        if predicate == "lenient":
-            accept[row] = single | (nonzeros == 0)
-        else:
-            accept[row] = single
-    return accept
+    counts: Counter[tuple[int, ...]] = Counter()
+    for decoded in events:
+        if decoded is not None:
+            counts.update(accepting_reveals(params, decoded, predicate))
+    best: dict[int, tuple[int, tuple[int, ...] | None]] = {0: (0, None), 1: (0, None)}
+    for reveal in sorted(counts):
+        bit = sum(reveal) % 2
+        if counts[reveal] > best[bit][0]:
+            best[bit] = (counts[reveal], reveal)
+    return best
 
 
 def _commit_candidate_values(L: int) -> list[int]:
@@ -195,76 +187,53 @@ def _commit_candidate_values(L: int) -> list[int]:
 
 
 def _binding_scan(
-    params: LatticeParams, offsets: np.ndarray, predicate: str
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (commit point, counts) for one representative of each commit class.
+    params: LatticeParams, predicate: str
+) -> Iterator[tuple[tuple[int, ...], dict[int, tuple[int, tuple[int, ...] | None]]]]:
+    """Yield (commit point, best reveals) for one representative of each commit class.
 
-    counts[k] is the number of the 2d noise events under which the reveal
-    commit + offsets[k] is accepted, or -1 when that reveal leaves the
-    honest range {0..L-1}^d.  An event counts only when the bumped point
-    stays in the codebook, i.e. decodes.
+    The noise event (j, m) moves the commit to commit + m*e_j, which decodes
+    iff it stays in the codebook {0..L+1}^d.
     """
     d, L = params.d, params.L
-    events = list(noise_support(params))
-    accept = _acceptance_matrix(events, offsets, predicate)
     for commit_point in itertools.combinations_with_replacement(
         _commit_candidate_values(L), d
     ):
-        commit_arr = np.array(commit_point, dtype=int)
-        decode_ok = np.array(
-            [commit_arr[j] + m <= L + 1 for j, m in events], dtype=bool
-        )
-        counts = accept[decode_ok].sum(axis=0)
-        reveals = offsets + commit_arr
-        valid = (reveals >= 0).all(axis=1) & (reveals <= L - 1).all(axis=1)
-        yield commit_point, np.where(valid, counts, -1)
+        events: list[tuple[int, ...] | None] = []
+        for j, m in noise_support(params):
+            decoded = commit_point[:j] + (commit_point[j] + m,) + commit_point[j + 1:]
+            events.append(decoded if decoded[j] <= L + 1 else None)
+        yield commit_point, _best_reveals(params, events, predicate)
 
 
 def binding_search(
-    params: LatticeParams,
-    predicate: str | None = None,
-    *,
-    offset_norm: int = 2,
-    shell_only: bool = False,
+    params: LatticeParams, predicate: str | None = None
 ) -> BindingSearchResult:
-    """Best flip cheat over all codebook commit points and odd reveal offsets.
+    """Best flip cheat over all codebook commit points and opposite-parity reveals.
 
-    Exhausts commit points up to two symmetries that provably preserve the
-    acceptance law: coordinate permutation (the noise picks its coordinate
-    uniformly) and the per-coordinate saturation of boundary distances at 3
-    (offsets never reach further).  Reveal offsets delta = reveal - commit
-    range over the odd-parity points of the inf-norm ball of radius
-    `offset_norm`; `shell_only` restricts to the shell, which is the
-    widening check showing radius-3 offsets never help.
+    Each of the 2d equally likely noise events moves the commit point c to
+    c + m*e_j, and Bob accepts only reveals that differ from that decoded
+    point by e_k or 2e_k (or not at all, under lenient).  So only the
+    `accepting_reveals` of the decodable events can score, O(d^2) of them
+    per commit, and the success probability of a reveal is exactly the
+    share of events that accept it.
 
-    Success probability is exact over the 2d equally likely noise events:
-    the event decodes iff the bumped point stays in the codebook, and the
-    reveal passes iff its offset-difference is accepted by the predicate.
+    Commit points are exhausted up to two symmetries that provably preserve
+    the acceptance law: coordinate permutation (the noise picks its
+    coordinate uniformly) and the per-coordinate saturation of boundary
+    distances (no decoded point or reveal moves a coordinate by more than 2).
     """
     predicate = predicate or params.predicate
-    d = params.d
-    offsets = _offset_grid(d, offset_norm, shell_only)
-    offsets = offsets[np.abs(offsets).sum(axis=1) % 2 == 1]
-    if len(offsets) == 0:
-        return BindingSearchResult(Fraction(0), (0,) * d, (0,) * d, 0)
-
-    best_count = -1
-    best_commit: tuple[int, ...] | None = None
-    best_offset: np.ndarray | None = None
-    for commit_point, counts in _binding_scan(params, offsets, predicate):
-        idx = int(np.argmax(counts))
-        if counts[idx] > best_count:
-            best_count = int(counts[idx])
-            best_commit = commit_point
-            best_offset = offsets[idx]
-    if best_count <= 0:
-        return BindingSearchResult(Fraction(0), best_commit or (0,) * d, (0,) * d, 0)
-    reveal = tuple(int(x) for x in (np.array(best_commit) + best_offset))
+    best_count, best_commit, best_reveal = 0, None, None
+    for commit_point, reveals in _binding_scan(params, predicate):
+        count, reveal = reveals[1 - parity(commit_point)]
+        if count > best_count:
+            best_count, best_commit, best_reveal = count, commit_point, reveal
+    # some flip always scores: from the origin, the event 2e_1 accepts the reveal e_1
     return BindingSearchResult(
-        probability=Fraction(best_count, 2 * d),
+        probability=Fraction(best_count, 2 * params.d),
         commit_point=best_commit,
-        reveal_point=reveal,
-        reveal_bit=parity(reveal),
+        reveal_point=best_reveal,
+        reveal_bit=parity(best_reveal),
     )
 
 
@@ -274,15 +243,10 @@ def binding_sum_max(
     """Max over commit points of best-reveal-0 plus best-reveal-1 acceptance."""
     predicate = predicate or params.predicate
     d = params.d
-    offsets = _offset_grid(d, 2, shell_only=False)
-    odd_mask = np.abs(offsets).sum(axis=1) % 2 == 1
-
     best_sum = Fraction(-1)
     best_commit: tuple[int, ...] = (0,) * d
-    for commit_point, counts in _binding_scan(params, offsets, predicate):
-        best_odd = counts[odd_mask].max() if odd_mask.any() else -1
-        best_even = counts[~odd_mask].max() if (~odd_mask).any() else -1
-        total = Fraction(max(best_odd, 0) + max(best_even, 0), 2 * d)
+    for commit_point, reveals in _binding_scan(params, predicate):
+        total = Fraction(reveals[0][0] + reveals[1][0], 2 * d)
         if total > best_sum:
             best_sum = total
             best_commit = commit_point
@@ -330,35 +294,10 @@ def binding_search_finite_precision(
         received = rot_z(multiplier * params.angles[j]) @ w
         decoded = decode_commit(params, received)
         events.append(None if decoded is None else tuple(int(x) for x in decoded))
-
-    candidates: set[tuple[int, ...]] = set()
-    for decoded in events:
-        if decoded is None:
-            continue
-        dec = np.array(decoded, dtype=int)
-        pool = [dec]
-        for k in range(d):
-            for bump in (1, 2):
-                pool.append(dec - bump * np.eye(d, dtype=int)[k])
-        for cand in pool:
-            if cand.min() >= 0 and cand.max() <= params.L - 1:
-                candidates.add(tuple(int(x) for x in cand))
-
-    best: dict[int, tuple[Fraction, tuple[int, ...] | None]] = {
-        0: (Fraction(0), None),
-        1: (Fraction(0), None),
+    best = {
+        bit: (Fraction(count, 2 * d), reveal)
+        for bit, (count, reveal) in _best_reveals(params, events, predicate).items()
     }
-    for cand in sorted(candidates):
-        bit = parity(cand)
-        hits = sum(
-            1
-            for decoded in events
-            if decoded is not None
-            and verify_reveal(params, decoded, bit, cand, predicate=predicate)
-        )
-        prob = Fraction(hits, 2 * d)
-        if prob > best[bit][0]:
-            best[bit] = (prob, cand)
 
     anchor_arr = decode_commit(params, w)
     anchor = None if anchor_arr is None else tuple(int(x) for x in anchor_arr)

@@ -9,12 +9,14 @@ least 12 significant digits); exactly computed values additionally carry a
 Exit codes: 0 success, 1 invalid configuration, 2 enumeration budget
 exceeded, 3 certification or equivalence check failure.  The enumeration
 budget defaults to 10^7 points and can be overridden with --budget or the
-FRAMEBC_ENUM_BUDGET environment variable.
+FRAMEBC_ENUM_BUDGET environment variable; twirl-check's z<N> enumeration of
+N^2 sessions counts against it too.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -121,6 +123,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_twirl_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ValueError(
+            f"--threshold must be finite and positive, got {args.threshold!r}"
+        )
     group = _parse_group(args.group)
     lines = [
         "# framebc twirl equivalence report",
@@ -132,6 +140,11 @@ def cmd_twirl_check(args) -> int:
         "[results]",
     ]
     if isinstance(group, so3.CyclicZ):
+        budget = _resolve_budget(args)
+        if group.n * group.n > budget:
+            raise lattice.BudgetExceededError(
+                f"twirl enumeration size {group.n * group.n} exceeds budget {budget}"
+            )
         probe = engine.probe_protocol(group)
         base = engine.transcript_distribution(probe)
         compiled = engine.compiled_transcript_distribution(probe, group)

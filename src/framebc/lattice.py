@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .so3 import TwoPointAngleMixture, planar_unit
+from .so3 import TwoPointAngleMixture, planar_unit, sample
 
 #: codebook sizes above this are refused instead of silently enumerated
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -289,18 +289,6 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     return None
 
 
-def apply_channel_noise(
-    params: LatticeParams, a, rng: np.random.Generator
-) -> np.ndarray:
-    """Coordinate action of the channel: add e_j or 2e_j, j uniform."""
-    a = np.asarray(a, dtype=int)
-    j = int(rng.integers(params.d))
-    multiplier = 1 + int(rng.integers(2))
-    out = a.copy()
-    out[j] += multiplier
-    return out
-
-
 def noise_support(params: LatticeParams):
     """The 2d equally likely (j, multiplier) noise outcomes."""
     for j in range(params.d):
@@ -343,26 +331,35 @@ def verify_reveal(
     return bumps == 1 and bump_value in (1, 2)
 
 
+def accepting_reveals(
+    params: LatticeParams, decoded, predicate: str | None = None
+) -> list[tuple[int, ...]]:
+    """Every reveal Bob accepts after decoding `decoded`, each sent with its own parity.
+
+    The reveal test passes exactly when decoded - revealed is e_k or 2e_k
+    (or zero, under lenient) and the revealed point lies in the honest
+    range, so these are decoded - e_k and decoded - 2e_k for every k, plus
+    decoded itself under lenient, restricted to {0..L-1}^d.
+    """
+    predicate = predicate or params.predicate
+    point = tuple(int(x) for x in decoded)
+    reveals = [point] if predicate == "lenient" else []
+    for k in range(params.d):
+        for bump in (1, 2):
+            reveals.append(point[:k] + (point[k] - bump,) + point[k + 1:])
+    top = params.L - 1
+    return [r for r in reveals if min(r) >= 0 and max(r) <= top]
+
+
 def lattice_mu(params: LatticeParams) -> TwoPointAngleMixture:
     """The channel distribution this parameter set is designed for."""
     return TwoPointAngleMixture(params.angles)
 
 
 def honest_run(params: LatticeParams, b: int, rng: np.random.Generator) -> bool:
-    """One full honest commit/channel/reveal round through the geometry.
-
-    The channel rotation is drawn per the two-point mixture law and applied
-    to the payload with scalar arithmetic (identical to the matrix action of
-    rot_z, which only mixes the x-y components).
-    """
+    """One full honest commit/channel/reveal round through the geometry."""
     a, payload = commit(params, b, rng)
-    j = int(rng.integers(params.d))
-    multiplier = 1 + int(rng.integers(2))
-    theta = multiplier * params.angles[j]
-    c, s = math.cos(theta), math.sin(theta)
-    vx, vy, vz = float(payload[0]), float(payload[1]), float(payload[2])
-    received = np.array([c * vx - s * vy, s * vx + c * vy, vz])
-    decoded = decode_commit(params, received)
+    decoded = decode_commit(params, sample(lattice_mu(params), rng) @ payload)
     if decoded is None:
         return False
     return verify_reveal(params, decoded, b, a)

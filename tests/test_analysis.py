@@ -95,16 +95,24 @@ def test_concealing_geometric_oracle(d, L):
 
 # --- binding ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_binding_lenient_is_one_over_d(d):
-    params = lattice.make_params(d, 8)
+# (6, 8) and (9, 2) reach past the dimensions the brute-force oracle covers;
+# the d <= 5 cases keep their d-only test ids
+binding_grid = pytest.mark.parametrize(
+    "d,L", [(2, 8), (3, 8), (4, 8), (5, 8), (6, 8), (9, 2)],
+    ids=["2", "3", "4", "5", "6-8", "9-2"],
+)
+
+
+@binding_grid
+def test_binding_lenient_is_one_over_d(d, L):
+    params = lattice.make_params(d, L)
     result = analysis.binding_search(params, "lenient")
     assert result.probability == Fraction(1, d)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_binding_strict_is_one_over_2d(d):
-    params = lattice.make_params(d, 8)
+@binding_grid
+def test_binding_strict_is_one_over_2d(d, L):
+    params = lattice.make_params(d, L)
     result = analysis.binding_search(params, "strict")
     assert result.probability == Fraction(1, 2 * d)
 
@@ -121,15 +129,6 @@ def test_binding_lenient_dominates_strict(d, L):
     lenient = analysis.binding_search(params, "lenient").probability
     strict = analysis.binding_search(params, "strict").probability
     assert lenient >= strict
-
-
-def test_binding_widening_check_radius_three():
-    params = lattice.make_params(3, 8)
-    for predicate in lattice.PREDICATES:
-        result = analysis.binding_search(
-            params, predicate, offset_norm=3, shell_only=True
-        )
-        assert result.probability == Fraction(0)
 
 
 def test_binding_witness_is_a_valid_flip():
@@ -173,10 +172,11 @@ def test_binding_sum_metric():
 
 
 def _brute_force_binding(params, predicate):
-    """Unreduced flip and sum figures, for cross-checking the reduced search.
+    """Unreduced per-commit binding counts, for cross-checking the reduced search.
 
     Every commit point in {0..L+1}^d against every reveal in {0..L-1}^d,
-    each scored over the 2d noise events with `verify_reveal`.
+    each scored over the 2d noise events with `verify_reveal`.  Maps each
+    commit point to its best count for reveal bit 0 and for reveal bit 1.
     """
     d, L = params.d, params.L
     reveals = list(itertools.product(range(L), repeat=d))
@@ -189,7 +189,7 @@ def _brute_force_binding(params, predicate):
         ])
         for x in itertools.product(range(L + 2), repeat=d)
     }
-    flip = total = 0
+    best = {}
     for commit in passes:
         counts = np.zeros(len(reveals), dtype=int)
         for j in range(d):
@@ -198,18 +198,35 @@ def _brute_force_binding(params, predicate):
                 decoded[j] += m
                 if decoded[j] <= L + 1:
                     counts += passes[tuple(decoded)]
-        flip = max(flip, int(counts[bits != sum(commit) % 2].max()))
-        total = max(total, int(counts[bits == 0].max() + counts[bits == 1].max()))
-    return Fraction(flip, 2 * d), Fraction(total, 2 * d)
+        best[commit] = (int(counts[bits == 0].max()), int(counts[bits == 1].max()))
+    return best
+
+
+def _commit_class(point, L):
+    # a coordinate v matters only through which of v-2..v+2 lie in the honest
+    # range 0..L-1 and whether v+1, v+2 still decode (<= L+1); the noise
+    # treats coordinates alike, so order does not matter
+    return tuple(sorted((min(v, 2), min(L + 1 - v, 4)) for v in point))
 
 
 @pytest.mark.parametrize("predicate", ["strict", "lenient"])
 @pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3) for L in range(2, 8)])
 def test_binding_reductions_match_brute_force(d, L, predicate):
     params = lattice.make_params(d, L)
-    flip, total = _brute_force_binding(params, predicate)
-    assert analysis.binding_search(params, predicate).probability == flip
-    assert analysis.binding_sum_max(params, predicate)[0] == total
+    brute = _brute_force_binding(params, predicate)
+    # every commit point scores what its scanned class representative scores,
+    # for the reveal of its own parity and for the flipped one
+    reduced = {}
+    for commit, reveals in analysis._binding_scan(params, predicate):
+        b = sum(commit) % 2
+        reduced.setdefault(_commit_class(commit, L), (reveals[b][0], reveals[1 - b][0]))
+    for commit, per_bit in brute.items():
+        b = sum(commit) % 2
+        assert reduced.get(_commit_class(commit, L)) == (per_bit[b], per_bit[1 - b]), commit
+    flip = max(per_bit[1 - sum(c) % 2] for c, per_bit in brute.items())
+    total = max(sum(per_bit) for per_bit in brute.values())
+    assert analysis.binding_search(params, predicate).probability == Fraction(flip, 2 * d)
+    assert analysis.binding_sum_max(params, predicate)[0] == Fraction(total, 2 * d)
 
 
 # --- finite precision ------------------------------------------------------------

@@ -114,6 +114,11 @@ def test_twirl_check_bad_group_spec(capsys):
     code, _, err = run_cli(capsys, "twirl-check", "--group", "su2")
     assert code == 1
     assert "unrecognized group" in err
+    for flag, value in (("--threshold", "nan"), ("--threshold", "inf"),
+                        ("--threshold", "0"), ("--samples", "0")):
+        code, out, err = run_cli(capsys, "twirl-check", "--group", "haar", flag, value)
+        assert code == 1 and out == ""
+        assert "invalid configuration" in err
 
 
 # --- mingap ----------------------------------------------------------------------
@@ -153,6 +158,14 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 2
     monkeypatch.setenv(cli.BUDGET_ENV, "100000")
     code, out, _ = run_cli(capsys, "mingap", "--d", "2", "--L", "4")
+    assert code == 0
+    # twirl-check over z8 enumerates 8 * 8 sessions
+    monkeypatch.setenv(cli.BUDGET_ENV, "63")
+    code, out, err = run_cli(capsys, "twirl-check", "--group", "z8")
+    assert code == 2 and out == ""
+    assert "budget exceeded" in err
+    monkeypatch.setenv(cli.BUDGET_ENV, "64")
+    code, out, _ = run_cli(capsys, "twirl-check", "--group", "z8")
     assert code == 0
 
 

@@ -220,47 +220,6 @@ def test_decode_far_angle_aborts(params_d2_l4):
     assert lattice.decode_commit(params_d2_l4, mid) is None
 
 
-# --- channel noise ---------------------------------------------------------
-
-def test_noise_law_d1():
-    params = lattice.make_params(1, 4)
-    rng = np.random.default_rng(9)
-    counts = Counter(tuple(lattice.apply_channel_noise(params, (0,), rng))
-                     for _ in range(10_000))
-    assert set(counts) == {(1,), (2,)}
-    for value in counts.values():
-        assert abs(value / 10_000 - 0.5) <= 0.02
-
-
-def test_noise_law_d3_frequencies(params_d3_l8):
-    rng = np.random.default_rng(13)
-    n = 100_000
-    base = (1, 2, 3)
-    counts = Counter(
-        tuple(lattice.apply_channel_noise(params_d3_l8, base, rng)) for _ in range(n)
-    )
-    assert len(counts) == 6
-    p = 1 / 6
-    sigma = math.sqrt(p * (1 - p) / n)
-    for value in counts.values():
-        assert abs(value / n - p) <= 3 * sigma + 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_noise_moves_exactly_one_coordinate(d, seed):
-    params = lattice.make_params(d, 4)
-    rng = np.random.default_rng(seed)
-    a = np.zeros(d, dtype=int)
-    out = lattice.apply_channel_noise(params, a, rng)
-    diff = out - a
-    nonzero = np.nonzero(diff)[0]
-    assert len(nonzero) == 1 and int(diff[nonzero[0]]) in (1, 2)
-
-
 # --- reveal verification ---------------------------------------------------
 
 @pytest.mark.parametrize("predicate", lattice.PREDICATES)
