@@ -36,6 +36,7 @@ from .lattice import (
     LatticeParams,
     build_angle_basis,
     commit,
+    decode_batch,
     decode_commit,
     encode,
     lattice_mu,

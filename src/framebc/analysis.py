@@ -33,13 +33,13 @@ from .lattice import (
     BudgetExceededError,
     LatticeParams,
     accepting_reveals,
+    decode_batch,
     decode_commit,
-    encode,
+    encode_batch,
     noise_support,
     parity,
-    parity_class,
     parity_class_size,
-    verify_reveal,
+    verify_batch,
 )
 from .simple import (
     FourSymbolCodeword,
@@ -95,13 +95,15 @@ def monte_carlo_acceptance(
 # lattice scheme: concealing
 # ---------------------------------------------------------------------------
 
-def lattice_received_distributions(
-    params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], Fraction]]:
-    """Exact law of Bob's decoded point for b = 0 and b = 1.
+def _received_histograms(
+    params: LatticeParams, budget: int
+) -> tuple[list[np.ndarray], list[int]]:
+    """Bob's decoded-point counts for b = 0 and b = 1, with their denominators.
 
-    Enumerates the parity class times the 2d-outcome noise law with exact
-    rational weights; cost L^d * 2d, guarded by the budget.
+    Histogram b counts, over the flattened (L+2)^d codebook grid, the
+    (parity-b point, noise event) pairs that land on each point; its
+    denominator is the number of such pairs, |class b| * 2d.  Cost L^d * 2d,
+    guarded by the budget.
     """
     d, L = params.d, params.L
     cost = (L**d) * 2 * d
@@ -109,18 +111,35 @@ def lattice_received_distributions(
         raise BudgetExceededError(
             f"concealing enumeration size {cost} exceeds budget {budget}"
         )
-    out = []
+    # coordinate sum of every honest point, shape (L,) * d
+    sums = sum(np.ix_(*[np.arange(L)] * d))
+    hists = []
     for b in (0, 1):
-        size = parity_class_size(d, L, b)
-        weight = Fraction(1, size * 2 * d)
-        dist: dict[tuple[int, ...], Fraction] = {}
-        for a in parity_class(d, L, b):
-            for j, multiplier in noise_support(params):
-                received = list(a)
-                received[j] += multiplier
-                key = tuple(received)
-                dist[key] = dist.get(key, Fraction(0)) + weight
-        out.append(dist)
+        member = (sums % 2 == b).astype(np.int64)
+        hist = np.zeros((L + 2,) * d, dtype=np.int64)
+        for j, multiplier in noise_support(params):
+            shifted = tuple(
+                slice(multiplier, multiplier + L) if k == j else slice(0, L) for k in range(d)
+            )
+            hist[shifted] += member
+        hists.append(hist.ravel())
+    return hists, [parity_class_size(d, L, b) * 2 * d for b in (0, 1)]
+
+
+def lattice_received_distributions(
+    params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], Fraction]]:
+    """Exact law of Bob's decoded point for b = 0 and b = 1, over its support."""
+    hists, denominators = _received_histograms(params, budget)
+    shape = (params.L + 2,) * params.d
+    out = []
+    for hist, denominator in zip(hists, denominators):
+        support = np.flatnonzero(hist)
+        points = np.stack(np.unravel_index(support, shape), axis=1).tolist()
+        out.append({
+            tuple(point): Fraction(count, denominator)
+            for point, count in zip(points, hist[support].tolist())
+        })
     return out[0], out[1]
 
 
@@ -136,8 +155,9 @@ def distribution_distance(
 
 
 def concealing_exact(params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
-    p0, p1 = lattice_received_distributions(params, budget=budget)
-    return distribution_distance(p0, p1)
+    """sum_x |P(x|0) - P(x|1)| = sum_x |h0 n1 - h1 n0| / (n0 n1) over the histograms."""
+    (h0, h1), (n0, n1) = _received_histograms(params, budget)
+    return Fraction(int(np.abs(h0 * n1 - h1 * n0).sum()), n0 * n1)
 
 
 def concealing_bound_exact(d: int, L: int) -> Fraction:
@@ -289,11 +309,13 @@ def binding_search_finite_precision(
     if abs(float(np.linalg.norm(w)) - 1.0) > 1e-9:
         raise ValueError("committed payload must be a unit vector")
     d = params.d
-    events: list[tuple[int, ...] | None] = []
-    for j, multiplier in noise_support(params):
-        received = rot_z(multiplier * params.angles[j]) @ w
-        decoded = decode_commit(params, received)
-        events.append(None if decoded is None else tuple(int(x) for x in decoded))
+    received = np.stack(
+        [rot_z(multiplier * params.angles[j]) @ w for j, multiplier in noise_support(params)]
+    )
+    points, ok = decode_batch(params, received)
+    events = [
+        tuple(point) if good else None for point, good in zip(points.tolist(), ok.tolist())
+    ]
     best = {
         bit: (Fraction(count, 2 * d), reveal)
         for bit, (count, reveal) in _best_reveals(params, events, predicate).items()
@@ -315,14 +337,20 @@ def binding_search_finite_precision(
 # lattice scheme: soundness
 # ---------------------------------------------------------------------------
 
+#: honest points encoded per soundness chunk; each is decoded under all 2d events
+SOUNDNESS_CHUNK = 4096
+
+
 def lattice_soundness_exact(
     params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Fraction:
     """Exact honest acceptance through the channel geometry.
 
-    Enumerates both parity classes against the full noise support, encoding,
-    rotating, decoding, and verifying each combination; returns the exact
-    acceptance probability (1 whenever the parameters certify).
+    Enumerates {0..L-1}^d in chunks against the full noise support: encodes
+    each point, rotates it by every rot_z(m*theta_j), decodes, and verifies
+    the honest reveal (its own parity and point).  Counts acceptances per
+    parity class and returns the exact acceptance probability with b
+    uniform (1 whenever the parameters certify).
     """
     d, L = params.d, params.L
     cost = (L**d) * 2 * d
@@ -330,18 +358,23 @@ def lattice_soundness_exact(
         raise BudgetExceededError(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
-    total = Fraction(0)
-    for b in (0, 1):
-        size = parity_class_size(d, L, b)
-        for a in parity_class(d, L, b):
-            payload = encode(params, a)
-            for j, multiplier in noise_support(params):
-                rotation = rot_z(multiplier * params.angles[j])
-                decoded = decode_commit(params, rotation @ payload)
-                ok = decoded is not None and verify_reveal(params, decoded, b, a)
-                if ok:
-                    total += Fraction(1, 2) * Fraction(1, size) * Fraction(1, 2 * d)
-    return total
+    rotations = [rot_z(multiplier * params.angles[j]) for j, multiplier in noise_support(params)]
+    accepted = [0, 0]
+    for start in range(0, L**d, SOUNDNESS_CHUNK):
+        index = np.arange(start, min(start + SOUNDNESS_CHUNK, L**d))
+        points = np.stack(np.unravel_index(index, (L,) * d), axis=1)
+        payloads = encode_batch(params, points)
+        # the stacked matmul computes each row exactly as rotation @ payload does
+        received = np.concatenate([(r @ payloads[:, :, None])[:, :, 0] for r in rotations])
+        decoded, ok = decode_batch(params, received)
+        revealed = np.tile(points, (len(rotations), 1))
+        bits = revealed.sum(axis=1) % 2
+        ok &= verify_batch(params, decoded, bits, revealed)
+        for b in (0, 1):
+            accepted[b] += int(np.count_nonzero(ok & (bits == b)))
+    # P(accept) = 1/2 * sum_b accepted_b / (|class b| * 2d)
+    n0, n1 = (parity_class_size(d, L, b) * 2 * d for b in (0, 1))
+    return Fraction(accepted[0] * n1 + accepted[1] * n0, 2 * n0 * n1)
 
 
 def lattice_soundness_mc(

@@ -140,14 +140,11 @@ def cmd_twirl_check(args) -> int:
         "[results]",
     ]
     if isinstance(group, so3.CyclicZ):
-        budget = _resolve_budget(args)
-        if group.n * group.n > budget:
-            raise lattice.BudgetExceededError(
-                f"twirl enumeration size {group.n * group.n} exceeds budget {budget}"
-            )
         probe = engine.probe_protocol(group)
         base = engine.transcript_distribution(probe)
-        compiled = engine.compiled_transcript_distribution(probe, group)
+        compiled = engine.compiled_transcript_distribution(
+            probe, group, budget=_resolve_budget(args)
+        )
         equal = base == compiled
         # the compiled relative frame must itself be uniform over the group
         frame_law: dict[int, Fraction] = {}

@@ -36,6 +36,14 @@ from .so3 import (
     unit3,
 )
 
+#: enumerations larger than this are refused instead of silently run
+DEFAULT_ENUM_BUDGET = 10_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """The requested enumeration is larger than the configured budget."""
+
+
 ALICE = "alice"
 BOB = "bob"
 
@@ -417,18 +425,26 @@ def transcript_distribution(
 
 
 def compiled_transcript_distribution(
-    spec: ProtocolSpec, group: CyclicZ, digits: int = 9
+    spec: ProtocolSpec,
+    group: CyclicZ,
+    digits: int = 9,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict[tuple, Fraction]:
     """Exact transcript distribution of the twirl-compiled protocol.
 
     Enumerates both parties' private group elements over group x group with
     a noiseless channel; views are the inner (untwirled) views, so equality
     with `transcript_distribution(spec)` is the compiler's simulation claim
-    at finite-group scale.
+    at finite-group scale.  Raises BudgetExceededError when the |G|^2
+    sessions exceed the budget.
     """
     _require_group(group)
     if not isinstance(group, CyclicZ):
         raise ValueError("exact enumeration needs a finite group")
+    if group.n * group.n > budget:
+        raise BudgetExceededError(
+            f"twirl enumeration size {group.n * group.n} exceeds budget {budget}"
+        )
     dist: dict[tuple, Fraction] = {}
     identity = identity_rotation()
     for u_a, p_a in enumerate_support(group):

@@ -20,6 +20,7 @@ received vector to contain at most one codeword.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,16 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
+from .engine import DEFAULT_ENUM_BUDGET, BudgetExceededError
 from .so3 import TwoPointAngleMixture, planar_unit, sample
 
-#: codebook sizes above this are refused instead of silently enumerated
-DEFAULT_ENUM_BUDGET = 10_000_000
-
 PREDICATES = ("strict", "lenient")
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
 
 
 def first_primes(k: int) -> list[int]:
@@ -166,6 +161,11 @@ class LatticeParams:
         object.__setattr__(self, "_cos", np.cos(self._angles))
         object.__setattr__(self, "_sin", np.sin(self._angles))
 
+    @functools.cached_property
+    def _mu(self) -> TwoPointAngleMixture:
+        # built on first use, so make_params does no channel set-up work
+        return TwoPointAngleMixture(self.angles)
+
     @property
     def d(self) -> int:
         return self.basis.d
@@ -211,6 +211,20 @@ def encode(params: LatticeParams, a) -> np.ndarray:
         raise ValueError(f"coordinates must lie in 0..L+1, got {coords}")
     alpha = math.fsum(x * theta for x, theta in zip(coords, params.angles))
     return planar_unit(alpha)
+
+
+def encode_batch(params: LatticeParams, points) -> np.ndarray:
+    """`encode` over the rows of an (n, d) point array, as an (n, 3) array.
+
+    Each row is bit-identical to `encode`'s: the same correctly rounded
+    `math.fsum` of the products a_i * theta_i, then math.cos and math.sin.
+    Callers pass in-range points.
+    """
+    products = np.asarray(points, dtype=float).reshape(-1, params.d) * params.angles
+    alphas = list(map(math.fsum, products.tolist()))
+    return np.column_stack(
+        [list(map(math.cos, alphas)), list(map(math.sin, alphas)), np.zeros(len(alphas))]
+    )
 
 
 def parity_class_size(d: int, L: int, b: int) -> int:
@@ -263,6 +277,8 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     angular neighbours of the received direction (plus the table endpoints
     to cover wraparound), then the true Euclidean distance in R^3 decides.
     Out-of-plane or shrunken vectors fail the distance test on their own.
+    `decode_batch` applies the same rule to many vectors at once; this
+    scalar form stays for the per-trial decodes of sessions and Monte Carlo.
     """
     received = np.asarray(received, dtype=float)
     rx, ry, rz = float(received[0]), float(received[1]), float(received[2])
@@ -287,6 +303,33 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     if best_sq <= params.eps_meas * params.eps_meas:
         return params._points[best_idx].copy()
     return None
+
+
+def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
+    """`decode_commit` over the rows of an (n, 3) array in one pass.
+
+    Returns the decoded points as an (n, d) int array and a boolean mask of
+    the rows that decode; a row whose mask is False means abort, and its
+    point is only the nearest candidate.  Candidates and the distance test
+    are decode_commit's: the table endpoints and the two angular neighbours
+    of each received direction, judged by squared distance in R^3.
+    """
+    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
+    rx, ry, rz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    phi = np.arctan2(ry, rx) % (2.0 * math.pi)
+    last = len(params._angles) - 1
+    i = np.searchsorted(params._angles, phi)
+    candidates = np.stack(
+        [np.zeros_like(i), np.full_like(i, last), np.minimum(i, last), np.maximum(i - 1, 0)],
+        axis=1,
+    )
+    dx = rx[:, None] - params._cos[candidates]
+    dy = ry[:, None] - params._sin[candidates]
+    sq = dx * dx + dy * dy + (rz * rz)[:, None]
+    pick = np.argmin(sq, axis=1)
+    rows = np.arange(len(xyz))
+    ok = sq[rows, pick] <= params.eps_meas * params.eps_meas
+    return params._points[candidates[rows, pick]], ok
 
 
 def noise_support(params: LatticeParams):
@@ -331,6 +374,28 @@ def verify_reveal(
     return bumps == 1 and bump_value in (1, 2)
 
 
+def verify_batch(
+    params: LatticeParams,
+    decoded,
+    revealed_b,
+    revealed_a,
+    predicate: str | None = None,
+) -> np.ndarray:
+    """`verify_reveal` over rows: (n, d) decoded and revealed points, n revealed bits."""
+    predicate = predicate or params.predicate
+    revealed_a = np.asarray(revealed_a)
+    in_range = ((revealed_a >= 0) & (revealed_a <= params.L - 1)).all(axis=1)
+    parity_ok = revealed_a.sum(axis=1) % 2 == np.asarray(revealed_b) % 2
+    diff = np.asarray(decoded) - revealed_a
+    bumps = np.count_nonzero(diff, axis=1)
+    # with a single bump the row sum is that bump's value
+    bump_value = diff.sum(axis=1)
+    passes = (bumps == 1) & ((bump_value == 1) | (bump_value == 2))
+    if predicate == "lenient":
+        passes |= bumps == 0
+    return in_range & parity_ok & passes
+
+
 def accepting_reveals(
     params: LatticeParams, decoded, predicate: str | None = None
 ) -> list[tuple[int, ...]]:
@@ -352,8 +417,8 @@ def accepting_reveals(
 
 
 def lattice_mu(params: LatticeParams) -> TwoPointAngleMixture:
-    """The channel distribution this parameter set is designed for."""
-    return TwoPointAngleMixture(params.angles)
+    """The channel distribution this parameter set is designed for, built once per params."""
+    return params._mu
 
 
 def honest_run(params: LatticeParams, b: int, rng: np.random.Generator) -> bool:

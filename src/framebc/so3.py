@@ -19,7 +19,7 @@ numpy arrays with determinant +1.  Both are treated as immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -165,17 +165,23 @@ class TwoPointAngleMixture:
     Each (angle index, multiplier) pair has probability 1/(2d).  This is the
     channel the lattice scheme is designed for: with probability 1/2 the
     rotation advances the encoded angle by theta_j, otherwise by 2*theta_j.
+    The 2d rotations are built once, read-only, and `sample` hands them out.
     """
 
     angles: tuple[float, ...]
+    _rotations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.angles) < 1:
             raise ValueError("need at least one angle")
-        if any(a <= 0 for a in self.angles):
-            raise ValueError("angles must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in self.angles):
+            raise ValueError(f"angles must be finite and positive, got {self.angles!r}")
         if len(set(self.angles)) != len(self.angles):
             raise ValueError("angles must be distinct")
+        # (d, 2, 3, 3): rot_z(m * angle) for each angle and m in (1, 2)
+        rotations = np.array([[rot_z(m * angle) for m in (1, 2)] for angle in self.angles])
+        rotations.flags.writeable = False
+        object.__setattr__(self, "_rotations", rotations)
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,11 @@ MisalignmentDistribution = (
 
 
 def sample(mu: MisalignmentDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Draw one rotation from mu. Deterministic given the generator state."""
+    """Draw one rotation from mu. Deterministic given the generator state.
+
+    A TwoPointAngleMixture hands out its shared read-only rotations; every
+    other distribution returns a fresh array.
+    """
     if isinstance(mu, HaarSO3):
         return haar_rotation(rng)
     if isinstance(mu, CyclicZ):
@@ -228,8 +238,7 @@ def sample(mu: MisalignmentDistribution, rng: np.random.Generator) -> np.ndarray
         return rot_z(TAU * k / mu.n)
     if isinstance(mu, TwoPointAngleMixture):
         j = int(rng.integers(len(mu.angles)))
-        multiplier = 1 + int(rng.integers(2))
-        return rot_z(multiplier * mu.angles[j])
+        return mu._rotations[j, int(rng.integers(2))]
     if isinstance(mu, UniformSegment):
         return rot_z(float(rng.uniform(0.0, mu.phi_max)))
     if isinstance(mu, FiniteSupport):

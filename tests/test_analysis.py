@@ -11,7 +11,10 @@ from framebc import analysis, engine, lattice, so3
 # an independent boundary-count derivation: for even L the distance is 2/L
 # regardless of d (the parity classes are balanced, and only the low-edge
 # bump ambiguity and the top-corner overflow separate the two conditionals).
+# Odd L leaves the classes unequal, and the distance is not 2/L.
 CONCEALING_ANCHORS = {
+    (2, 5): Fraction(35, 78),
+    (3, 3): Fraction(9, 13),
     (1, 4): Fraction(1, 2),
     (1, 8): Fraction(1, 4),
     (1, 16): Fraction(1, 8),
@@ -70,6 +73,34 @@ def test_concealing_budget_guard():
     params = lattice.make_params(2, 4)
     with pytest.raises(lattice.BudgetExceededError):
         analysis.concealing_exact(params, budget=10)
+    with pytest.raises(lattice.BudgetExceededError):
+        analysis.lattice_received_distributions(params, budget=10)
+
+
+def _received_law_oracle(d: int, L: int) -> tuple[dict, dict]:
+    # brute force with rational weights: every parity-b point, every noise event
+    out = []
+    for b in (0, 1):
+        points = [a for a in itertools.product(range(L), repeat=d) if sum(a) % 2 == b]
+        weight = Fraction(1, len(points) * 2 * d)
+        law: dict[tuple[int, ...], Fraction] = {}
+        for a in points:
+            for j in range(d):
+                for m in (1, 2):
+                    x = a[:j] + (a[j] + m,) + a[j + 1:]
+                    law[x] = law.get(x, Fraction(0)) + weight
+        out.append(law)
+    return out[0], out[1]
+
+
+@pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3) for L in range(2, 10)])
+def test_concealing_histograms_match_fraction_oracle(d, L):
+    params = lattice.make_params(d, L)
+    p0, p1 = _received_law_oracle(d, L)
+    assert analysis.lattice_received_distributions(params) == (p0, p1)
+    keys = set(p0) | set(p1)
+    expected = sum((abs(p0.get(k, 0) - p1.get(k, 0)) for k in keys), Fraction(0))
+    assert analysis.concealing_exact(params) == expected
 
 
 @pytest.mark.parametrize("d,L", [(1, 2), (2, 4), (2, 3)])
@@ -334,10 +365,34 @@ def test_finite_precision_requires_unit_vector(fp_params):
 
 # --- soundness ------------------------------------------------------------------
 
-@pytest.mark.parametrize("d,L", [(1, 4), (2, 4), (3, 8)])
+@pytest.mark.parametrize("d,L", [(1, 4), (2, 4), (3, 8), (4, 16), (5, 8)])
 def test_lattice_soundness_exact_is_one(d, L):
     params = lattice.make_params(d, L)
     assert analysis.lattice_soundness_exact(params) == Fraction(1)
+
+
+def test_lattice_soundness_exact_counts_rejections():
+    # at eps = 0 a rotated codeword decodes only when it lands on its table
+    # entry bit for bit; the count must match the scalar encode/decode path
+    basis = lattice.build_angle_basis(2, 5)
+    params = lattice.LatticeParams(basis, eps_meas=0.0)
+    accepted = Fraction(0)
+    for b in (0, 1):
+        size = lattice.parity_class_size(2, 5, b)
+        for a in lattice.parity_class(2, 5, b):
+            for j, m in lattice.noise_support(params):
+                received = so3.rot_z(m * params.angles[j]) @ lattice.encode(params, a)
+                decoded = lattice.decode_commit(params, received)
+                if decoded is not None and lattice.verify_reveal(params, decoded, b, a):
+                    accepted += Fraction(1, 2 * size * 2 * 2)
+    assert 0 < accepted < 1
+    assert analysis.lattice_soundness_exact(params) == accepted
+
+
+def test_soundness_budget_guard():
+    params = lattice.make_params(2, 4)
+    with pytest.raises(lattice.BudgetExceededError):
+        analysis.lattice_soundness_exact(params, budget=10)
 
 
 def test_lattice_soundness_monte_carlo():

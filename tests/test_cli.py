@@ -110,6 +110,12 @@ def test_twirl_check_rejects_mixture(capsys):
     assert "not a uniform group distribution" in err
 
 
+def test_twirl_check_rejects_non_finite_angle(capsys):
+    code, out, err = run_cli(capsys, "twirl-check", "--group", "twopoint:nan,1")
+    assert code == 1 and out == ""
+    assert "angles must be finite and positive" in err
+
+
 def test_twirl_check_bad_group_spec(capsys):
     code, _, err = run_cli(capsys, "twirl-check", "--group", "su2")
     assert code == 1

@@ -195,6 +195,16 @@ def test_twirl_transcript_distribution_equality(n):
     assert sum(base.values()) == 1
 
 
+def test_compiled_transcript_distribution_budget_guard():
+    # the compiled enumeration runs |G|^2 sessions
+    group = so3.CyclicZ(8)
+    spec = engine.probe_protocol(group)
+    with pytest.raises(lattice.BudgetExceededError, match="64 exceeds budget 63"):
+        engine.compiled_transcript_distribution(spec, group, budget=63)
+    compiled = engine.compiled_transcript_distribution(spec, group, budget=64)
+    assert compiled == engine.transcript_distribution(spec)
+
+
 def test_one_sided_twirl_randomizes_alice():
     group = so3.CyclicZ(4)
     spec = engine.probe_protocol(group)

@@ -220,6 +220,99 @@ def test_decode_far_angle_aborts(params_d2_l4):
     assert lattice.decode_commit(params_d2_l4, mid) is None
 
 
+def _decode_cases(params, rng) -> np.ndarray:
+    """Vectors at the edges of decode_commit's rule, one per row."""
+    eps = params.eps_meas
+    angles = params._angles
+    cases = []
+    # codewords nudged along the circle to just inside and just outside eps,
+    # on both sides, so the nearest codeword is angular neighbour i or i - 1
+    picks = np.concatenate([[0, 1, len(angles) - 2, len(angles) - 1],
+                            rng.integers(len(angles), size=40)])
+    for idx in picks:
+        for scale in (0.5, 0.999999, 1.000001, 2.0):
+            for sign in (-1.0, 1.0):
+                # a chord of length scale*eps subtends this angle
+                step = 2.0 * math.asin(min(1.0, scale * eps / 2.0))
+                cases.append(so3.planar_unit(angles[idx] + sign * step))
+    # out-of-plane and shrunken versions of codewords
+    for idx in picks[:12]:
+        v = so3.planar_unit(angles[idx])
+        for lift in (0.5, 0.999, 1.001, 3.0):
+            cases.append(v + np.array([0.0, 0.0, lift * eps]))
+        for shrink in (0.5, 0.999, 1.001, 3.0):
+            cases.append(v * (1.0 - shrink * eps))
+    cases.append(np.array([0.0, 0.0, 1.0]))
+    cases.append(np.zeros(3))
+    # midpoints of the table, farther than eps from both neighbours
+    for k in rng.integers(len(angles) - 1, size=30):
+        cases.append(so3.planar_unit((angles[k] + angles[k + 1]) / 2))
+    # wraparound: directions just below 2*pi and just above 0
+    for offset in (1e-15, 0.5 * eps, 0.999 * eps, 2.0 * eps, 0.1):
+        cases.append(so3.planar_unit(2.0 * math.pi - offset))
+        cases.append(so3.planar_unit(offset))
+    # random directions in R^3 and in the plane
+    cases.extend(rng.normal(size=(100, 3)) / 10.0 + np.array([0.5, 0.5, 0.0]))
+    cases.extend(so3.planar_unit(t) for t in rng.uniform(0.0, 2.0 * math.pi, size=100))
+    return np.array(cases)
+
+
+@pytest.mark.parametrize("d,L", [(1, 2), (2, 4), (3, 8), (2, 5)])
+def test_decode_batch_matches_decode_commit(d, L):
+    params = lattice.make_params(d, L)
+    cases = _decode_cases(params, np.random.default_rng(d * 100 + L))
+    points, ok = lattice.decode_batch(params, cases)
+    assert points.shape == (len(cases), d) and ok.shape == (len(cases),)
+    decoded_any = 0
+    for row, point, good in zip(cases, points, ok):
+        expected = lattice.decode_commit(params, row)
+        assert good == (expected is not None)
+        if good:
+            decoded_any += 1
+            assert tuple(point) == tuple(expected)
+    # the cases straddle the tolerance: both outcomes occur
+    assert 0 < decoded_any < len(cases)
+
+
+def test_decode_batch_rotated_codewords(params_d3_l8):
+    # the soundness path: every codeword under every channel rotation
+    points = lattice.codebook_points(3, 8)
+    payloads = lattice.encode_batch(params_d3_l8, points)
+    for j, m in lattice.noise_support(params_d3_l8):
+        received = (so3.rot_z(m * params_d3_l8.angles[j]) @ payloads[:, :, None])[:, :, 0]
+        decoded, ok = lattice.decode_batch(params_d3_l8, received)
+        for row, point, good in zip(received, decoded, ok):
+            expected = lattice.decode_commit(params_d3_l8, row)
+            assert good == (expected is not None)
+            assert not good or tuple(point) == tuple(expected)
+
+
+def test_encode_batch_matches_encode(params_d3_l8):
+    points = lattice.codebook_points(3, 8)
+    batch = lattice.encode_batch(params_d3_l8, points)
+    scalar = np.stack([lattice.encode(params_d3_l8, p) for p in points])
+    assert np.array_equal(batch, scalar)
+
+
+@pytest.mark.parametrize("predicate", lattice.PREDICATES)
+def test_verify_batch_matches_verify_reveal(params_d3_l8, predicate):
+    rng = np.random.default_rng(5)
+    revealed = rng.integers(-1, 10, size=(3000, 3))
+    decoded = revealed.copy()
+    # bump one coordinate by -1..3 in most rows, leave some untouched
+    coord = rng.integers(3, size=3000)
+    decoded[np.arange(3000), coord] += rng.integers(-1, 4, size=3000)
+    decoded[::7, 0] += 1
+    bits = rng.integers(2, size=3000)
+    ok = lattice.verify_batch(params_d3_l8, decoded, bits, revealed, predicate)
+    expected = [
+        lattice.verify_reveal(params_d3_l8, dec, int(b), rev, predicate)
+        for dec, b, rev in zip(decoded, bits, revealed)
+    ]
+    assert ok.tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
 # --- reveal verification ---------------------------------------------------
 
 @pytest.mark.parametrize("predicate", lattice.PREDICATES)

@@ -193,3 +193,23 @@ def test_two_point_validation():
         so3.TwoPointAngleMixture((0.1, 0.1))
     with pytest.raises(ValueError):
         so3.TwoPointAngleMixture((-0.1,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_two_point_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        so3.TwoPointAngleMixture((0.2, bad))
+
+
+def test_two_point_sample_hands_out_fixed_rotations():
+    # same two draws per sample as building rot_z(m * angle) afresh
+    angles = (0.11, 0.23, 0.37)
+    mu = so3.TwoPointAngleMixture(angles)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(200):
+        rotation = so3.sample(mu, rng)
+        j = int(ref.integers(len(angles)))
+        multiplier = 1 + int(ref.integers(2))
+        assert np.array_equal(rotation, so3.rot_z(multiplier * angles[j]))
+        assert not rotation.flags.writeable
+    assert rng.bit_generator.state == ref.bit_generator.state
