@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -177,26 +176,41 @@ class BindingSearchResult:
     reveal_bit: int
 
 
-def _best_reveals(
-    params: LatticeParams, events: list[tuple[int, ...] | None], predicate: str
-) -> dict[int, tuple[int, tuple[int, ...] | None]]:
-    """Best reveal of each parity against one commit's decoded noise events.
+#: commit classes scored per binding chunk; bounds the scorer's temporaries
+BINDING_CHUNK = 128
 
-    events holds Bob's decoded point under each noise event, None where the
-    event does not decode.  A reveal scores the number of events under which
-    Bob accepts it; only reveals in `accepting_reveals` of some event can
-    score at all.  Ties go to the lexicographically smallest reveal.
+_BindingTable = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _best_reveals(
+    params: LatticeParams, events: np.ndarray, decodes: np.ndarray, predicate: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best reveal of each parity for each row of decoded noise events.
+
+    events, shape (n, 2d, d), holds Bob's decoded point under each of a
+    commit's noise events, and decodes, shape (n, 2d), marks those that
+    decode.  A reveal scores the number of a row's events whose
+    `accepting_reveals` include it.  Returns the best count per row and
+    reveal bit, shape (n, 2), and the reveals reaching them, shape (n, 2, d),
+    ties going to the lexicographically smallest; a count of 0 has no reveal.
     """
-    counts: Counter[tuple[int, ...]] = Counter()
-    for decoded in events:
-        if decoded is not None:
-            counts.update(accepting_reveals(params, decoded, predicate))
-    best: dict[int, tuple[int, tuple[int, ...] | None]] = {0: (0, None), 1: (0, None)}
-    for reveal in sorted(counts):
-        bit = sum(reveal) % 2
-        if counts[reveal] > best[bit][0]:
-            best[bit] = (counts[reveal], reveal)
-    return best
+    d, L = params.d, params.L
+    reveals, ok = accepting_reveals(params, events, predicate)
+    ok &= decodes[..., None]
+    reveals = reveals[ok]
+    # key each reveal by its row and parity, then by its lexicographic rank in {0..L-1}^d
+    size = L**d
+    group = 2 * np.nonzero(ok)[0] + reveals.sum(axis=1) % 2
+    rank = reveals @ L ** np.arange(d - 1, -1, -1)
+    keys, counts = np.unique(group * size + rank, return_counts=True)
+    group, rank = np.divmod(keys, size)
+    # per (row, parity) group: the highest count first, then the smallest reveal
+    order = np.lexsort((rank, -counts, group))
+    first = order[np.unique(group[order], return_index=True)[1]]
+    best = np.zeros((2, 2 * len(events)), dtype=np.int64)
+    best[:, group[first]] = counts[first], rank[first]
+    points = np.stack(np.unravel_index(best[1], (L,) * d), axis=-1)
+    return best[0].reshape(-1, 2), points.reshape(-1, 2, d)
 
 
 def _commit_candidate_values(L: int) -> list[int]:
@@ -206,23 +220,41 @@ def _commit_candidate_values(L: int) -> list[int]:
     return sorted(v for v in raw if 0 <= v <= L + 1)
 
 
-def _binding_scan(
-    params: LatticeParams, predicate: str
-) -> Iterator[tuple[tuple[int, ...], dict[int, tuple[int, tuple[int, ...] | None]]]]:
-    """Yield (commit point, best reveals) for one representative of each commit class.
+def _binding_scan(params: LatticeParams, predicate: str) -> _BindingTable:
+    """Commit class representatives (m, d) with their `_best_reveals` counts and reveals.
 
-    The noise event (j, m) moves the commit to commit + m*e_j, which decodes
-    iff it stays in the codebook {0..L+1}^d.
+    The representatives come in `combinations_with_replacement` order and are
+    scored BINDING_CHUNK at a time.  The noise event (j, m) moves a commit to
+    commit + m*e_j, which decodes iff it stays in the codebook {0..L+1}^d.
     """
     d, L = params.d, params.L
-    for commit_point in itertools.combinations_with_replacement(
-        _commit_candidate_values(L), d
-    ):
-        events: list[tuple[int, ...] | None] = []
-        for j, m in noise_support(params):
-            decoded = commit_point[:j] + (commit_point[j] + m,) + commit_point[j + 1:]
-            events.append(decoded if decoded[j] <= L + 1 else None)
-        yield commit_point, _best_reveals(params, events, predicate)
+    values = _commit_candidate_values(L)
+    commits = np.array(list(itertools.combinations_with_replacement(values, d)), dtype=np.int64)
+    shifts = np.stack([m * np.eye(d, dtype=np.int64)[j] for j, m in noise_support(params)])
+    chunks = []
+    for start in range(0, len(commits), BINDING_CHUNK):
+        events = commits[start:start + BINDING_CHUNK, None, :] + shifts
+        chunks.append(_best_reveals(params, events, (events <= L + 1).all(axis=-1), predicate))
+    return commits, *map(np.concatenate, zip(*chunks))
+
+
+def _best_flip(table: _BindingTable) -> BindingSearchResult:
+    """The first commit class whose best opposite-parity reveal scores highest."""
+    commits, counts, reveals = table
+    flip = 1 - commits.sum(axis=1) % 2
+    i = int(np.argmax(counts[np.arange(len(commits)), flip]))
+    reveal = tuple(reveals[i, flip[i]].tolist())
+    # some flip always scores: from the origin, the event 2e_1 accepts the reveal e_1
+    probability = Fraction(int(counts[i, flip[i]]), 2 * commits.shape[1])
+    return BindingSearchResult(probability, tuple(commits[i].tolist()), reveal, parity(reveal))
+
+
+def _best_sum(table: _BindingTable) -> tuple[Fraction, tuple[int, ...]]:
+    """The first commit class whose best reveal-0 plus best reveal-1 scores highest."""
+    commits, counts, _ = table
+    totals = counts.sum(axis=1)
+    i = int(np.argmax(totals))
+    return Fraction(int(totals[i]), 2 * commits.shape[1]), tuple(commits[i].tolist())
 
 
 def binding_search(
@@ -242,35 +274,14 @@ def binding_search(
     coordinate uniformly) and the per-coordinate saturation of boundary
     distances (no decoded point or reveal moves a coordinate by more than 2).
     """
-    predicate = predicate or params.predicate
-    best_count, best_commit, best_reveal = 0, None, None
-    for commit_point, reveals in _binding_scan(params, predicate):
-        count, reveal = reveals[1 - parity(commit_point)]
-        if count > best_count:
-            best_count, best_commit, best_reveal = count, commit_point, reveal
-    # some flip always scores: from the origin, the event 2e_1 accepts the reveal e_1
-    return BindingSearchResult(
-        probability=Fraction(best_count, 2 * params.d),
-        commit_point=best_commit,
-        reveal_point=best_reveal,
-        reveal_bit=parity(best_reveal),
-    )
+    return _best_flip(_binding_scan(params, predicate or params.predicate))
 
 
 def binding_sum_max(
     params: LatticeParams, predicate: str | None = None
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Max over commit points of best-reveal-0 plus best-reveal-1 acceptance."""
-    predicate = predicate or params.predicate
-    d = params.d
-    best_sum = Fraction(-1)
-    best_commit: tuple[int, ...] = (0,) * d
-    for commit_point, reveals in _binding_scan(params, predicate):
-        total = Fraction(reveals[0][0] + reveals[1][0], 2 * d)
-        if total > best_sum:
-            best_sum = total
-            best_commit = commit_point
-    return best_sum, best_commit
+    return _best_sum(_binding_scan(params, predicate or params.predicate))
 
 
 @dataclass
@@ -308,17 +319,14 @@ def binding_search_finite_precision(
     w = np.asarray(w, dtype=float)
     if abs(float(np.linalg.norm(w)) - 1.0) > 1e-9:
         raise ValueError("committed payload must be a unit vector")
-    d = params.d
     received = np.stack(
         [rot_z(multiplier * params.angles[j]) @ w for j, multiplier in noise_support(params)]
     )
     points, ok = decode_batch(params, received)
-    events = [
-        tuple(point) if good else None for point, good in zip(points.tolist(), ok.tolist())
-    ]
+    (counts,), (reveals,) = _best_reveals(params, points[None], ok[None], predicate)
     best = {
-        bit: (Fraction(count, 2 * d), reveal)
-        for bit, (count, reveal) in _best_reveals(params, events, predicate).items()
+        bit: (Fraction(int(count), 2 * params.d), tuple(reveal.tolist()) if count else None)
+        for bit, (count, reveal) in enumerate(zip(counts, reveals))
     }
 
     anchor_arr = decode_commit(params, w)
@@ -607,9 +615,10 @@ def lattice_report(
     if mode in ("exact", "both"):
         eps = concealing_exact(params, budget=budget)
         bound = concealing_bound_exact(params.d, params.L)
-        flip_strict = binding_search(params, "strict").probability
-        flip_lenient = binding_search(params, "lenient").probability
-        sum_max, _ = binding_sum_max(params, params.predicate)
+        tables = {p: _binding_scan(params, p) for p in ("strict", "lenient")}
+        flip_strict = _best_flip(tables["strict"]).probability
+        flip_lenient = _best_flip(tables["lenient"]).probability
+        sum_max, _ = _best_sum(tables[params.predicate])
         results += [
             ("soundness", lattice_soundness_exact(params, budget=budget)),
             ("concealing_exact", eps),

@@ -21,7 +21,6 @@ received vector to contain at most one codeword.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -237,13 +236,6 @@ def parity_class_size(d: int, L: int, b: int) -> int:
     return (total + imbalance) // 2 if b == 0 else (total - imbalance) // 2
 
 
-def parity_class(d: int, L: int, b: int):
-    """Iterate the points of {0..L-1}^d with parity b."""
-    for point in itertools.product(range(L), repeat=d):
-        if sum(point) % 2 == b:
-            yield point
-
-
 def commit(
     params: LatticeParams, b: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -398,22 +390,21 @@ def verify_batch(
 
 def accepting_reveals(
     params: LatticeParams, decoded, predicate: str | None = None
-) -> list[tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Every reveal Bob accepts after decoding `decoded`, each sent with its own parity.
 
     The reveal test passes exactly when decoded - revealed is e_k or 2e_k
     (or zero, under lenient) and the revealed point lies in the honest
-    range, so these are decoded - e_k and decoded - 2e_k for every k, plus
-    decoded itself under lenient, restricted to {0..L-1}^d.
+    range.  For decoded points of shape (..., d), returns the candidates
+    decoded - s*e_k, s in {1, 2}, led by decoded itself under lenient, shape
+    (..., c, d), and the mask of those inside {0..L-1}^d, shape (..., c).
     """
     predicate = predicate or params.predicate
-    point = tuple(int(x) for x in decoded)
-    reveals = [point] if predicate == "lenient" else []
-    for k in range(params.d):
-        for bump in (1, 2):
-            reveals.append(point[:k] + (point[k] - bump,) + point[k + 1:])
-    top = params.L - 1
-    return [r for r in reveals if min(r) >= 0 and max(r) <= top]
+    eye = np.eye(params.d, dtype=np.int64)
+    shifts = [0 * eye[0]] if predicate == "lenient" else []
+    shifts = np.array(shifts + [bump * eye[k] for k in range(params.d) for bump in (1, 2)])
+    reveals = np.asarray(decoded, dtype=np.int64)[..., None, :] - shifts
+    return reveals, ((reveals >= 0) & (reveals <= params.L - 1)).all(axis=-1)
 
 
 def lattice_mu(params: LatticeParams) -> TwoPointAngleMixture:

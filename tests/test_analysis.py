@@ -1,11 +1,13 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from framebc import analysis, engine, lattice, so3
+from oracles import parity_class
 
 # Exact concealing distances, frozen after first computation and confirmed by
 # an independent boundary-count derivation: for even L the distance is 2/L
@@ -113,7 +115,7 @@ def test_concealing_geometric_oracle(d, L):
     for b in (0, 1):
         size = lattice.parity_class_size(d, L, b)
         geometric: dict[tuple, Fraction] = {}
-        for a in lattice.parity_class(d, L, b):
+        for a in parity_class(d, L, b):
             payload = lattice.encode(params, a)
             for rotation, prob in support:
                 decoded = lattice.decode_commit(params, rotation @ payload)
@@ -248,9 +250,10 @@ def test_binding_reductions_match_brute_force(d, L, predicate):
     # every commit point scores what its scanned class representative scores,
     # for the reveal of its own parity and for the flipped one
     reduced = {}
-    for commit, reveals in analysis._binding_scan(params, predicate):
+    commits, counts, _ = analysis._binding_scan(params, predicate)
+    for commit, per_bit in zip(commits.tolist(), counts.tolist()):
         b = sum(commit) % 2
-        reduced.setdefault(_commit_class(commit, L), (reveals[b][0], reveals[1 - b][0]))
+        reduced.setdefault(_commit_class(commit, L), (per_bit[b], per_bit[1 - b]))
     for commit, per_bit in brute.items():
         b = sum(commit) % 2
         assert reduced.get(_commit_class(commit, L)) == (per_bit[b], per_bit[1 - b]), commit
@@ -258,6 +261,69 @@ def test_binding_reductions_match_brute_force(d, L, predicate):
     total = max(sum(per_bit) for per_bit in brute.values())
     assert analysis.binding_search(params, predicate).probability == Fraction(flip, 2 * d)
     assert analysis.binding_sum_max(params, predicate)[0] == Fraction(total, 2 * d)
+
+
+def _reference_accepting_reveals(params, decoded, predicate):
+    # the scalar reveal list the batched scorer replaced
+    point = tuple(int(x) for x in decoded)
+    reveals = [point] if predicate == "lenient" else []
+    for k in range(params.d):
+        for bump in (1, 2):
+            reveals.append(point[:k] + (point[k] - bump,) + point[k + 1:])
+    return [r for r in reveals if min(r) >= 0 and max(r) <= params.L - 1]
+
+
+def _reference_best_reveals(params, events, predicate):
+    # count the accepting reveals of every decoded event (None: no decode),
+    # then keep the best of each parity, ties to the smallest reveal
+    counts = Counter()
+    for decoded in events:
+        if decoded is not None:
+            counts.update(_reference_accepting_reveals(params, decoded, predicate))
+    best = {0: (0, None), 1: (0, None)}
+    for reveal in sorted(counts):
+        bit = sum(reveal) % 2
+        if counts[reveal] > best[bit][0]:
+            best[bit] = (counts[reveal], reveal)
+    return best
+
+
+def _reference_binding(params, predicate):
+    """The scalar per-commit scan: binding_search's four fields, binding_sum_max's two."""
+    d, L = params.d, params.L
+    flip = (0, None, None)
+    total = (-1, None)
+    for commit in itertools.combinations_with_replacement(
+        analysis._commit_candidate_values(L), d
+    ):
+        events = []
+        for j, m in lattice.noise_support(params):
+            decoded = commit[:j] + (commit[j] + m,) + commit[j + 1:]
+            events.append(decoded if decoded[j] <= L + 1 else None)
+        best = _reference_best_reveals(params, events, predicate)
+        count, reveal = best[1 - sum(commit) % 2]
+        if count > flip[0]:
+            flip = (count, commit, reveal)
+        if best[0][0] + best[1][0] > total[0]:
+            total = (best[0][0] + best[1][0], commit)
+    search = analysis.BindingSearchResult(
+        Fraction(flip[0], 2 * d), flip[1], flip[2], sum(flip[2]) % 2
+    )
+    return search, (Fraction(total[0], 2 * d), total[1])
+
+
+@pytest.mark.parametrize("predicate", ["strict", "lenient"])
+@pytest.mark.parametrize(
+    "d,L",
+    [(d, L) for d in (1, 2, 3) for L in range(2, 10)]
+    + [(4, 8), (4, 16), (5, 8), (6, 8), (9, 2)],
+)
+def test_batched_binding_matches_scalar_reference(d, L, predicate):
+    # figures and witnesses, with the first maximum winning every tie
+    params = lattice.make_params(d, L)
+    search, sum_max = _reference_binding(params, predicate)
+    assert analysis.binding_search(params, predicate) == search
+    assert analysis.binding_sum_max(params, predicate) == sum_max
 
 
 # --- finite precision ------------------------------------------------------------
@@ -363,6 +429,43 @@ def test_finite_precision_requires_unit_vector(fp_params):
         analysis.binding_search_finite_precision(fp_params, np.array([2.0, 0.0, 0.0]))
 
 
+def _reference_finite_precision(params, w, predicate):
+    # each rotated event through the scalar decoder, scored by the scalar reference
+    events = []
+    for j, m in lattice.noise_support(params):
+        decoded = lattice.decode_commit(params, so3.rot_z(m * params.angles[j]) @ w)
+        events.append(None if decoded is None else tuple(int(x) for x in decoded))
+    best = _reference_best_reveals(params, events, predicate)
+    return {bit: (Fraction(count, 2 * params.d), reveal) for bit, (count, reveal) in best.items()}
+
+
+@pytest.mark.parametrize("predicate", ["strict", "lenient"])
+def test_finite_precision_matches_scalar_reference(fp_params, predicate):
+    # the vectors of the finite-precision tests above
+    params = fp_params
+    theta = params.basis.angles
+    v = lattice.encode(params, (2, 3, 4))
+    near = v + np.array([-v[1], v[0], 0.0]) * (params.eps_meas / 2)
+    formal = so3.planar_unit(-theta[0] + 3 * theta[1] + 4 * theta[2])
+    vectors = [
+        near / np.linalg.norm(near),
+        so3.planar_unit((params._angles[100] + params._angles[101]) / 2),
+        np.array([0.0, 0.0, 1.0]),
+        formal,
+    ]
+    rng = np.random.default_rng(42)
+    vectors += [so3.planar_unit(float(rng.uniform(0, 2 * math.pi))) for _ in range(100)]
+    fine = lattice.LatticeParams(params.basis, eps_meas=params.basis.max_safe_eps / 16)
+    scoring = 0
+    for p, w in [(params, w) for w in vectors] + [(fine, formal)]:
+        result = analysis.binding_search_finite_precision(p, w, predicate)
+        expected = _reference_finite_precision(p, w, predicate)
+        assert result.best_reveal == expected
+        assert result.overall == max(expected[0][0], expected[1][0])
+        scoring += result.overall > 0
+    assert scoring >= 3
+
+
 # --- soundness ------------------------------------------------------------------
 
 @pytest.mark.parametrize("d,L", [(1, 4), (2, 4), (3, 8), (4, 16), (5, 8)])
@@ -379,7 +482,7 @@ def test_lattice_soundness_exact_counts_rejections():
     accepted = Fraction(0)
     for b in (0, 1):
         size = lattice.parity_class_size(2, 5, b)
-        for a in lattice.parity_class(2, 5, b):
+        for a in parity_class(2, 5, b):
             for j, m in lattice.noise_support(params):
                 received = so3.rot_z(m * params.angles[j]) @ lattice.encode(params, a)
                 decoded = lattice.decode_commit(params, received)

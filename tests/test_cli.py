@@ -237,3 +237,16 @@ def test_coarse_eps_exits_one(capsys):
                                "--d", "2", "--L", "4", "--eps", eps)
         assert code == 1
         assert "separation" in err
+
+
+def test_non_finite_alpha_exits_one(capsys):
+    for argv in (
+        ["analyze", "--protocol", "continuous", "--alpha", "nan"],
+        ["analyze", "--protocol", "continuous", "--alpha", "inf"],
+        ["simulate", "--protocol", "continuous", "--alpha", "nan"],
+        ["sweep", "--protocol", "continuous", "--alphas", "0,nan"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "alpha must lie in [0, 1]" in err

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framebc import lattice, so3
+from oracles import parity_class
 
 TOL = 1e-9
 
@@ -139,7 +140,7 @@ def test_commit_uniform_odd_l():
     rng = np.random.default_rng(11)
     counts = Counter(tuple(int(x) for x in lattice.commit(params, 0, rng)[0])
                      for _ in range(25_000))
-    expected = set(lattice.parity_class(2, 3, 0))
+    expected = set(parity_class(2, 3, 0))
     assert set(counts) == expected
     assert len(expected) == lattice.parity_class_size(2, 3, 0) == 5
     for value in counts.values():
@@ -164,7 +165,7 @@ def test_commit_parity_always_matches(d, L, b, seed):
 def test_parity_class_size_closed_form():
     for d, L in [(1, 2), (2, 3), (3, 4), (2, 5)]:
         for b in (0, 1):
-            count = sum(1 for _ in lattice.parity_class(d, L, b))
+            count = sum(1 for _ in parity_class(d, L, b))
             assert count == lattice.parity_class_size(d, L, b)
 
 
@@ -342,6 +343,27 @@ def test_verify_rejects(params_d2_l4):
     assert not lattice.verify_reveal(params_d2_l4, np.array([2, 2]), 1, (1, 4))  # out of range
 
 
+@pytest.mark.parametrize("predicate", lattice.PREDICATES)
+@pytest.mark.parametrize("d,L", [(1, 4), (2, 3), (2, 5), (3, 4)])
+def test_accepting_reveals_match_verify_reveal(d, L, predicate):
+    # for every decodable point, the masked candidates are exactly the reveals
+    # in the honest range that verify_reveal accepts with their own parity,
+    # each listed once, so a decoded event counts a reveal at most once
+    params = lattice.make_params(d, L)
+    decoded = np.array(list(itertools.product(range(L + 2), repeat=d)))
+    reveals, ok = lattice.accepting_reveals(params, decoded, predicate)
+    assert reveals.shape[:2] == ok.shape == (len(decoded), 2 * d + (predicate == "lenient"))
+    honest = list(itertools.product(range(L), repeat=d))
+    for x, candidates, mask in zip(decoded.tolist(), reveals.tolist(), ok.tolist()):
+        listed = [tuple(r) for r, good in zip(candidates, mask) if good]
+        expected = {
+            r for r in honest
+            if lattice.verify_reveal(params, x, sum(r) % 2, r, predicate=predicate)
+        }
+        assert len(listed) == len(set(listed))
+        assert set(listed) == expected, x
+
+
 # --- the channel/lattice correspondence -------------------------------------
 
 def test_lattice_mu_support_sizes():
@@ -410,7 +432,7 @@ def test_rotation_decoding_matches_noise_chi2(params_d2_l4):
 def test_honest_completeness_exhaustive(params_d2_l4):
     params = params_d2_l4
     for b in (0, 1):
-        for a in lattice.parity_class(params.d, params.L, b):
+        for a in parity_class(params.d, params.L, b):
             payload = lattice.encode(params, a)
             for rotation, _ in so3.enumerate_support(lattice.lattice_mu(params)):
                 decoded = lattice.decode_commit(params, rotation @ payload)
