@@ -64,6 +64,5 @@ print("midway vector decodes to:", fp.anchor, "best acceptance:", fp.overall)
 print()
 print("== parallel composition commits several bits ==")
 spec = lattice.lattice_protocol(params, 1)
-composed = engine.parallel_compose(spec, 3)
-outcome, _ = engine.run_parallel(composed, rng)
+outcome, _ = engine.run_parallel(spec, 3, rng)
 print("three parallel honest sessions:", outcome)

@@ -9,9 +9,9 @@ two-party session.  It provides:
 - `lattice`: the lattice-coordinate scheme whose security sharpens with its
   dimension d and range L;
 - `engine`: generic sessions and parties, transcripts, the group-twirl
-  compiler, and parallel composition;
+  compiler, budgeted exact transcript laws, and `run_parallel(spec, k)`;
 - `analysis`: exact (rational) and Monte Carlo security figures plus
-  deterministic text reports;
+  `SecurityReport`, the one formatter of the `key = value` text reports;
 - `cli`: the `framebc` command with analyze / simulate / twirl-check /
   mingap / sweep subcommands.
 """
@@ -26,7 +26,6 @@ from .so3 import (
     enumerate_support,
     planar_unit,
     rot_z,
-    rotate,
     sample,
     unit3,
 )
@@ -58,12 +57,10 @@ from .engine import (
     Accepted,
     Aborted,
     Message,
-    ParallelProtocol,
     Party,
     ProtocolSpec,
     Transcript,
     haar_twirl_moments,
-    parallel_compose,
     probe_protocol,
     run_parallel,
     run_session,

@@ -548,22 +548,23 @@ def _mode_config(mode: str, trials: int, seed: int) -> tuple[tuple[str, object],
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Self-describing, byte-deterministic security summary.
+    """Self-describing, byte-deterministic `key = value` report.
 
-    config rows echo every resolved input (including defaulted seeds);
+    Every `framebc` report but the sweep tables is one of these; `title`
+    names the report ("security", "twirl equivalence", ...); config
+    rows echo every resolved input (including defaulted seeds);
     result rows carry a decimal rendering and, for exactly computed values,
     an additional `.exact` row with the rational.  Key order is fixed, so
     identical inputs serialize to identical bytes.
     """
 
-    protocol: str
+    title: str
     config: tuple[tuple[str, object], ...]
     results: tuple[tuple[str, object], ...]
     notes: tuple[str, ...] = ()
 
     def to_text(self) -> str:
-        lines = ["# framebc security report", "schema = 1", "[config]",
-                 f"protocol = {self.protocol}"]
+        lines = [f"# framebc {self.title} report", "schema = 1", "[config]"]
         for key, value in self.config:
             lines.append(f"{key} = {_fmt(value)}")
         lines.append("[results]")
@@ -603,6 +604,7 @@ def lattice_report(
     include whenever requested.
     """
     config = (
+        ("protocol", "lattice"),
         ("d", params.d),
         ("L", params.L),
         ("eps_meas", params.eps_meas),
@@ -641,15 +643,13 @@ def lattice_report(
     if mode in ("monte-carlo", "both"):
         results.append(("soundness_mc", lattice_soundness_mc(params, trials, seed)))
         results.append(("method_mc", f"monte-carlo trials={trials} seed={seed}"))
-    return SecurityReport(
-        protocol="lattice", config=config, results=tuple(results), notes=tuple(notes)
-    )
+    return SecurityReport("security", config, tuple(results), tuple(notes))
 
 
 def four_symbol_report(
     *, mode: str = "exact", trials: int = 10_000, seed: int = 42
 ) -> SecurityReport:
-    config = _mode_config(mode, trials, seed)
+    config = (("protocol", "four-symbol"),) + _mode_config(mode, trials, seed)
     results: list[tuple[str, object]] = []
     if mode in ("exact", "both"):
         flip, _ = four_symbol_flip_cheat()
@@ -663,9 +663,7 @@ def four_symbol_report(
     if mode in ("monte-carlo", "both"):
         results.append(("soundness_mc", four_symbol_soundness_mc(trials, seed)))
         results.append(("method_mc", f"monte-carlo trials={trials} seed={seed}"))
-    return SecurityReport(
-        protocol="four-symbol", config=config, results=tuple(results)
-    )
+    return SecurityReport("security", config, tuple(results))
 
 
 def continuous_report(
@@ -675,7 +673,9 @@ def continuous_report(
     trials: int = 10_000,
     seed: int = 42,
 ) -> SecurityReport:
-    config = (("alpha", float(alpha)),) + _mode_config(mode, trials, seed)
+    config = (("protocol", "continuous"), ("alpha", float(alpha))) + _mode_config(
+        mode, trials, seed
+    )
     p0, p1 = interpolation_acceptance(alpha)
     results: list[tuple[str, object]] = [
         ("soundness", continuous_soundness_exact()),
@@ -695,6 +695,4 @@ def continuous_report(
     notes = (
         "concealing is exact: the received-direction law is uniform for both bits",
     )
-    return SecurityReport(
-        protocol="continuous", config=config, results=tuple(results), notes=notes
-    )
+    return SecurityReport("security", config, tuple(results), notes)

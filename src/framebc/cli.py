@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 enumeration budget
 exceeded, 3 certification or equivalence check failure.  The enumeration
 budget defaults to 10^7 points and can be overridden with --budget or the
 FRAMEBC_ENUM_BUDGET environment variable; twirl-check's z<N> enumeration of
-N^2 sessions counts against it too.
+N^2 compiled sessions counts against it too and is refused before it runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
+from collections import Counter
 from pathlib import Path
 
 from . import analysis, engine, lattice, so3
@@ -90,36 +90,32 @@ def _lattice_params(args, budget: int) -> lattice.LatticeParams:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
+def _protocol_report(args, mode: str, **sampling) -> analysis.SecurityReport:
     budget = _resolve_budget(args)
     if args.protocol == "lattice":
         params = _lattice_params(args, budget)
-        report = analysis.lattice_report(params, mode="exact", budget=budget)
-    elif args.protocol == "four-symbol":
-        report = analysis.four_symbol_report(mode="exact")
-    else:
-        report = analysis.continuous_report(args.alpha, mode="exact")
-    _emit(report.to_text(), args.out)
+        return analysis.lattice_report(params, mode=mode, budget=budget, **sampling)
+    if args.protocol == "four-symbol":
+        return analysis.four_symbol_report(mode=mode, **sampling)
+    return analysis.continuous_report(args.alpha, mode=mode, **sampling)
+
+
+def cmd_analyze(args) -> int:
+    _emit(_protocol_report(args, "exact").to_text(), args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    budget = _resolve_budget(args)
-    if args.protocol == "lattice":
-        params = _lattice_params(args, budget)
-        report = analysis.lattice_report(
-            params, mode="monte-carlo", trials=args.trials, seed=args.seed
-        )
-    elif args.protocol == "four-symbol":
-        report = analysis.four_symbol_report(
-            mode="monte-carlo", trials=args.trials, seed=args.seed
-        )
-    else:
-        report = analysis.continuous_report(
-            args.alpha, mode="monte-carlo", trials=args.trials, seed=args.seed
-        )
+    report = _protocol_report(args, "monte-carlo", trials=args.trials, seed=args.seed)
     _emit(report.to_text(), args.out)
     return EXIT_OK
+
+
+def _emit_verdict(title: str, config: tuple, results: list, ok: bool, out: str | None) -> int:
+    """Write a pass/fail report and return its exit code."""
+    results.append(("verdict", "pass" if ok else "fail"))
+    _emit(analysis.SecurityReport(title, config, tuple(results)).to_text(), out)
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_twirl_check(args) -> int:
@@ -130,78 +126,57 @@ def cmd_twirl_check(args) -> int:
             f"--threshold must be finite and positive, got {args.threshold!r}"
         )
     group = _parse_group(args.group)
-    lines = [
-        "# framebc twirl equivalence report",
-        "schema = 1",
-        "[config]",
-        f"group = {args.group}",
-        f"samples = {args.samples}",
-        f"seed = {args.seed}",
-        "[results]",
-    ]
+    config = (("group", args.group), ("samples", args.samples), ("seed", args.seed))
     if isinstance(group, so3.CyclicZ):
+        budget = _resolve_budget(args)
         probe = engine.probe_protocol(group)
-        base = engine.transcript_distribution(probe)
-        compiled = engine.compiled_transcript_distribution(
-            probe, group, budget=_resolve_budget(args)
-        )
+        # the |G|^2 compiled enumeration first, so an over-budget group runs nothing
+        compiled = engine.compiled_transcript_distribution(probe, group, budget=budget)
+        base = engine.transcript_distribution(probe, budget=budget)
         equal = base == compiled
-        # the compiled relative frame must itself be uniform over the group
-        frame_law: dict[int, Fraction] = {}
-        for u_a, p_a in so3.enumerate_support(group):
-            for u_b, p_b in so3.enumerate_support(group):
-                angle = so3.rotation_z_angle(u_b.T @ u_a)
-                k = round(angle * group.n / so3.TAU) % group.n
-                frame_law[k] = frame_law.get(k, Fraction(0)) + p_a * p_b
-        frame_uniform = all(
-            frame_law.get(k, Fraction(0)) == Fraction(1, group.n)
-            for k in range(group.n)
+        # the compiled relative frame must itself be uniform over the group:
+        # each of the n frames u_b^-1 u_a comes from exactly n of the n^2 pairs
+        support = [u for u, _ in so3.enumerate_support(group)]
+        frames = Counter(
+            round(so3.rotation_z_angle(u_b.T @ u_a) * group.n / so3.TAU) % group.n
+            for u_a in support
+            for u_b in support
         )
-        lines.append("method = exact-enumeration")
-        lines.append(f"transcript_distributions_equal = {_fmt(equal)}")
-        lines.append(f"relative_frame_uniform = {_fmt(frame_uniform)}")
-        lines.append(f"support_size = {len(base)}")
+        frame_uniform = frames == Counter({k: group.n for k in range(group.n)})
+        results = [
+            ("method", "exact-enumeration"),
+            ("transcript_distributions_equal", equal),
+            ("relative_frame_uniform", frame_uniform),
+            ("support_size", len(base)),
+        ]
         ok = equal and frame_uniform
     elif isinstance(group, so3.HaarSO3):
         deltas = engine.haar_twirl_moments(args.samples, args.seed)
-        lines.append("method = moment-test")
-        for key in sorted(deltas):
-            lines.append(f"{key} = {_fmt(deltas[key])}")
-        lines.append(f"threshold = {_fmt(args.threshold)}")
+        results = [("method", "moment-test"), *sorted(deltas.items()),
+                   ("threshold", args.threshold)]
         ok = all(v < args.threshold for v in deltas.values())
     else:
         # non-group channels cannot be twirled away; surface the engine error
         engine.twirl_compile(engine.probe_protocol(group), group)
         raise AssertionError("unreachable")
-    lines.append(f"verdict = {'pass' if ok else 'fail'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_CHECK
+    return _emit_verdict("twirl equivalence", config, results, ok, args.out)
 
 
 def cmd_mingap(args) -> int:
     budget = _resolve_budget(args)
     basis = lattice.build_angle_basis(args.d, args.L, budget=budget)
-    lines = [
-        "# framebc codebook certification report",
-        "schema = 1",
-        "[config]",
-        f"d = {args.d}",
-        f"L = {args.L}",
-        f"budget = {budget}",
-        "[results]",
-        f"codebook_points = {lattice.codebook_size(args.d, args.L)}",
-        f"min_gap = {_fmt(basis.min_gap)}",
-        f"separation = {_fmt(basis.separation)}",
-        f"max_safe_eps = {_fmt(basis.max_safe_eps)}",
+    results = [
+        ("codebook_points", lattice.codebook_size(args.d, args.L)),
+        ("min_gap", basis.min_gap),
+        ("separation", basis.separation),
+        ("max_safe_eps", basis.max_safe_eps),
     ]
     ok = True
     if args.eps is not None:
         ok = basis.certifies(args.eps)
-        lines.append(f"eps = {_fmt(args.eps)}")
-        lines.append(f"eps_certified = {_fmt(ok)}")
-    lines.append(f"verdict = {'pass' if ok else 'fail'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_CHECK
+        results += [("eps", args.eps), ("eps_certified", ok)]
+    config = (("d", args.d), ("L", args.L), ("budget", budget))
+    return _emit_verdict("codebook certification", config, results, ok, args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -229,20 +204,8 @@ def cmd_sweep(args) -> int:
                 strict = analysis.binding_search(params, "strict").probability
                 lenient = analysis.binding_search(params, "lenient").probability
                 soundness = analysis.lattice_soundness_exact(params, budget=budget)
-                rows.append(
-                    "\t".join(
-                        [
-                            str(d),
-                            str(L),
-                            _fmt(params.eps_meas),
-                            _fmt(soundness),
-                            _fmt(eps),
-                            _fmt(bound),
-                            _fmt(strict),
-                            _fmt(lenient),
-                        ]
-                    )
-                )
+                cells = (d, L, params.eps_meas, soundness, eps, bound, strict, lenient)
+                rows.append("\t".join(_fmt(v) for v in cells))
     elif args.protocol == "continuous":
         alphas = _parse_values(args.alphas, float)
         if not alphas:
@@ -260,15 +223,10 @@ def cmd_sweep(args) -> int:
             alphas, trials=args.trials or 1, seed=args.seed, with_mc=with_mc
         )
         for row in curve:
-            cells = [_fmt(row.alpha), _fmt(row.p0_exact), _fmt(row.p1_exact)]
+            cells = (row.alpha, row.p0_exact, row.p1_exact)
             if with_mc:
-                cells += [
-                    _fmt(row.p0_mc.rate),
-                    _fmt(row.p1_mc.rate),
-                    str(args.trials),
-                    str(args.seed),
-                ]
-            rows.append("\t".join(cells))
+                cells += (row.p0_mc.rate, row.p1_mc.rate, args.trials, args.seed)
+            rows.append("\t".join(_fmt(v) for v in cells))
     else:
         raise ValueError("sweep supports --protocol lattice or continuous")
     _emit("\n".join(rows) + "\n", args.out)

@@ -18,6 +18,8 @@ checkable statement for finite groups.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -173,7 +175,8 @@ def commit_reveal_decider(
     """Receiver's verdict on a view holding a commit vector and a reveal (b, a).
 
     `decode` maps the received vector to the scheme's decoded value, or None
-    when it decodes nowhere; `verify(decoded, b, a)` is the reveal test.
+    when it decodes nowhere; `verify(decoded, b, a)` is the reveal test.  A
+    reveal that is not a pair (b, a) with b the integer 0 or 1 is malformed.
     """
 
     def decide(view: list[Message]) -> ProtocolOutcome:
@@ -184,9 +187,15 @@ def commit_reveal_decider(
         decoded = decode(vecs[0].payload)
         if decoded is None:
             return Aborted("commit-decode")
-        b, a = datas[0].payload
+        try:
+            b, a = datas[0].payload
+            b = operator.index(b)
+        except (TypeError, ValueError):
+            return Aborted("malformed-reveal")
+        if b not in (0, 1):
+            return Aborted("malformed-reveal")
         if verify(decoded, b, a):
-            return Accepted(int(b))
+            return Accepted(b)
         return Aborted("reveal-reject")
 
     return decide
@@ -409,19 +418,60 @@ def transcript_key(transcript: Transcript, digits: int = 9) -> tuple:
     )
 
 
+def _support_size(mu: MisalignmentDistribution | None) -> int:
+    """Support size of a finite law, None being an untwirled party; CyclicZ is not listed."""
+    if mu is None:
+        return 1
+    return mu.n if isinstance(mu, CyclicZ) else len(enumerate_support(mu))
+
+
+def _session_law(
+    spec: ProtocolSpec,
+    key: Callable[[Transcript], tuple],
+    budget: int,
+    *,
+    alice_twirl: CyclicZ | None = None,
+    bob_twirl: CyclicZ | None = None,
+) -> dict[tuple, Fraction]:
+    """Exact law of `key(transcript)` over every (rotation, Alice, Bob, weight).
+
+    An untwirled party is the spec's own party.  A twirled party is one
+    `TwirledParty` per group element, and the channel is then noiseless.
+    Raises BudgetExceededError before the first session when the session
+    count exceeds the budget.
+    """
+    for group in (alice_twirl, bob_twirl):
+        if group is not None and not isinstance(group, CyclicZ):
+            _require_group(group)
+            raise ValueError("exact enumeration needs a finite group")
+    twirled = alice_twirl is not None or bob_twirl is not None
+    laws = (noiseless_channel() if twirled else spec.mu, alice_twirl, bob_twirl)
+    size = math.prod(_support_size(mu) for mu in laws)
+    if size > budget:
+        raise BudgetExceededError(f"session enumeration size {size} exceeds budget {budget}")
+    channel, alice_law, bob_law = (
+        [(None, Fraction(1))] if mu is None else enumerate_support(mu) for mu in laws
+    )
+    dist: dict[tuple, Fraction] = {}
+    for rotation, prob in channel:
+        for u_a, p_a in alice_law:
+            weight = prob * p_a
+            for u_b, p_b in bob_law:
+                alice = None if u_a is None else TwirledParty(spec.make_alice(), alice_twirl, u_a)
+                bob = None if u_b is None else TwirledParty(spec.make_bob(), bob_twirl, u_b)
+                k = key(run_session(spec, rotation=rotation, alice=alice, bob=bob))
+                dist[k] = dist.get(k, Fraction(0)) + weight * p_b
+    return dist
+
+
 def transcript_distribution(
-    spec: ProtocolSpec, digits: int = 9
+    spec: ProtocolSpec, digits: int = 9, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[tuple, Fraction]:
     """Exact transcript distribution of a deterministic protocol over finite mu.
 
     Parties must not consume randomness; everything random is the channel.
     """
-    dist: dict[tuple, Fraction] = {}
-    for rotation, prob in enumerate_support(spec.mu):
-        t = run_session(spec, rotation=rotation)
-        k = transcript_key(t, digits)
-        dist[k] = dist.get(k, Fraction(0)) + prob
-    return dist
+    return _session_law(spec, lambda t: transcript_key(t, digits), budget)
 
 
 def compiled_transcript_distribution(
@@ -435,26 +485,11 @@ def compiled_transcript_distribution(
     Enumerates both parties' private group elements over group x group with
     a noiseless channel; views are the inner (untwirled) views, so equality
     with `transcript_distribution(spec)` is the compiler's simulation claim
-    at finite-group scale.  Raises BudgetExceededError when the |G|^2
-    sessions exceed the budget.
+    at finite-group scale.
     """
-    _require_group(group)
-    if not isinstance(group, CyclicZ):
-        raise ValueError("exact enumeration needs a finite group")
-    if group.n * group.n > budget:
-        raise BudgetExceededError(
-            f"twirl enumeration size {group.n * group.n} exceeds budget {budget}"
-        )
-    dist: dict[tuple, Fraction] = {}
-    identity = identity_rotation()
-    for u_a, p_a in enumerate_support(group):
-        for u_b, p_b in enumerate_support(group):
-            alice = TwirledParty(spec.make_alice(), group, element=u_a)
-            bob = TwirledParty(spec.make_bob(), group, element=u_b)
-            t = run_session(spec, rotation=identity, alice=alice, bob=bob)
-            k = transcript_key(t, digits)
-            dist[k] = dist.get(k, Fraction(0)) + p_a * p_b
-    return dist
+    return _session_law(
+        spec, lambda t: transcript_key(t, digits), budget, alice_twirl=group, bob_twirl=group
+    )
 
 
 def bob_wire_view_distribution(
@@ -462,6 +497,7 @@ def bob_wire_view_distribution(
     digits: int = 9,
     *,
     alice_twirl: CyclicZ | None = None,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict[tuple, Fraction]:
     """Exact distribution of Bob's raw (wire-level) view.
 
@@ -471,22 +507,9 @@ def bob_wire_view_distribution(
     distributions states that Alice's private twirl alone randomizes her
     frame exactly like the group channel does.
     """
-    dist: dict[tuple, Fraction] = {}
-
-    def add(t: Transcript, prob: Fraction) -> None:
-        k = transcript_key(t, digits)[1]  # bob view only
-        dist[k] = dist.get(k, Fraction(0)) + prob
-
-    if alice_twirl is None:
-        for rotation, prob in enumerate_support(spec.mu):
-            add(run_session(spec, rotation=rotation), prob)
-    else:
-        _require_group(alice_twirl)
-        for u_a, p_a in enumerate_support(alice_twirl):
-            alice = TwirledParty(spec.make_alice(), alice_twirl, element=u_a)
-            t = run_session(spec, rotation=identity_rotation(), alice=alice)
-            add(t, p_a)
-    return dist
+    return _session_law(
+        spec, lambda t: transcript_key(t, digits)[1], budget, alice_twirl=alice_twirl
+    )
 
 
 def probe_protocol(
@@ -558,42 +581,32 @@ def haar_twirl_moments(
 # parallel composition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParallelProtocol:
-    """k independent sessions of a base protocol, accepted iff all accept."""
-
-    base: ProtocolSpec
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("need k >= 1 instances")
-
-
-def parallel_compose(spec: ProtocolSpec, k: int) -> ParallelProtocol:
-    return ParallelProtocol(spec, k)
-
-
 def run_parallel(
-    composed: ParallelProtocol,
+    spec: ProtocolSpec,
+    k: int,
     rng: np.random.Generator | None = None,
     *,
     alices: list[Party] | None = None,
     bobs: list[Party] | None = None,
     rotations: list[np.ndarray] | None = None,
 ) -> tuple[ProtocolOutcome, tuple[Transcript, ...]]:
-    """Run all instances with independent channel rotations.
+    """Run k independent sessions of `spec`, accepted iff all accept.
 
     Returns Accepted with the tuple of per-instance values when every
     instance accepts, otherwise Aborted naming the first failing instance.
     Explicit per-instance `rotations` support exact enumeration.
     """
+    if k < 1:
+        raise ValueError("need k >= 1 instances")
+    for name, given in (("alices", alices), ("bobs", bobs), ("rotations", rotations)):
+        if given is not None and len(given) != k:
+            raise ValueError(f"{name} has {len(given)} entries, need k = {k}")
     transcripts = []
     values = []
     failure: Aborted | None = None
-    for i in range(composed.k):
+    for i in range(k):
         t = run_session(
-            composed.base,
+            spec,
             rng,
             rotation=None if rotations is None else rotations[i],
             alice=None if alices is None else alices[i],

@@ -67,15 +67,6 @@ def identity_rotation() -> np.ndarray:
     return np.eye(3)
 
 
-def rotate(rotation: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix action of a rotation on a 3-vector."""
-    return rotation @ np.asarray(v, dtype=float)
-
-
-def inverse(rotation: np.ndarray) -> np.ndarray:
-    return rotation.T.copy()
-
-
 def is_rotation(m: np.ndarray, tol: float = ANGLE_TOL) -> bool:
     """True when m is orthogonal with determinant +1, within `tol`."""
     m = np.asarray(m, dtype=float)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from framebc import cli
+from framebc import cli, engine
 
 
 def run_cli(capsys, *argv):
@@ -250,3 +250,101 @@ def test_non_finite_alpha_exits_one(capsys):
         assert code == 1, argv
         assert out == ""
         assert "alpha must lie in [0, 1]" in err
+
+
+# --- golden reports (one formatter) ------------------------------------------------
+
+GOLDEN_TWIRL_Z8 = """\
+# framebc twirl equivalence report
+schema = 1
+[config]
+group = z8
+samples = 100000
+seed = 42
+[results]
+method = exact-enumeration
+transcript_distributions_equal = true
+relative_frame_uniform = true
+support_size = 8
+verdict = pass
+"""
+
+GOLDEN_MINGAP = """\
+# framebc codebook certification report
+schema = 1
+[config]
+d = 3
+L = 8
+budget = 10000000
+[results]
+codebook_points = 1000
+min_gap = 0.0003079258828508902
+separation = 0.0003079258816343475
+max_safe_eps = 0.00015396294081717376
+verdict = pass
+"""
+
+GOLDEN_MINGAP_EPS_PASS = """\
+# framebc codebook certification report
+schema = 1
+[config]
+d = 3
+L = 8
+budget = 10000000
+[results]
+codebook_points = 1000
+min_gap = 0.0003079258828508902
+separation = 0.0003079258816343475
+max_safe_eps = 0.00015396294081717376
+eps = 0.0001
+eps_certified = true
+verdict = pass
+"""
+
+GOLDEN_MINGAP_EPS_FAIL = """\
+# framebc codebook certification report
+schema = 1
+[config]
+d = 3
+L = 8
+budget = 10000000
+[results]
+codebook_points = 1000
+min_gap = 0.0003079258828508902
+separation = 0.0003079258816343475
+max_safe_eps = 0.00015396294081717376
+eps = 0.001
+eps_certified = false
+verdict = fail
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (("twirl-check", "--group", "z8"), 0, GOLDEN_TWIRL_Z8),
+        (("mingap", "--d", "3", "--L", "8"), 0, GOLDEN_MINGAP),
+        (("mingap", "--d", "3", "--L", "8", "--eps", "0.0001"), 0, GOLDEN_MINGAP_EPS_PASS),
+        (("mingap", "--d", "3", "--L", "8", "--eps", "0.001"), 3, GOLDEN_MINGAP_EPS_FAIL),
+    ],
+    ids=["twirl-z8", "mingap", "mingap-eps-pass", "mingap-eps-fail"],
+)
+def test_report_golden_stdout(capsys, monkeypatch, argv, code, golden):
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    assert run_cli(capsys, *argv) == (code, golden, "")
+
+
+def test_over_budget_twirl_check_runs_no_session(capsys, monkeypatch):
+    calls = []
+    original = engine.run_session
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_session", counted)
+    monkeypatch.setenv(cli.BUDGET_ENV, "1")
+    code, out, err = run_cli(capsys, "twirl-check", "--group", "z100000")
+    assert code == 2 and out == ""
+    assert "budget exceeded" in err and "10000000000 exceeds budget 1" in err
+    assert calls == []

@@ -234,21 +234,20 @@ def test_twirled_lattice_sessions_still_sound():
 def test_parallel_validation():
     params = lattice.make_params(2, 4)
     spec = lattice.lattice_protocol(params, 0)
-    with pytest.raises(ValueError):
-        engine.parallel_compose(spec, 0)
+    with pytest.raises(ValueError, match="k >= 1"):
+        engine.run_parallel(spec, 0, np.random.default_rng(0))
 
 
 def test_parallel_k1_matches_base_distribution():
     params = lattice.make_params(2, 4)
     spec = lattice.lattice_protocol(params, 1, fixed_a=(0, 1))
-    composed = engine.parallel_compose(spec, 1)
     base = {}
     parallel = {}
     for rotation, prob in so3.enumerate_support(spec.mu):
         t = engine.run_session(spec, rotation=rotation)
         k = engine.transcript_key(t)
         base[k] = base.get(k, Fraction(0)) + prob
-        outcome, transcripts = engine.run_parallel(composed, rotations=[rotation])
+        outcome, transcripts = engine.run_parallel(spec, 1, rotations=[rotation])
         k2 = engine.transcript_key(transcripts[0])
         parallel[k2] = parallel.get(k2, Fraction(0)) + prob
         assert outcome == engine.Accepted((1,))
@@ -258,10 +257,9 @@ def test_parallel_k1_matches_base_distribution():
 def test_parallel_k2_honest_always_accepts():
     params = lattice.make_params(2, 4)
     spec = lattice.lattice_protocol(params, 1)
-    composed = engine.parallel_compose(spec, 2)
     rng = np.random.default_rng(8)
     for _ in range(30):
-        outcome, transcripts = engine.run_parallel(composed, rng)
+        outcome, transcripts = engine.run_parallel(spec, 2, rng)
         assert outcome == engine.Accepted((1, 1))
         assert len(transcripts) == 2
 
@@ -271,7 +269,6 @@ def test_parallel_flip_one_instance_probability():
     # instance 1; product-rule enumeration over both channels gives 1/d
     params = lattice.make_params(2, 8, predicate="lenient")
     spec = lattice.lattice_protocol(params, 0, fixed_a=(2, 2))
-    composed = engine.parallel_compose(spec, 2)
     commit_point = (2, 2)
     reveal_point = (2, 3)  # parity 1: flips the first instance's bit
     support = so3.enumerate_support(spec.mu)
@@ -282,7 +279,8 @@ def test_parallel_flip_one_instance_probability():
                 params, lattice.encode(params, commit_point), 1, reveal_point
             )
             outcome, _ = engine.run_parallel(
-                composed,
+                spec,
+                2,
                 rotations=[r1, r2],
                 alices=[cheat, spec.make_alice()],
                 bobs=[spec.make_bob(), spec.make_bob()],
@@ -367,4 +365,127 @@ def test_commit_reveal_decider_malformed_sessions(scheme):
         engine.ALICE, [(engine.VEC, commit_vector), (engine.DATA, (0,))]
     )
     t = engine.run_session(spec, np.random.default_rng(14), alice=short_reveal)
-    assert t.outcome == engine.Aborted("strategy-error:bob:ValueError")
+    assert t.outcome == engine.Aborted("malformed-reveal")
+
+
+@pytest.mark.parametrize("scheme", sorted(COMMIT_REVEAL_SPECS))
+def test_commit_reveal_decider_malformed_reveals(scheme):
+    # Bob aborts every reveal that is not a pair (b, a) with b the integer
+    # 0 or 1, in every scheme, instead of accepting it or raising
+    spec = COMMIT_REVEAL_SPECS[scheme]()
+    honest = engine.run_session(spec, np.random.default_rng(15))
+    commit_vector = honest.alice_view[0].payload
+    b, a = honest.alice_view[1].payload
+    malformed = [
+        (2, a), (4, a), (-1, a), (0.9, a), (1.0, a), ("1", a), (None, a),
+        (b, a, a), (b,), (), 5, None, "ba",
+    ]
+    if scheme == "lattice":
+        malformed.append((2, (1, 2, 3)))
+    for reveal in malformed:
+        alice = engine.ScriptedParty(
+            engine.ALICE, [(engine.VEC, commit_vector), (engine.DATA, reveal)]
+        )
+        t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
+        assert t.outcome == engine.Aborted("malformed-reveal"), reveal
+    # an integer-like b (numpy) is a well-formed bit
+    alice = engine.ScriptedParty(
+        engine.ALICE, [(engine.VEC, commit_vector), (engine.DATA, (np.int64(b), a))]
+    )
+    t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
+    assert t.outcome == engine.Accepted(b)
+    assert type(t.outcome.value) is int
+
+
+# --- one budgeted session enumerator ---------------------------------------------
+
+def _lattice_spec():
+    return lattice.lattice_protocol(lattice.make_params(2, 4), 1, fixed_a=(0, 1))
+
+
+# (name, law(spec, budget), spec factory, session count)
+ENUMERATORS = [
+    ("channel-z8", lambda s, budget: engine.transcript_distribution(s, budget=budget),
+     lambda: engine.probe_protocol(so3.CyclicZ(8)), 8),
+    ("channel-lattice", lambda s, budget: engine.transcript_distribution(s, budget=budget),
+     _lattice_spec, 4),
+    ("compiled-z8", lambda s, budget: engine.compiled_transcript_distribution(
+        s, so3.CyclicZ(8), budget=budget),
+     lambda: engine.probe_protocol(so3.CyclicZ(8)), 64),
+    ("bob-wire-z8", lambda s, budget: engine.bob_wire_view_distribution(s, budget=budget),
+     lambda: engine.probe_protocol(so3.CyclicZ(8)), 8),
+    ("bob-wire-twirl-z6", lambda s, budget: engine.bob_wire_view_distribution(
+        s, alice_twirl=so3.CyclicZ(6), budget=budget),
+     lambda: engine.probe_protocol(so3.CyclicZ(8)), 6),
+]
+
+
+def _count_sessions(monkeypatch) -> list:
+    calls = []
+    original = engine.run_session
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_session", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, law, make_spec, size", ENUMERATORS, ids=[e[0] for e in ENUMERATORS])
+def test_session_enumerator_budget_edge(monkeypatch, name, law, make_spec, size):
+    spec = make_spec()
+    calls = _count_sessions(monkeypatch)
+    dist = law(spec, size)
+    assert len(calls) == size
+    assert sum(dist.values()) == 1
+    with pytest.raises(lattice.BudgetExceededError, match=f"{size} exceeds budget {size - 1}"):
+        law(spec, size - 1)
+    assert len(calls) == size  # the over-budget call ran no session
+
+
+def test_over_budget_enumeration_runs_no_session(monkeypatch):
+    calls = _count_sessions(monkeypatch)
+
+    def no_cyclic_listing(mu):  # fail fast rather than list 10^9 rotations
+        assert not isinstance(mu, so3.CyclicZ), "an over-budget enumeration listed a group"
+        return so3.enumerate_support(mu)
+
+    monkeypatch.setattr(engine, "enumerate_support", no_cyclic_listing)
+    huge = so3.CyclicZ(10**9)
+    spec = engine.probe_protocol(huge)
+    with pytest.raises(lattice.BudgetExceededError, match="1000000000 exceeds"):
+        engine.transcript_distribution(spec)
+    with pytest.raises(lattice.BudgetExceededError, match="1000000000000000000 exceeds"):
+        engine.compiled_transcript_distribution(spec, huge)
+    with pytest.raises(lattice.BudgetExceededError, match="1000000000 exceeds"):
+        engine.bob_wire_view_distribution(spec)
+    with pytest.raises(lattice.BudgetExceededError, match="1000000000 exceeds"):
+        engine.bob_wire_view_distribution(engine.probe_protocol(so3.CyclicZ(2)), alice_twirl=huge)
+    assert calls == []
+
+
+def test_exact_enumeration_rejects_non_group_and_continuous_twirls():
+    spec = engine.probe_protocol(so3.CyclicZ(4))
+    with pytest.raises(ValueError, match="not a uniform group"):
+        engine.compiled_transcript_distribution(spec, so3.TwoPointAngleMixture((0.2, 0.5)))
+    with pytest.raises(ValueError, match="needs a finite group"):
+        engine.compiled_transcript_distribution(spec, so3.HaarSO3())
+    with pytest.raises(ValueError, match="needs a finite group"):
+        engine.bob_wire_view_distribution(spec, alice_twirl=so3.HaarSO3())
+
+
+def test_run_parallel_rejects_wrong_list_lengths():
+    spec = _lattice_spec()
+    rotation = so3.identity_rotation()
+    with pytest.raises(ValueError, match="k >= 1"):
+        engine.run_parallel(spec, 0, rotations=[])
+    with pytest.raises(ValueError, match="rotations has 1 entries, need k = 2"):
+        engine.run_parallel(spec, 2, rotations=[rotation])
+    with pytest.raises(ValueError, match="alices has 3 entries"):
+        engine.run_parallel(spec, 2, rotations=[rotation] * 2,
+                            alices=[spec.make_alice() for _ in range(3)])
+    with pytest.raises(ValueError, match="bobs has 1 entries"):
+        engine.run_parallel(spec, 2, rotations=[rotation] * 2, bobs=[spec.make_bob()])
+    outcome, transcripts = engine.run_parallel(spec, 2, rotations=[rotation] * 2)
+    assert outcome == engine.Accepted((1, 1)) and len(transcripts) == 2
