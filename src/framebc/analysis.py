@@ -213,13 +213,6 @@ def _best_reveals(
     return best[0].reshape(-1, 2), points.reshape(-1, 2, d)
 
 
-def _commit_candidate_values(L: int) -> list[int]:
-    # every behaviour class of a coordinate: distance to the low edge, to the
-    # honest-range top L-1, and to the decodable top L+1, each saturating at 3
-    raw = {0, 1, 2, 3, L // 2, L - 4, L - 3, L - 2, L - 1, L, L + 1}
-    return sorted(v for v in raw if 0 <= v <= L + 1)
-
-
 def _binding_scan(params: LatticeParams, predicate: str) -> _BindingTable:
     """Commit class representatives (m, d) with their `_best_reveals` counts and reveals.
 
@@ -228,7 +221,11 @@ def _binding_scan(params: LatticeParams, predicate: str) -> _BindingTable:
     commit + m*e_j, which decodes iff it stays in the codebook {0..L+1}^d.
     """
     d, L = params.d, params.L
-    values = _commit_candidate_values(L)
+    # the smallest value of each coordinate class (min(v, 2), min(L+1-v, 4)):
+    # a reveal lies at most 2 below the decoded point, so the distance to the
+    # low edge saturates at 2; noise adds at most 2 and a reveal stays <= L-1,
+    # so the distance to the decodable top L+1 saturates at 4
+    values = sorted({0, 1, 2, L - 2, L - 1, L, L + 1} & set(range(L + 2)))
     commits = np.array(list(itertools.combinations_with_replacement(values, d)), dtype=np.int64)
     shifts = np.stack([m * np.eye(d, dtype=np.int64)[j] for j, m in noise_support(params)])
     chunks = []
@@ -271,8 +268,9 @@ def binding_search(
 
     Commit points are exhausted up to two symmetries that provably preserve
     the acceptance law: coordinate permutation (the noise picks its
-    coordinate uniformly) and the per-coordinate saturation of boundary
-    distances (no decoded point or reveal moves a coordinate by more than 2).
+    coordinate uniformly) and the per-coordinate class (min(v, 2),
+    min(L+1-v, 4)) of distances to the low edge and to the decodable top.
+    Each class is scored once, by its smallest member: C(d+6, 6) of them for L >= 5.
     """
     return _best_flip(_binding_scan(params, predicate or params.predicate))
 

@@ -176,7 +176,8 @@ def commit_reveal_decider(
 
     `decode` maps the received vector to the scheme's decoded value, or None
     when it decodes nowhere; `verify(decoded, b, a)` is the reveal test.  A
-    reveal that is not a pair (b, a) with b the integer 0 or 1 is malformed.
+    reveal that is not a pair (b, a) with b the integer 0 or 1, or whose a
+    makes `verify` raise TypeError or ValueError, is malformed.
     """
 
     def decide(view: list[Message]) -> ProtocolOutcome:
@@ -190,13 +191,12 @@ def commit_reveal_decider(
         try:
             b, a = datas[0].payload
             b = operator.index(b)
+            if b not in (0, 1):
+                raise ValueError(f"revealed bit {b}")
+            accepted = verify(decoded, b, a)
         except (TypeError, ValueError):
             return Aborted("malformed-reveal")
-        if b not in (0, 1):
-            return Aborted("malformed-reveal")
-        if verify(decoded, b, a):
-            return Accepted(b)
-        return Aborted("reveal-reject")
+        return Accepted(b) if accepted else Aborted("reveal-reject")
 
     return decide
 

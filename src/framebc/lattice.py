@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,7 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     angles = scale * roots
     points = codebook_points(d, L)
     alphas = points @ angles
-    order = np.argsort(alphas, kind="stable")
+    order = np.argsort(alphas)
     alphas = alphas[order]
     min_gap = float(np.diff(alphas).min()) if len(alphas) > 1 else math.tau
     if min_gap <= 0.0:
@@ -343,10 +344,11 @@ def verify_reveal(
     Checks the revealed point is in the honest range with the revealed
     parity, then that decoded - revealed is a single-coordinate bump of 1
     or 2 (strict) or additionally the zero vector (lenient).  `predicate`
-    overrides the one carried by params.
+    overrides the one carried by params.  A revealed point that is not a
+    sequence of integers raises TypeError; it is never truncated.
     """
     predicate = predicate or params.predicate
-    a = [int(x) for x in revealed_a]
+    a = [operator.index(x) for x in revealed_a]
     if len(a) != params.d:
         return False
     top = params.L - 1

@@ -254,6 +254,11 @@ def test_binding_reductions_match_brute_force(d, L, predicate):
     for commit, per_bit in zip(commits.tolist(), counts.tolist()):
         b = sum(commit) % 2
         reduced.setdefault(_commit_class(commit, L), (per_bit[b], per_bit[1 - b]))
+    # one scanned commit per class, its lexicographically first member, in order
+    first = {}
+    for commit in sorted(brute):
+        first.setdefault(_commit_class(commit, L), commit)
+    assert [tuple(c) for c in commits.tolist()] == sorted(first.values())
     for commit, per_bit in brute.items():
         b = sum(commit) % 2
         assert reduced.get(_commit_class(commit, L)) == (per_bit[b], per_bit[1 - b]), commit
@@ -289,13 +294,19 @@ def _reference_best_reveals(params, events, predicate):
 
 
 def _reference_binding(params, predicate):
-    """The scalar per-commit scan: binding_search's four fields, binding_sum_max's two."""
+    """The scalar per-commit scan: binding_search's four fields, binding_sum_max's two.
+
+    It scans a wider 11-value coordinate set than the one-per-class scan, so
+    several members of a class compete and the first maximum must still be
+    the class's smallest member.
+    """
     d, L = params.d, params.L
+    values = sorted(
+        v for v in {0, 1, 2, 3, L // 2, L - 4, L - 3, L - 2, L - 1, L, L + 1} if 0 <= v <= L + 1
+    )
     flip = (0, None, None)
     total = (-1, None)
-    for commit in itertools.combinations_with_replacement(
-        analysis._commit_candidate_values(L), d
-    ):
+    for commit in itertools.combinations_with_replacement(values, d):
         events = []
         for j, m in lattice.noise_support(params):
             decoded = commit[:j] + (commit[j] + m,) + commit[j + 1:]
@@ -324,6 +335,32 @@ def test_batched_binding_matches_scalar_reference(d, L, predicate):
     search, sum_max = _reference_binding(params, predicate)
     assert analysis.binding_search(params, predicate) == search
     assert analysis.binding_sum_max(params, predicate) == sum_max
+
+
+@pytest.mark.parametrize("d,L", [(6, 8), (4, 16), (2, 5), (3, 6), (1, 40)])
+def test_binding_scan_visits_one_commit_per_class(d, L):
+    commits, counts, reveals = analysis._binding_scan(lattice.make_params(d, L), "lenient")
+    assert len(commits) == len(counts) == len(reveals) == math.comb(d + 6, 6)
+    assert len({_commit_class(c, L) for c in commits.tolist()}) == len(commits)
+
+
+# witnesses of the unreduced 11-value scan, frozen before it shrank to one commit per class
+BINDING_WITNESSES = {
+    (6, 8, "lenient"): (Fraction(1, 6), (0,) * 6, (0, 0, 0, 0, 0, 1), Fraction(7, 6)),
+    (6, 8, "strict"): (Fraction(1, 12), (0,) * 6, (0, 0, 0, 0, 0, 1), Fraction(13, 12)),
+    (4, 16, "lenient"): (Fraction(1, 4), (0,) * 4, (0, 0, 0, 1), Fraction(5, 4)),
+    (4, 16, "strict"): (Fraction(1, 8), (0,) * 4, (0, 0, 0, 1), Fraction(9, 8)),
+}
+
+
+@pytest.mark.parametrize("d,L,predicate", sorted(BINDING_WITNESSES))
+def test_binding_witnesses_pinned(d, L, predicate):
+    probability, commit, reveal, total = BINDING_WITNESSES[d, L, predicate]
+    params = lattice.make_params(d, L)
+    assert analysis.binding_search(params, predicate) == analysis.BindingSearchResult(
+        probability, commit, reveal, 1
+    )
+    assert analysis.binding_sum_max(params, predicate) == (total, commit)
 
 
 # --- finite precision ------------------------------------------------------------

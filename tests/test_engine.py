@@ -378,7 +378,7 @@ def test_commit_reveal_decider_malformed_reveals(scheme):
     b, a = honest.alice_view[1].payload
     malformed = [
         (2, a), (4, a), (-1, a), (0.9, a), (1.0, a), ("1", a), (None, a),
-        (b, a, a), (b,), (), 5, None, "ba",
+        (b, a, a), (b,), (), 5, None, "ba", (b, None), (b, "x"),
     ]
     if scheme == "lattice":
         malformed.append((2, (1, 2, 3)))
@@ -395,6 +395,23 @@ def test_commit_reveal_decider_malformed_reveals(scheme):
     t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
     assert t.outcome == engine.Accepted(b)
     assert type(t.outcome.value) is int
+
+
+@pytest.mark.parametrize("a", [(2.9, 2, 2), ("x", 1, 2), None])
+def test_lattice_reveal_value_must_be_integers(a):
+    # the point is validated, never truncated: (2.9, 2, 2) is not the honest (2, 2, 2)
+    params = lattice.make_params(3, 8)
+    spec = lattice.lattice_protocol(params, 0, fixed_a=(2, 2, 2))
+    commit_vector = lattice.encode(params, (2, 2, 2))
+    for reveal, outcome in [
+        ((0, a), engine.Aborted("malformed-reveal")),
+        ((0, np.array([2, 2, 2])), engine.Accepted(0)),
+    ]:
+        alice = engine.ScriptedParty(
+            engine.ALICE, [(engine.VEC, commit_vector), (engine.DATA, reveal)]
+        )
+        t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
+        assert t.outcome == outcome, reveal
 
 
 # --- one budgeted session enumerator ---------------------------------------------

@@ -341,6 +341,9 @@ def test_verify_rejects(params_d2_l4):
     assert not lattice.verify_reveal(params_d2_l4, np.array([0, 2]), 1, a)  # bump of -1
     assert not lattice.verify_reveal(params_d2_l4, np.array([2, 2]), 0, a)  # wrong parity
     assert not lattice.verify_reveal(params_d2_l4, np.array([2, 2]), 1, (1, 4))  # out of range
+    for bad in [(1.0, 2), (1.9, 2), ("1", 2), None]:  # not integers: raise, never truncate
+        with pytest.raises(TypeError):
+            lattice.verify_reveal(params_d2_l4, np.array([2, 2]), 1, bad)
 
 
 @pytest.mark.parametrize("predicate", lattice.PREDICATES)
