@@ -11,7 +11,7 @@ print("d  L   concealing  bound       flip(lenient)  flip(strict)")
 for d in (1, 2, 3):
     for L in (4, 8, 16):
         params = lattice.make_params(d, L)
-        eps = analysis.concealing_exact(params)
+        eps = analysis.concealing_exact(d, L)
         bound = analysis.concealing_bound_exact(d, L)
         lenient = analysis.binding_search(params, "lenient").probability
         strict = analysis.binding_search(params, "strict").probability
@@ -37,7 +37,7 @@ for d, L in [(1, 4), (2, 8), (3, 16), (4, 16)]:
         (
             d,
             L,
-            analysis.concealing_exact(params),
+            analysis.concealing_exact(d, L),
             analysis.binding_search(params, "lenient").probability,
         )
     )

@@ -4,7 +4,10 @@ Everything enumerable is computed in exact rational arithmetic (Fraction);
 Monte Carlo estimators exist alongside as an independent route through the
 actual channel geometry and must agree with the exact values.  Concealing
 uses the distance sum_x |P(x|b=0) - P(x|b=1)|, i.e. twice the total
-variation distance; reports carry both to prevent misreading.
+variation distance; reports carry both to prevent misreading.  The lattice
+concealing distance is a closed-form O(d^2) sum that depends on (d, L)
+alone, while lattice soundness enumerates every honest point through the
+channel geometry and is capped by the enumeration budget.
 
 Binding is formalized as the best acceptance probability over non-adaptive
 cheating strategies (commit action fixed up front, reveal pair fixed before
@@ -94,54 +97,6 @@ def monte_carlo_acceptance(
 # lattice scheme: concealing
 # ---------------------------------------------------------------------------
 
-def _received_histograms(
-    params: LatticeParams, budget: int
-) -> tuple[list[np.ndarray], list[int]]:
-    """Bob's decoded-point counts for b = 0 and b = 1, with their denominators.
-
-    Histogram b counts, over the flattened (L+2)^d codebook grid, the
-    (parity-b point, noise event) pairs that land on each point; its
-    denominator is the number of such pairs, |class b| * 2d.  Cost L^d * 2d,
-    guarded by the budget.
-    """
-    d, L = params.d, params.L
-    cost = (L**d) * 2 * d
-    if cost > budget:
-        raise BudgetExceededError(
-            f"concealing enumeration size {cost} exceeds budget {budget}"
-        )
-    # coordinate sum of every honest point, shape (L,) * d
-    sums = sum(np.ix_(*[np.arange(L)] * d))
-    hists = []
-    for b in (0, 1):
-        member = (sums % 2 == b).astype(np.int64)
-        hist = np.zeros((L + 2,) * d, dtype=np.int64)
-        for j, multiplier in noise_support(params):
-            shifted = tuple(
-                slice(multiplier, multiplier + L) if k == j else slice(0, L) for k in range(d)
-            )
-            hist[shifted] += member
-        hists.append(hist.ravel())
-    return hists, [parity_class_size(d, L, b) * 2 * d for b in (0, 1)]
-
-
-def lattice_received_distributions(
-    params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[dict[tuple[int, ...], Fraction], dict[tuple[int, ...], Fraction]]:
-    """Exact law of Bob's decoded point for b = 0 and b = 1, over its support."""
-    hists, denominators = _received_histograms(params, budget)
-    shape = (params.L + 2,) * params.d
-    out = []
-    for hist, denominator in zip(hists, denominators):
-        support = np.flatnonzero(hist)
-        points = np.stack(np.unravel_index(support, shape), axis=1).tolist()
-        out.append({
-            tuple(point): Fraction(count, denominator)
-            for point, count in zip(points, hist[support].tolist())
-        })
-    return out[0], out[1]
-
-
 def distribution_distance(
     p: dict, q: dict
 ) -> Fraction:
@@ -153,10 +108,37 @@ def distribution_distance(
     )
 
 
-def concealing_exact(params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
-    """sum_x |P(x|0) - P(x|1)| = sum_x |h0 n1 - h1 n0| / (n0 n1) over the histograms."""
-    (h0, h1), (n0, n1) = _received_histograms(params, budget)
-    return Fraction(int(np.abs(h0 * n1 - h1 * n0).sum()), n0 * n1)
+def concealing_exact(d: int, L: int) -> Fraction:
+    """sum_x |P(x|0) - P(x|1)| over Bob's decoded point x, in closed form.
+
+    h_b(x) counts the (parity-b honest point a, noise event (j, m)) pairs
+    with a + m*e_j = x, so the distance is sum_x |h0 n1 - h1 n0| / (n0 n1)
+    with n_b = |class b| * 2d.  h vanishes unless at most one coordinate of
+    x exceeds L-1, which leaves O(d^2) groups of x with equal h:
+    - every coordinate below L, k1 of them 1 and k2 in 2..L-1 with values
+      summing to parity q: x has parity p = (k1 + q) mod 2, the k1 + k2
+      events with m = 1 come from parity 1-p and the k2 with m = 2 from p;
+    - one coordinate at L: one event of each parity (m = 1 and m = 2);
+    - one coordinate at L+1: only m = 2, from x's own parity.
+    """
+    if d < 1 or L < 2:
+        raise ValueError("need d >= 1 lattice dimensions and L >= 2 values per coordinate")
+    n0, n1 = (parity_class_size(d, L, b) * 2 * d for b in (0, 1))
+    total = 0
+    for k1 in range(d + 1):
+        for k2 in range(d - k1 + 1):
+            ways = math.comb(d, k1) * math.comb(d - k1, k2)
+            for q in (0, 1):
+                # k2-tuples over 2..L-1 summing to parity q: ((e+o)^k2 + (-1)^q (e-o)^k2) / 2
+                # with e and o its even and odd values, e + o = L-2 and e - o = L mod 2
+                count = ways * ((L - 2) ** k2 + (-1) ** q * (L % 2) ** k2) // 2
+                h = [k2, k2]
+                h[1 - (k1 + q) % 2] += k1
+                total += count * abs(h[0] * n1 - h[1] * n0)
+    total += d * L ** (d - 1) * abs(n1 - n0)
+    total += d * (parity_class_size(d - 1, L, (L + 1) % 2) * n1
+                  + parity_class_size(d - 1, L, L % 2) * n0)
+    return Fraction(total, n0 * n1)
 
 
 def concealing_bound_exact(d: int, L: int) -> Fraction:
@@ -613,14 +595,16 @@ def lattice_report(
     results: list[tuple[str, object]] = []
     notes: list[str] = []
     if mode in ("exact", "both"):
-        eps = concealing_exact(params, budget=budget)
+        # the budgeted enumeration first, so an over-budget size does nothing else
+        soundness = lattice_soundness_exact(params, budget=budget)
+        eps = concealing_exact(params.d, params.L)
         bound = concealing_bound_exact(params.d, params.L)
         tables = {p: _binding_scan(params, p) for p in ("strict", "lenient")}
         flip_strict = _best_flip(tables["strict"]).probability
         flip_lenient = _best_flip(tables["lenient"]).probability
         sum_max, _ = _best_sum(tables[params.predicate])
         results += [
-            ("soundness", lattice_soundness_exact(params, budget=budget)),
+            ("soundness", soundness),
             ("concealing_exact", eps),
             ("concealing_tv", eps / 2),
             ("concealing_bound", bound),

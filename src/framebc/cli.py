@@ -9,8 +9,9 @@ least 12 significant digits); exactly computed values additionally carry a
 Exit codes: 0 success, 1 invalid configuration, 2 enumeration budget
 exceeded, 3 certification or equivalence check failure.  The enumeration
 budget defaults to 10^7 points and can be overridden with --budget or the
-FRAMEBC_ENUM_BUDGET environment variable; twirl-check's z<N> enumeration of
-N^2 compiled sessions counts against it too and is refused before it runs.
+FRAMEBC_ENUM_BUDGET environment variable (a budget below 1 is invalid); it
+caps codebook certification, exact lattice soundness and twirl-check's z<N>
+enumeration of N^2 compiled sessions, which is refused before it runs.
 """
 
 from __future__ import annotations
@@ -45,15 +46,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV)
         try:
-            return int(env)
+            budget = int(env) if env else lattice.DEFAULT_ENUM_BUDGET
         except ValueError as exc:
             raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from exc
-    return lattice.DEFAULT_ENUM_BUDGET
+    if budget < 1:
+        raise ValueError(f"the enumeration budget must be at least 1, got {budget}")
+    return budget
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -199,17 +201,19 @@ def cmd_sweep(args) -> int:
         for d in d_values:
             for L in L_values:
                 params = lattice.make_params(d, L, budget=budget)
-                eps = analysis.concealing_exact(params, budget=budget)
+                soundness = analysis.lattice_soundness_exact(params, budget=budget)
+                eps = analysis.concealing_exact(d, L)
                 bound = analysis.concealing_bound_exact(d, L)
                 strict = analysis.binding_search(params, "strict").probability
                 lenient = analysis.binding_search(params, "lenient").probability
-                soundness = analysis.lattice_soundness_exact(params, budget=budget)
                 cells = (d, L, params.eps_meas, soundness, eps, bound, strict, lenient)
                 rows.append("\t".join(_fmt(v) for v in cells))
     elif args.protocol == "continuous":
         alphas = _parse_values(args.alphas, float)
         if not alphas:
             raise ValueError("continuous sweep needs --alphas")
+        if args.trials < 0:
+            raise ValueError(f"--trials must be at least 0, got {args.trials}")
         with_mc = args.trials > 0
         rows.append(
             f"# framebc sweep protocol=continuous alphas={args.alphas} "

@@ -20,6 +20,7 @@ bit with probability 3/4 at alpha = 1/2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,7 +156,7 @@ def four_symbol_protocol(codeword: FourSymbolCodeword) -> engine.ProtocolSpec:
         ),
         decode_symbol,
         lambda received, b, a: four_symbol_verify(
-            received, FourSymbolCodeword(int(a), int(b))
+            received, FourSymbolCodeword(operator.index(a), b)
         ),
     )
 
@@ -288,5 +289,7 @@ def continuous_protocol(a: int, b: int) -> engine.ProtocolSpec:
         continuous_mu(),
         engine.commit_reveal_script(planar_unit(codeword_angle(a, b)), b, a),
         continuous_receive_angle,
-        lambda angle, rb, ra: arc_accepts(angle, codeword_angle(int(ra), int(rb))),
+        lambda angle, rb, ra: arc_accepts(
+            angle, FourSymbolCodeword(operator.index(ra), rb).symbol * QUARTER
+        ),
     )

@@ -64,8 +64,7 @@ def test_criterion_3_concealing():
         anchors = {}
         for d in (1, 2, 3):
             for L in (4, 8, 16):
-                params = lattice.make_params(d, L)
-                eps = analysis.concealing_exact(params)
+                eps = analysis.concealing_exact(d, L)
                 anchors[(d, L)] = eps
                 assert eps <= analysis.concealing_bound_exact(d, L), (d, L, eps)
         assert anchors[(2, 16)] < anchors[(2, 4)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from framebc import analysis, engine, lattice, so3
-from oracles import parity_class
+from oracles import concealing_by_enumeration, histogram_laws, parity_class
 
 # Exact concealing distances, frozen after first computation and confirmed by
 # an independent boundary-count derivation: for even L the distance is 2/L
@@ -35,27 +35,24 @@ def test_concealing_d1_l2_hand_enumeration():
     # two lattice points, two noise outcomes each:
     #   b=0 -> a=(0) -> a' in {1, 2};  b=1 -> a=(1) -> a' in {2, 3}
     # distance = |1/2-0| + |1/2-1/2| + |0-1/2| = 1
-    params = lattice.make_params(1, 2)
-    assert analysis.concealing_exact(params) == Fraction(1)
+    assert analysis.concealing_exact(1, 2) == Fraction(1)
 
 
 def test_concealing_received_distributions_d1_l2():
-    params = lattice.make_params(1, 2)
-    p0, p1 = analysis.lattice_received_distributions(params)
+    # the hand enumeration above, as the two laws the Fraction oracle gives
+    p0, p1 = _received_law_oracle(1, 2)
     assert p0 == {(1,): Fraction(1, 2), (2,): Fraction(1, 2)}
     assert p1 == {(2,): Fraction(1, 2), (3,): Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("d,L", sorted(CONCEALING_ANCHORS))
 def test_concealing_grid_regression(d, L):
-    params = lattice.make_params(d, L)
-    assert analysis.concealing_exact(params) == CONCEALING_ANCHORS[(d, L)]
+    assert analysis.concealing_exact(d, L) == CONCEALING_ANCHORS[(d, L)]
 
 
 @pytest.mark.parametrize("d,L", sorted(CONCEALING_ANCHORS))
 def test_concealing_within_boundary_bound(d, L):
-    params = lattice.make_params(d, L)
-    eps = analysis.concealing_exact(params)
+    eps = analysis.concealing_exact(d, L)
     assert eps <= analysis.concealing_bound_exact(d, L)
 
 
@@ -65,18 +62,8 @@ def test_concealing_bound_values():
 
 
 def test_concealing_monotone_in_l():
-    values = [
-        analysis.concealing_exact(lattice.make_params(2, L)) for L in (4, 8, 16)
-    ]
+    values = [analysis.concealing_exact(2, L) for L in (4, 8, 16)]
     assert values[0] > values[1] > values[2]
-
-
-def test_concealing_budget_guard():
-    params = lattice.make_params(2, 4)
-    with pytest.raises(lattice.BudgetExceededError):
-        analysis.concealing_exact(params, budget=10)
-    with pytest.raises(lattice.BudgetExceededError):
-        analysis.lattice_received_distributions(params, budget=10)
 
 
 def _received_law_oracle(d: int, L: int) -> tuple[dict, dict]:
@@ -95,21 +82,60 @@ def _received_law_oracle(d: int, L: int) -> tuple[dict, dict]:
     return out[0], out[1]
 
 
-@pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3) for L in range(2, 10)])
+fraction_oracle_grid = pytest.mark.parametrize(
+    "d,L", [(d, L) for d in (1, 2, 3) for L in range(2, 10)]
+)
+
+
+@fraction_oracle_grid
 def test_concealing_histograms_match_fraction_oracle(d, L):
-    params = lattice.make_params(d, L)
+    # the histogram enumeration, the oracle that reaches d = 7, against the Fraction one
     p0, p1 = _received_law_oracle(d, L)
-    assert analysis.lattice_received_distributions(params) == (p0, p1)
-    keys = set(p0) | set(p1)
-    expected = sum((abs(p0.get(k, 0) - p1.get(k, 0)) for k in keys), Fraction(0))
-    assert analysis.concealing_exact(params) == expected
+    assert histogram_laws(d, L) == (p0, p1)
+    assert concealing_by_enumeration(d, L) == analysis.distribution_distance(p0, p1)
+
+
+@fraction_oracle_grid
+def test_concealing_closed_form_matches_fraction_oracle(d, L):
+    assert analysis.concealing_exact(d, L) == analysis.distribution_distance(*_received_law_oracle(d, L))
+
+
+# the largest enumerations, (4, 16), (6, 8) and (7, 4), and odd L at every d
+# from 2 to 7, from (7, 3) to (2, 31)
+HISTOGRAM_ORACLE_GRID = [
+    (4, 16), (6, 8), (7, 4), (7, 3), (7, 5), (6, 5), (5, 7), (4, 9), (4, 11), (5, 6), (3, 15),
+    (2, 31),
+]
+
+
+@pytest.mark.parametrize("d,L", HISTOGRAM_ORACLE_GRID)
+def test_concealing_closed_form_matches_histogram_oracle(d, L):
+    assert analysis.concealing_exact(d, L) == concealing_by_enumeration(d, L)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 40])
+def test_concealing_is_two_over_l_for_even_l(d):
+    # far beyond the enumeration budget: (40, 200) has 200^40 honest points
+    for L in (2, 4, 6, 10, 16, 64, 200):
+        assert analysis.concealing_exact(d, L) == Fraction(2, L), (d, L)
+
+
+def test_concealing_pinned_beyond_budget():
+    assert analysis.concealing_exact(5, 16) == Fraction(1, 8)
+    assert analysis.concealing_exact(20, 1000) == Fraction(1, 500)
+
+
+def test_concealing_rejects_bad_sizes():
+    for d, L in ((0, 4), (2, 1)):
+        with pytest.raises(ValueError):
+            analysis.concealing_exact(d, L)
 
 
 @pytest.mark.parametrize("d,L", [(1, 2), (2, 4), (2, 3)])
 def test_concealing_geometric_oracle(d, L):
     # independent route: enumerate the actual rotations, encode, rotate,
     # decode, and accumulate exact probabilities; must match the coordinate
-    # law used by concealing_exact, well, exactly
+    # law of the Fraction oracle, well, exactly
     params = lattice.make_params(d, L)
     support = so3.enumerate_support(lattice.lattice_mu(params))
     for b in (0, 1):
@@ -122,8 +148,7 @@ def test_concealing_geometric_oracle(d, L):
                 assert decoded is not None
                 key = tuple(int(x) for x in decoded)
                 geometric[key] = geometric.get(key, Fraction(0)) + prob * Fraction(1, size)
-        abstract = analysis.lattice_received_distributions(params)[b]
-        assert geometric == abstract
+        assert geometric == _received_law_oracle(d, L)[b]
 
 
 # --- binding ---------------------------------------------------------------------

@@ -173,6 +173,20 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "64")
     code, out, _ = run_cli(capsys, "twirl-check", "--group", "z8")
     assert code == 0
+    monkeypatch.setenv(cli.BUDGET_ENV, "0")
+    for argv in (("mingap", "--d", "2", "--L", "4"), ("twirl-check", "--group", "z8")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "the enumeration budget must be at least 1" in err
+
+
+def test_analyze_soundness_over_budget_exits_two(capsys, monkeypatch):
+    # the 36-point codebook certifies, but soundness enumerates 4^2 * 4 = 64 pairs
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    code, out, err = run_cli(capsys, "analyze", "--protocol", "lattice",
+                             "--d", "2", "--L", "4", "--budget", "40")
+    assert code == 2 and out == ""
+    assert "soundness enumeration size 64 exceeds budget 40" in err
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -205,6 +219,11 @@ def test_sweep_continuous_with_mc(capsys):
     assert len(lines) == 5
     half = lines[3].split("\t")
     assert half[1] == "0.75" and half[2] == "0.75"
+    # a negative trial count is refused, not printed as a table without Monte Carlo
+    code, out, err = run_cli(capsys, "sweep", "--protocol", "continuous",
+                             "--alphas", "0,1", "--trials", "-3")
+    assert code == 1 and out == ""
+    assert "--trials must be at least 0" in err
 
 
 def test_sweep_deterministic(capsys):
@@ -229,6 +248,16 @@ def test_bad_lattice_parameters_exit_one(capsys):
                            "--d", "0", "--L", "4")
     assert code == 1
     assert "invalid configuration" in err
+    # a budget below 1 is bad configuration, not an exceeded budget
+    for argv in (
+        ["analyze", "--protocol", "lattice", "--budget", "0"],
+        ["analyze", "--protocol", "lattice", "--budget", "-1"],
+        ["mingap", "--d", "2", "--L", "4", "--budget", "0"],
+        ["sweep", "--protocol", "lattice", "--budget", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "the enumeration budget must be at least 1" in err
 
 
 def test_coarse_eps_exits_one(capsys):

@@ -379,6 +379,7 @@ def test_commit_reveal_decider_malformed_reveals(scheme):
     malformed = [
         (2, a), (4, a), (-1, a), (0.9, a), (1.0, a), ("1", a), (None, a),
         (b, a, a), (b,), (), 5, None, "ba", (b, None), (b, "x"),
+        (b, 0.9), (b, 1.7), (b, 2), (b, -1),
     ]
     if scheme == "lattice":
         malformed.append((2, (1, 2, 3)))
@@ -388,13 +389,15 @@ def test_commit_reveal_decider_malformed_reveals(scheme):
         )
         t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
         assert t.outcome == engine.Aborted("malformed-reveal"), reveal
-    # an integer-like b (numpy) is a well-formed bit
-    alice = engine.ScriptedParty(
-        engine.ALICE, [(engine.VEC, commit_vector), (engine.DATA, (np.int64(b), a))]
-    )
-    t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
-    assert t.outcome == engine.Accepted(b)
-    assert type(t.outcome.value) is int
+    # an integer-like b (numpy) is a well-formed bit, and numpy integers are a valid value
+    numpy_a = np.array(a) if scheme == "lattice" else np.int64(a)
+    for reveal in ((np.int64(b), a), (b, numpy_a)):
+        alice = engine.ScriptedParty(
+            engine.ALICE, [(engine.VEC, commit_vector), (engine.DATA, reveal)]
+        )
+        t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
+        assert t.outcome == engine.Accepted(b), reveal
+        assert type(t.outcome.value) is int
 
 
 @pytest.mark.parametrize("a", [(2.9, 2, 2), ("x", 1, 2), None])
