@@ -108,6 +108,11 @@ def distribution_distance(
     )
 
 
+def _check_size(d: int, L: int) -> None:
+    if d < 1 or L < 2:
+        raise ValueError("need d >= 1 lattice dimensions and L >= 2 values per coordinate")
+
+
 def concealing_exact(d: int, L: int) -> Fraction:
     """sum_x |P(x|0) - P(x|1)| over Bob's decoded point x, in closed form.
 
@@ -121,8 +126,7 @@ def concealing_exact(d: int, L: int) -> Fraction:
     - one coordinate at L: one event of each parity (m = 1 and m = 2);
     - one coordinate at L+1: only m = 2, from x's own parity.
     """
-    if d < 1 or L < 2:
-        raise ValueError("need d >= 1 lattice dimensions and L >= 2 values per coordinate")
+    _check_size(d, L)
     n0, n1 = (parity_class_size(d, L, b) * 2 * d for b in (0, 1))
     total = 0
     for k1 in range(d + 1):
@@ -143,6 +147,7 @@ def concealing_exact(d: int, L: int) -> Fraction:
 
 def concealing_bound_exact(d: int, L: int) -> Fraction:
     """Boundary-counting upper bound 1 - ((L-1)/(L+2))^d on the concealing distance."""
+    _check_size(d, L)
     return 1 - Fraction(L - 1, L + 2) ** d
 
 
@@ -338,7 +343,9 @@ def lattice_soundness_exact(
     each point, rotates it by every rot_z(m*theta_j), decodes, and verifies
     the honest reveal (its own parity and point).  Counts acceptances per
     parity class and returns the exact acceptance probability with b
-    uniform (1 whenever the parameters certify).
+    uniform (1 whenever the parameters certify).  The points are walked in
+    codebook-angle order, so each rotated batch reaches the decoder's
+    binary search already sorted.
     """
     d, L = params.d, params.L
     cost = (L**d) * 2 * d
@@ -347,10 +354,10 @@ def lattice_soundness_exact(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
     rotations = [rot_z(multiplier * params.angles[j]) for j, multiplier in noise_support(params)]
+    honest = params._points[(params._points < L).all(axis=1)]
     accepted = [0, 0]
-    for start in range(0, L**d, SOUNDNESS_CHUNK):
-        index = np.arange(start, min(start + SOUNDNESS_CHUNK, L**d))
-        points = np.stack(np.unravel_index(index, (L,) * d), axis=1)
+    for start in range(0, len(honest), SOUNDNESS_CHUNK):
+        points = honest[start:start + SOUNDNESS_CHUNK]
         payloads = encode_batch(params, points)
         # the stacked matmul computes each row exactly as rotation @ payload does
         received = np.concatenate([(r @ payloads[:, :, None])[:, :, 0] for r in rotations])

@@ -16,6 +16,11 @@ angular gap (min_gap) is computed up front, and parameters are rejected
 unless the induced Euclidean separation 2*sin(min_gap/2) exceeds
 2*eps_meas, which is exactly the condition for the tolerance ball around a
 received vector to contain at most one codeword.
+
+Certification keeps only the sorted angle table and its sort permutation.
+The decoder's point, cosine and sine tables are built from them on the
+first decode and shared by every parameter set over the same basis, so
+work that never decodes (binding, concealing) never pays for them.
 """
 
 from __future__ import annotations
@@ -52,8 +57,10 @@ class AngleBasis:
     chosen so sum_i (L+1)*angles[i] = pi/2, which keeps every codebook angle
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
     angular distance between distinct codebook angles, certified by sorting
-    the full codebook at construction; `build_angle_basis` keeps that sorted
-    table (points and their angles) for the decoder.
+    the full codebook at construction.  `build_angle_basis` keeps the
+    sorted angles (`_angles`) and the permutation that sorts the codebook
+    (`_order`); the decoder's sorted points and their cosines and sines are
+    built from those on first use and then cached on the basis.
     """
 
     d: int
@@ -61,8 +68,21 @@ class AngleBasis:
     angles: tuple[float, ...]
     scale: float
     min_gap: float
-    _points: np.ndarray = field(init=False, repr=False, compare=False)
     _angles: np.ndarray = field(init=False, repr=False, compare=False)
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
+        # row k is the codebook point with the k-th smallest angle
+        return np.stack(np.unravel_index(self._order, (self.L + 2,) * self.d), axis=1)
+
+    @functools.cached_property
+    def _cos(self) -> np.ndarray:
+        return np.cos(self._angles)
+
+    @functools.cached_property
+    def _sin(self) -> np.ndarray:
+        return np.sin(self._angles)
 
     @property
     def separation(self) -> float:
@@ -83,10 +103,10 @@ def codebook_size(d: int, L: int) -> int:
     return (L + 2) ** d
 
 
-def codebook_points(d: int, L: int) -> np.ndarray:
-    """All decodable lattice points {0..L+1}^d as an (N, d) int array."""
+def codebook_points(d: int, L: int, dtype=int) -> np.ndarray:
+    """All decodable lattice points {0..L+1}^d as an (N, d) integer array."""
     # same lexicographic order as itertools.product(range(L + 2), repeat=d)
-    return np.ascontiguousarray(np.indices((L + 2,) * d).reshape(d, -1).T)
+    return np.ascontiguousarray(np.indices((L + 2,) * d, dtype=dtype).reshape(d, -1).T)
 
 
 def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> AngleBasis:
@@ -108,8 +128,9 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     roots = np.sqrt(np.array(first_primes(d), dtype=float))
     scale = (math.pi / 2.0) / ((L + 1) * float(roots.sum()))
     angles = scale * roots
-    points = codebook_points(d, L)
-    alphas = points @ angles
+    # the smallest integer dtype holding L+1; matmul casts it to float64, so
+    # every angle is the same float64 product as from an int64 grid
+    alphas = codebook_points(d, L, np.min_scalar_type(L + 1)) @ angles
     order = np.argsort(alphas)
     alphas = alphas[order]
     min_gap = float(np.diff(alphas).min()) if len(alphas) > 1 else math.tau
@@ -122,30 +143,28 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
         scale=scale,
         min_gap=min_gap,
     )
-    object.__setattr__(basis, "_points", points[order])
     object.__setattr__(basis, "_angles", alphas)
+    object.__setattr__(basis, "_order", order)
     return basis
 
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Scheme parameters plus the decoding table derived from them.
+    """Scheme parameters over a certified basis.
 
     Rejects tolerances that violate the separation requirement
     2*sin(min_gap/2) > 2*eps_meas, so a successfully constructed instance
     always decodes honest traffic uniquely.  The `predicate` selects Bob's
     reveal test: "strict" requires the decoded point to differ from the
     revealed one by e_j or 2e_j; "lenient" additionally accepts zero
-    difference.
+    difference.  Construction only validates: the decode tables `_angles`,
+    `_points`, `_cos` and `_sin` are the basis's, read through on first use,
+    so parameter sets over one basis share one copy of each.
     """
 
     basis: AngleBasis
     eps_meas: float
     predicate: str = "lenient"
-    _points: np.ndarray = field(init=False, repr=False, compare=False)
-    _angles: np.ndarray = field(init=False, repr=False, compare=False)
-    _cos: np.ndarray = field(init=False, repr=False, compare=False)
-    _sin: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.predicate not in PREDICATES:
@@ -156,10 +175,12 @@ class LatticeParams:
                 f"and the codeword separation {self.basis.separation!r} must "
                 "exceed 2*eps_meas"
             )
-        object.__setattr__(self, "_points", self.basis._points)
-        object.__setattr__(self, "_angles", self.basis._angles)
-        object.__setattr__(self, "_cos", np.cos(self._angles))
-        object.__setattr__(self, "_sin", np.sin(self._angles))
+
+    # cached here too, so a per-trial decode reads each table in one lookup
+    _angles = functools.cached_property(lambda self: self.basis._angles)
+    _points = functools.cached_property(lambda self: self.basis._points)
+    _cos = functools.cached_property(lambda self: self.basis._cos)
+    _sin = functools.cached_property(lambda self: self.basis._sin)
 
     @functools.cached_property
     def _mu(self) -> TwoPointAngleMixture:

@@ -131,6 +131,12 @@ def test_concealing_rejects_bad_sizes():
             analysis.concealing_exact(d, L)
 
 
+def test_concealing_bound_rejects_bad_sizes():
+    for d, L in ((-1, 4), (0, 4), (2, 1)):
+        with pytest.raises(ValueError):
+            analysis.concealing_bound_exact(d, L)
+
+
 @pytest.mark.parametrize("d,L", [(1, 2), (2, 4), (2, 3)])
 def test_concealing_geometric_oracle(d, L):
     # independent route: enumerate the actual rotations, encode, rotate,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -76,6 +77,51 @@ def test_basis_validation():
         lattice.build_angle_basis(0, 4)
     with pytest.raises(ValueError):
         lattice.build_angle_basis(2, 1)
+
+
+# sizes on both sides of the uint8/uint16 switch of the certification grid
+@pytest.mark.parametrize(
+    "d,L",
+    [(1, 2), (2, 4), (2, 5), (3, 8), (4, 3), (5, 4), (1, 253), (1, 254), (1, 255),
+     (2, 254), (2, 300)],
+)
+def test_decode_tables_match_int64_reference(d, L):
+    # reference: the int64 codebook times the basis angles, sorted
+    params = lattice.make_params(d, L)
+    points = lattice.codebook_points(d, L)
+    assert points.dtype == np.int64
+    alphas = points @ np.asarray(params.angles)
+    order = np.argsort(alphas)
+    reference = alphas[order]
+    assert np.array_equal(params.basis._angles.view(np.int64), reference.view(np.int64))
+    assert params._points.dtype == np.int64
+    assert np.array_equal(params._points, points[order])
+    assert np.array_equal(params._cos.view(np.int64), np.cos(reference).view(np.int64))
+    assert np.array_equal(params._sin.view(np.int64), np.sin(reference).view(np.int64))
+
+
+def test_decode_tables_built_on_first_decode_and_shared():
+    params = lattice.make_params(3, 8)
+    tables = ("_points", "_cos", "_sin")
+    assert not set(tables) & set(vars(params.basis))
+    decoded = lattice.decode_commit(params, lattice.encode(params, (1, 2, 3)))
+    assert tuple(decoded) == (1, 2, 3)
+    assert set(tables) <= set(vars(params.basis))
+    other = lattice.LatticeParams(params.basis, eps_meas=0.0, predicate="strict")
+    for name in tables + ("_angles",):
+        assert getattr(other, name) is getattr(params, name) is getattr(params.basis, name)
+
+
+def test_make_params_holds_only_the_sorted_angles_and_order():
+    # 10^6 codebook points: the float64 angles and int64 order take 16e6 bytes
+    tracemalloc.start()
+    try:
+        params = lattice.make_params(6, 8)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(params.basis._angles) == 10**6
+    assert held < 24 * 2**20
 
 
 def test_params_reject_coarse_eps():
