@@ -12,8 +12,9 @@ from framebc import analysis, engine, simple
 
 print("== acceptance probabilities along the interpolation ==")
 print("alpha  reveal-0  reveal-1  sum")
-for alpha, p0, p1 in simple.interpolation_curve([0.1 * k for k in range(11)]):
-    print(f"{alpha:4.1f}  {p0:8.4f}  {p1:8.4f}  {p0 + p1:.4f}")
+for row in analysis.cheat_curve_continuous([0.1 * k for k in range(11)], with_mc=False):
+    p0, p1 = row.p0_exact, row.p1_exact
+    print(f"{row.alpha:4.1f}  {p0:8.4f}  {p1:8.4f}  {p0 + p1:.4f}")
 
 print()
 print("== the hedged sweet spot at alpha = 1/2 ==")

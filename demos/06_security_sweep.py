@@ -2,7 +2,8 @@
 
 Concealing (what Bob can infer early) tightens as L grows; binding (what
 Alice can flip late) tightens as d grows.  Everything below is exact
-rational arithmetic rendered as floats.
+rational arithmetic rendered as floats; the grid figures are read from
+`lattice_report`, the same figures `framebc sweep` prints.
 """
 
 from framebc import analysis, lattice
@@ -10,11 +11,9 @@ from framebc import analysis, lattice
 print("d  L   concealing  bound       flip(lenient)  flip(strict)")
 for d in (1, 2, 3):
     for L in (4, 8, 16):
-        params = lattice.make_params(d, L)
-        eps = analysis.concealing_exact(d, L)
-        bound = analysis.concealing_bound_exact(d, L)
-        lenient = analysis.binding_search(params, "lenient").probability
-        strict = analysis.binding_search(params, "strict").probability
+        figures = dict(analysis.lattice_report(lattice.make_params(d, L)).results)
+        eps, bound = figures["concealing_exact"], figures["concealing_bound"]
+        lenient, strict = figures["binding_flip_lenient"], figures["binding_flip_strict"]
         print(
             f"{d}  {L:2d}  {float(eps):10.6f}  {float(bound):10.6f}"
             f"  {float(lenient):13.6f}  {float(strict):12.6f}"
@@ -30,18 +29,9 @@ print("an ideally binding scheme pins this at 1; an unbound one reaches 2")
 
 print()
 print("== both knobs together ==")
-rows = []
 for d, L in [(1, 4), (2, 8), (3, 16), (4, 16)]:
-    params = lattice.make_params(d, L)
-    rows.append(
-        (
-            d,
-            L,
-            analysis.concealing_exact(d, L),
-            analysis.binding_search(params, "lenient").probability,
-        )
-    )
-for d, L, eps, flip in rows:
+    figures = dict(analysis.lattice_report(lattice.make_params(d, L)).results)
+    eps, flip = figures["concealing_exact"], figures["binding_flip_lenient"]
     print(f"d={d}, L={L:2d}: concealing {eps} = {float(eps):.4f},"
           f" flip {flip} = {float(flip):.4f}")
 print("growing d and L together drives both figures toward zero,")

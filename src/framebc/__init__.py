@@ -51,7 +51,6 @@ from .simple import (
     four_symbol_channel,
     four_symbol_protocol,
     four_symbol_verify,
-    interpolation_curve,
 )
 from .engine import (
     Accepted,

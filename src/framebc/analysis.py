@@ -34,10 +34,12 @@ from .lattice import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     LatticeParams,
+    _check_size,
     accepting_reveals,
     decode_batch,
     decode_commit,
     encode_batch,
+    lattice_mu,
     noise_support,
     parity,
     parity_class_size,
@@ -53,7 +55,6 @@ from .simple import (
     four_symbol_verify,
     interpolation_acceptance,
 )
-from .so3 import rot_z
 
 #: two-sided 99% normal quantile, for Wilson intervals
 Z_99 = statistics.NormalDist().inv_cdf(0.995)
@@ -106,11 +107,6 @@ def distribution_distance(
         (abs(p.get(k, Fraction(0)) - q.get(k, Fraction(0))) for k in keys),
         Fraction(0),
     )
-
-
-def _check_size(d: int, L: int) -> None:
-    if d < 1 or L < 2:
-        raise ValueError("need d >= 1 lattice dimensions and L >= 2 values per coordinate")
 
 
 def concealing_exact(d: int, L: int) -> Fraction:
@@ -304,9 +300,8 @@ def binding_search_finite_precision(
     w = np.asarray(w, dtype=float)
     if abs(float(np.linalg.norm(w)) - 1.0) > 1e-9:
         raise ValueError("committed payload must be a unit vector")
-    received = np.stack(
-        [rot_z(multiplier * params.angles[j]) @ w for j, multiplier in noise_support(params)]
-    )
+    # the channel's own 2d rotations, (d, 2) reshaped into noise_support's (j, m) order
+    received = np.stack([r @ w for r in lattice_mu(params)._rotations.reshape(-1, 3, 3)])
     points, ok = decode_batch(params, received)
     (counts,), (reveals,) = _best_reveals(params, points[None], ok[None], predicate)
     best = {
@@ -353,7 +348,7 @@ def lattice_soundness_exact(
         raise BudgetExceededError(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
-    rotations = [rot_z(multiplier * params.angles[j]) for j, multiplier in noise_support(params)]
+    rotations = lattice_mu(params)._rotations.reshape(-1, 3, 3)
     honest = params._points[(params._points < L).all(axis=1)]
     accepted = [0, 0]
     for start in range(0, len(honest), SOUNDNESS_CHUNK):
@@ -394,55 +389,32 @@ def four_symbol_concealing_exact() -> Fraction:
     )
 
 
+def _acceptance(commit_symbol: int, reveal: FourSymbolCodeword) -> Fraction:
+    """Probability that Bob accepts `reveal` after Alice sends `commit_symbol`."""
+    law = four_symbol_channel_law(commit_symbol)
+    return sum((p for r, p in law.items() if four_symbol_verify(r, reveal)), Fraction(0))
+
+
 def four_symbol_soundness_exact() -> Fraction:
-    total = Fraction(0)
-    for a in (0, 1):
-        for b in (0, 1):
-            codeword = FourSymbolCodeword(a, b)
-            for received, prob in four_symbol_channel_law(codeword.symbol).items():
-                if four_symbol_verify(received, codeword):
-                    total += Fraction(1, 4) * prob
-    return total
+    return sum(_acceptance(s, FourSymbolCodeword.from_symbol(s)) for s in range(4)) / 4
 
 
 def four_symbol_flip_cheat() -> tuple[Fraction, tuple[int, FourSymbolCodeword]]:
-    """Best passive flip: commit a codeword, reveal one with the other bit."""
-    best = Fraction(0)
-    witness: tuple[int, FourSymbolCodeword] = (0, FourSymbolCodeword(0, 1))
-    for commit_symbol in range(4):
-        committed_bit = commit_symbol % 2
-        law = four_symbol_channel_law(commit_symbol)
-        for reveal_a in (0, 1):
-            reveal = FourSymbolCodeword(reveal_a, 1 - committed_bit)
-            prob = sum(
-                (p for r, p in law.items() if four_symbol_verify(r, reveal)),
-                Fraction(0),
-            )
-            if prob > best:
-                best = prob
-                witness = (commit_symbol, reveal)
-    return best, witness
+    """Best passive flip: commit a codeword, reveal one with the other bit.
+
+    The witness is the first maximum, by commit symbol and then reveal index a.
+    """
+    flips = [(s, FourSymbolCodeword(a, 1 - s % 2)) for s in range(4) for a in (0, 1)]
+    witness = max(flips, key=lambda flip: _acceptance(*flip))
+    return _acceptance(*witness), witness
 
 
 def four_symbol_sum_max() -> Fraction:
     """Max over commit symbols of best-reveal-0 plus best-reveal-1."""
-    best = Fraction(0)
-    for commit_symbol in range(4):
-        law = four_symbol_channel_law(commit_symbol)
-        per_bit = []
-        for bit in (0, 1):
-            per_bit.append(
-                max(
-                    sum(
-                        (p for r, p in law.items()
-                         if four_symbol_verify(r, FourSymbolCodeword(reveal_a, bit))),
-                        Fraction(0),
-                    )
-                    for reveal_a in (0, 1)
-                )
-            )
-        best = max(best, per_bit[0] + per_bit[1])
-    return best
+    return max(
+        sum(max(_acceptance(s, FourSymbolCodeword(a, b)) for a in (0, 1)) for b in (0, 1))
+        for s in range(4)
+    )
 
 
 def four_symbol_soundness_mc(trials: int = 10_000, seed: int = 42) -> MonteCarloEstimate:
@@ -487,7 +459,11 @@ def cheat_curve_continuous(
     seed: int = 42,
     with_mc: bool = True,
 ) -> list[ContinuousCurveRow]:
-    """Exact interpolation-attack curve with optional Monte Carlo cross-check."""
+    """Exact interpolation-attack curve with optional Monte Carlo cross-check.
+
+    Row i samples its reveal-0 and reveal-1 acceptance with seeds seed + 2i
+    and seed + 2i + 1.
+    """
     rows = []
     for i, alpha in enumerate(alphas):
         alpha = float(alpha)
@@ -665,21 +641,20 @@ def continuous_report(
     config = (("protocol", "continuous"), ("alpha", float(alpha))) + _mode_config(
         mode, trials, seed
     )
-    p0, p1 = interpolation_acceptance(alpha)
+    sampled = mode != "exact"
+    (row,) = cheat_curve_continuous([alpha], trials, seed, with_mc=sampled)
     results: list[tuple[str, object]] = [
         ("soundness", continuous_soundness_exact()),
         ("concealing_exact", Fraction(0)),
-        ("accept_reveal0", p0),
-        ("accept_reveal1", p1),
-        ("accept_sum", p0 + p1),
+        ("accept_reveal0", row.p0_exact),
+        ("accept_reveal1", row.p1_exact),
+        ("accept_sum", row.p0_exact + row.p1_exact),
         ("binding_passive_flip", Fraction(1, 2)),
         ("method", "closed-form"),
     ]
-    if mode in ("monte-carlo", "both"):
-        mc0 = continuous_acceptance_mc(alpha, 0, trials, seed)
-        mc1 = continuous_acceptance_mc(alpha, 1, trials, seed + 1)
-        results.append(("accept_reveal0_mc", mc0))
-        results.append(("accept_reveal1_mc", mc1))
+    if sampled:
+        results.append(("accept_reveal0_mc", row.p0_mc))
+        results.append(("accept_reveal1_mc", row.p1_mc))
         results.append(("method_mc", f"monte-carlo trials={trials} seed={seed}"))
     notes = (
         "concealing is exact: the received-direction law is uniform for both bits",

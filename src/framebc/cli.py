@@ -193,20 +193,15 @@ def cmd_sweep(args) -> int:
             f"# framebc sweep protocol=lattice d-values={args.d_values} "
             f"L-values={args.L_values} budget={budget}"
         )
-        header = (
-            "d\tL\teps_meas\tsoundness\tconcealing_exact\tconcealing_bound"
-            "\tbinding_flip_strict\tbinding_flip_lenient"
-        )
-        rows.append(header)
+        # the `lattice_report` figures each row shows, in column order
+        keys = ("soundness", "concealing_exact", "concealing_bound",
+                "binding_flip_strict", "binding_flip_lenient")
+        rows.append("\t".join(("d", "L", "eps_meas") + keys))
         for d in d_values:
             for L in L_values:
                 params = lattice.make_params(d, L, budget=budget)
-                soundness = analysis.lattice_soundness_exact(params, budget=budget)
-                eps = analysis.concealing_exact(d, L)
-                bound = analysis.concealing_bound_exact(d, L)
-                strict = analysis.binding_search(params, "strict").probability
-                lenient = analysis.binding_search(params, "lenient").probability
-                cells = (d, L, params.eps_meas, soundness, eps, bound, strict, lenient)
+                figures = dict(analysis.lattice_report(params, budget=budget).results)
+                cells = (d, L, params.eps_meas) + tuple(figures[k] for k in keys)
                 rows.append("\t".join(_fmt(v) for v in cells))
     elif args.protocol == "continuous":
         alphas = _parse_values(args.alphas, float)
@@ -251,19 +246,18 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_lattice: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget override")
-        if with_lattice:
-            p.add_argument("--d", type=int, default=3, help="lattice dimensions")
-            p.add_argument("--L", type=int, default=8, help="values per coordinate")
-            p.add_argument("--eps", type=float, default=None,
-                           help="measurement tolerance (default: safe/4)")
-            p.add_argument("--predicate", choices=lattice.PREDICATES,
-                           default="lenient", help="reveal-test reading")
-            p.add_argument("--alpha", type=float, default=0.5,
-                           help="interpolation parameter (continuous protocol)")
+        p.add_argument("--d", type=int, default=3, help="lattice dimensions")
+        p.add_argument("--L", type=int, default=8, help="values per coordinate")
+        p.add_argument("--eps", type=float, default=None,
+                       help="measurement tolerance (default: safe/4)")
+        p.add_argument("--predicate", choices=lattice.PREDICATES,
+                       default="lenient", help="reveal-test reading")
+        p.add_argument("--alpha", type=float, default=0.5,
+                       help="interpolation parameter (continuous protocol)")
 
     p_analyze = sub.add_parser("analyze", help="exact security analysis")
     p_analyze.add_argument("--protocol", choices=PROTOCOLS, required=True)

@@ -109,16 +109,20 @@ def codebook_points(d: int, L: int, dtype=int) -> np.ndarray:
     return np.ascontiguousarray(np.indices((L + 2,) * d, dtype=dtype).reshape(d, -1).T)
 
 
+def _check_size(d: int, L: int) -> None:
+    if d < 1:
+        raise ValueError("need d >= 1 lattice dimensions")
+    if L < 2:
+        raise ValueError("need L >= 2 values per coordinate")
+
+
 def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> AngleBasis:
     """Construct and certify the angle basis for a (d, L) codebook.
 
     Fails with BudgetExceededError when the codebook is too large to
     certify: the certificate requires enumerating all (L+2)^d angles.
     """
-    if d < 1:
-        raise ValueError("need d >= 1 lattice dimensions")
-    if L < 2:
-        raise ValueError("need L >= 2 values per coordinate")
+    _check_size(d, L)
     n_points = codebook_size(d, L)
     if n_points > budget:
         raise BudgetExceededError(

@@ -237,15 +237,6 @@ def interpolation_acceptance(alpha: float) -> tuple[float, float]:
     return p0, p1
 
 
-def interpolation_curve(alphas) -> list[tuple[float, float, float]]:
-    """Rows (alpha, accept probability revealing 0, revealing 1)."""
-    rows = []
-    for alpha in alphas:
-        p0, p1 = interpolation_acceptance(float(alpha))
-        rows.append((float(alpha), p0, p1))
-    return rows
-
-
 def quadrant_indicator_distribution(b: int) -> dict[tuple[int, ...], Fraction]:
     """Exact law of the acceptance-indicator vector under honest play.
 

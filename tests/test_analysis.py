@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framebc import analysis, engine, lattice, so3
+from framebc import analysis, engine, lattice, simple, so3
 from oracles import concealing_by_enumeration, histogram_laws, parity_class
 
 # Exact concealing distances, frozen after first computation and confirmed by
@@ -592,6 +592,30 @@ def test_four_symbol_exact_figures():
     assert analysis.four_symbol_sum_max() == Fraction(3, 2)
 
 
+def test_four_symbol_figures_match_rotation_law():
+    # independent oracle: both laws come from the rotation realization of the
+    # channel, and Bob accepts a reveal iff the received symbol is possible under it
+    def accept(commit_symbol, reveal):
+        possible = simple.four_symbol_rotation_law(reveal.symbol)
+        law = simple.four_symbol_rotation_law(commit_symbol)
+        return sum((p for r, p in law.items() if r in possible), Fraction(0))
+
+    codewords = [simple.FourSymbolCodeword(a, b) for a in (0, 1) for b in (0, 1)]
+    soundness = sum(accept(c.symbol, c) for c in codewords) / 4
+    assert analysis.four_symbol_soundness_exact() == soundness == 1
+    flips = [(s, simple.FourSymbolCodeword(a, 1 - s % 2)) for s in range(4) for a in (0, 1)]
+    best = max(accept(*flip) for flip in flips)
+    first = next(flip for flip in flips if accept(*flip) == best)
+    assert analysis.four_symbol_flip_cheat() == (best, first) == (
+        Fraction(1, 2), (0, simple.FourSymbolCodeword(0, 1))
+    )
+    sum_max = max(
+        sum(max(accept(s, simple.FourSymbolCodeword(a, b)) for a in (0, 1)) for b in (0, 1))
+        for s in range(4)
+    )
+    assert analysis.four_symbol_sum_max() == sum_max == Fraction(3, 2)
+
+
 def test_four_symbol_mc_agrees_with_exact():
     estimate = analysis.four_symbol_soundness_mc(trials=10_000, seed=1)
     assert estimate.successes == estimate.trials
@@ -619,6 +643,11 @@ def test_cheat_curve_peak_at_half():
     best = max(rows, key=lambda row: min(row.p0_exact, row.p1_exact))
     assert best.alpha == 0.5
     assert (best.p0_exact, best.p1_exact) == (0.75, 0.75)
+    # integer alphas come back as floats, and the end points are the honest codewords
+    assert analysis.cheat_curve_continuous([0, 1], with_mc=False) == [
+        analysis.ContinuousCurveRow(0.0, 1.0, 0.5),
+        analysis.ContinuousCurveRow(1.0, 0.5, 1.0),
+    ]
 
 
 # --- estimators and reports -----------------------------------------------------------

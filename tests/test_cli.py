@@ -207,6 +207,22 @@ def test_sweep_lattice_table(tmp_path):
     assert row["concealing_exact"] == "0.5"
 
 
+def test_sweep_lattice_rows_match_analyze_reports(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--protocol", "lattice",
+                           "--d-values", "1,2,3", "--L-values", "3,4,5")
+    assert code == 0
+    header, *lines = out.splitlines()[1:]
+    columns = header.split("\t")
+    assert len(lines) == 9
+    for line in lines:
+        row = dict(zip(columns, line.split("\t")))
+        code, report, _ = run_cli(capsys, "analyze", "--protocol", "lattice",
+                                  "--d", row["d"], "--L", row["L"])
+        assert code == 0
+        values = dict(entry.split(" = ", 1) for entry in report.splitlines() if " = " in entry)
+        assert {key: values[key] for key in columns} == row
+
+
 def test_sweep_continuous_with_mc(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--protocol", "continuous", "--alphas", "0,0.5,1",

@@ -124,13 +124,6 @@ def test_acceptance_probability_quadrature_oracle():
             assert abs(exact - hits) <= 1e-4
 
 
-def test_interpolation_curve_rows():
-    rows = simple.interpolation_curve([0.0, 0.5, 1.0])
-    assert rows[0] == (0.0, 1.0, 0.5)
-    assert rows[2] == (1.0, 0.5, 1.0)
-    assert rows[1][1] == pytest.approx(0.75, abs=1e-15)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_reveal_probabilities_sum_to_three_halves(alpha):
