@@ -46,7 +46,6 @@ from .lattice import (
 from .simple import (
     FourSymbolCodeword,
     InterpolationStrategy,
-    continuous_commit_verify,
     continuous_protocol,
     four_symbol_channel,
     four_symbol_protocol,

@@ -26,7 +26,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .simple import (
     acceptance_probability,
     arc_accepts,
     codeword_angle,
+    four_symbol_channel,
     four_symbol_channel_law,
     four_symbol_received_distribution,
     four_symbol_verify,
@@ -60,10 +61,14 @@ from .simple import (
 Z_99 = statistics.NormalDist().inv_cdf(0.995)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError("need at least one trial")
+
+
+def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    _check_trials(trials)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -86,12 +91,10 @@ class MonteCarloEstimate:
         return wilson_interval(self.successes, self.trials)
 
 
-def monte_carlo_acceptance(
-    run_once: Callable[[np.random.Generator], bool], trials: int, seed: int
-) -> MonteCarloEstimate:
-    rng = np.random.default_rng(seed)
-    successes = sum(1 for _ in range(trials) if run_once(rng))
-    return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
+def _sampler(trials: int, seed: int) -> np.random.Generator:
+    """The generator of a Monte Carlo estimator, after refusing a run with no trials."""
+    _check_trials(trials)
+    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +181,16 @@ def _best_reveals(
     ties going to the lexicographically smallest; a count of 0 has no reveal.
     """
     d, L = params.d, params.L
+    size = L**d
+    if 2 * len(events) * size >= 2**63:
+        raise ValueError(
+            f"binding reveal keys overflow int64 at d={d}, L={L}: "
+            f"2 * {len(events)} rows * L**d >= 2**63"
+        )
     reveals, ok = accepting_reveals(params, events, predicate)
     ok &= decodes[..., None]
     reveals = reveals[ok]
     # key each reveal by its row and parity, then by its lexicographic rank in {0..L-1}^d
-    size = L**d
     group = 2 * np.nonzero(ok)[0] + reveals.sum(axis=1) % 2
     rank = reveals @ L ** np.arange(d - 1, -1, -1)
     keys, counts = np.unique(group * size + rank, return_counts=True)
@@ -326,7 +334,16 @@ def binding_search_finite_precision(
 # ---------------------------------------------------------------------------
 
 #: honest points encoded per soundness chunk; each is decoded under all 2d events
+#: in the exact enumeration and under one drawn event in the Monte Carlo estimate
 SOUNDNESS_CHUNK = 4096
+
+
+def _honest_accepts(
+    params: LatticeParams, received: np.ndarray, bits: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Bob's verdict on each row: decode `received`, then test the honest reveal (bit, point)."""
+    decoded, ok = decode_batch(params, received)
+    return ok & verify_batch(params, decoded, bits, points)
 
 
 def lattice_soundness_exact(
@@ -356,10 +373,9 @@ def lattice_soundness_exact(
         payloads = encode_batch(params, points)
         # the stacked matmul computes each row exactly as rotation @ payload does
         received = np.concatenate([(r @ payloads[:, :, None])[:, :, 0] for r in rotations])
-        decoded, ok = decode_batch(params, received)
         revealed = np.tile(points, (len(rotations), 1))
         bits = revealed.sum(axis=1) % 2
-        ok &= verify_batch(params, decoded, bits, revealed)
+        ok = _honest_accepts(params, received, bits, revealed)
         for b in (0, 1):
             accepted[b] += int(np.count_nonzero(ok & (bits == b)))
     # P(accept) = 1/2 * sum_b accepted_b / (|class b| * 2d)
@@ -370,13 +386,36 @@ def lattice_soundness_exact(
 def lattice_soundness_mc(
     params: LatticeParams, trials: int = 10_000, seed: int = 42
 ) -> MonteCarloEstimate:
-    """Seeded honest-run acceptance rate over the full geometric path."""
-    from .lattice import honest_run
+    """Seeded honest acceptance rate over the full geometric path.
 
-    def run_once(rng: np.random.Generator) -> bool:
-        return honest_run(params, int(rng.integers(2)), rng)
-
-    return monte_carlo_acceptance(run_once, trials, seed)
+    Trials run SOUNDNESS_CHUNK at a time.  Each chunk of n draws, from one
+    generator seeded with `seed`, in this order: the n committed bits, the
+    honest points, and the n noise events.  The points are drawn by
+    rejection: every row whose point's parity differs from its bit draws a
+    fresh uniform point of {0..L-1}^d, all such rows at once, until none
+    differs, so each point is uniform over its bit's parity class for odd L
+    too.  A noise event is an index into the channel's 2d rotations in
+    `noise_support` order.  Each trial is then encoded, rotated, decoded and
+    verified exactly as a session does it, row by row in arrays.
+    """
+    rng = _sampler(trials, seed)
+    d, L = params.d, params.L
+    rotations = lattice_mu(params)._rotations.reshape(-1, 3, 3)
+    successes = 0
+    for start in range(0, trials, SOUNDNESS_CHUNK):
+        n = min(SOUNDNESS_CHUNK, trials - start)
+        bits = rng.integers(2, size=n)
+        points = rng.integers(L, size=(n, d))
+        redraw = np.flatnonzero(points.sum(axis=1) % 2 != bits)
+        while len(redraw):
+            points[redraw] = rng.integers(L, size=(len(redraw), d))
+            redraw = redraw[points[redraw].sum(axis=1) % 2 != bits[redraw]]
+        events = rng.integers(len(rotations), size=n)
+        payloads = encode_batch(params, points)
+        # the stacked matmul computes each row exactly as rotation @ payload does
+        received = (rotations[events] @ payloads[:, :, None])[:, :, 0]
+        successes += int(np.count_nonzero(_honest_accepts(params, received, bits, points)))
+    return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +457,15 @@ def four_symbol_sum_max() -> Fraction:
 
 
 def four_symbol_soundness_mc(trials: int = 10_000, seed: int = 42) -> MonteCarloEstimate:
-    from .simple import four_symbol_channel
-
-    def run_once(rng: np.random.Generator) -> bool:
-        a, b = int(rng.integers(2)), int(rng.integers(2))
-        codeword = FourSymbolCodeword(a, b)
-        return four_symbol_verify(four_symbol_channel(codeword.symbol, rng), codeword)
-
-    return monte_carlo_acceptance(run_once, trials, seed)
+    """Seeded honest acceptance rate; draws the trials' bits a, then b, then the channel."""
+    rng = _sampler(trials, seed)
+    symbols = 2 * rng.integers(2, size=trials) + rng.integers(2, size=trials)
+    received = four_symbol_channel(symbols, rng)
+    successes = 0
+    for s in range(4):
+        honest = FourSymbolCodeword.from_symbol(s)
+        successes += int(np.count_nonzero(four_symbol_verify(received[symbols == s], honest)))
+    return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +484,14 @@ class ContinuousCurveRow:
 def continuous_acceptance_mc(
     alpha: float, reveal_b: int, trials: int = 10_000, seed: int = 42
 ) -> MonteCarloEstimate:
-    sent = alpha * math.pi / 2.0
+    """Seeded acceptance rate of reveal_b when Alice sends the angle alpha*pi/2.
 
-    def run_once(rng: np.random.Generator) -> bool:
-        shift = float(rng.uniform(0.0, math.pi))
-        return arc_accepts(sent + shift, codeword_angle(0, reveal_b))
-
-    return monte_carlo_acceptance(run_once, trials, seed)
+    The channel shift is uniform on [0, pi]; one batched draw gives the same
+    doubles as one scalar draw per trial.
+    """
+    shifts = _sampler(trials, seed).uniform(0.0, math.pi, size=trials)
+    accepted = arc_accepts(alpha * math.pi / 2.0 + shifts, codeword_angle(0, reveal_b))
+    return MonteCarloEstimate(int(np.count_nonzero(accepted)), trials, seed)
 
 
 def cheat_curve_continuous(

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import engine
 from .engine import DEFAULT_ENUM_BUDGET, BudgetExceededError
-from .so3 import TwoPointAngleMixture, planar_unit, sample
+from .so3 import TwoPointAngleMixture, planar_unit
 
 PREDICATES = ("strict", "lenient")
 
@@ -296,7 +296,7 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     to cover wraparound), then the true Euclidean distance in R^3 decides.
     Out-of-plane or shrunken vectors fail the distance test on their own.
     `decode_batch` applies the same rule to many vectors at once; this
-    scalar form stays for the per-trial decodes of sessions and Monte Carlo.
+    scalar form stays for the per-session decodes of `engine.run_session`.
     """
     received = np.asarray(received, dtype=float)
     rx, ry, rz = float(received[0]), float(received[1]), float(received[2])
@@ -437,15 +437,6 @@ def accepting_reveals(
 def lattice_mu(params: LatticeParams) -> TwoPointAngleMixture:
     """The channel distribution this parameter set is designed for, built once per params."""
     return params._mu
-
-
-def honest_run(params: LatticeParams, b: int, rng: np.random.Generator) -> bool:
-    """One full honest commit/channel/reveal round through the geometry."""
-    a, payload = commit(params, b, rng)
-    decoded = decode_commit(params, sample(lattice_mu(params), rng) @ payload)
-    if decoded is None:
-        return False
-    return verify_reveal(params, decoded, b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -90,11 +90,15 @@ def decode_symbol(v: np.ndarray, tol: float = PLANE_TOL) -> int | None:
     return best
 
 
-def four_symbol_channel(i: int, rng: np.random.Generator) -> int:
-    """Symbol channel: outputs i or i+1 (mod 4), each with probability 1/2."""
-    if i not in (0, 1, 2, 3):
+def four_symbol_channel(symbols, rng: np.random.Generator) -> np.ndarray:
+    """Symbol channel: outputs i or i+1 (mod 4), each with probability 1/2.
+
+    Passes every symbol i of an array independently, one draw per symbol.
+    """
+    symbols = np.asarray(symbols)
+    if not np.isin(symbols, (0, 1, 2, 3)).all():
         raise ValueError("channel input must be in 0..3")
-    return (i + int(rng.integers(2))) % 4
+    return (symbols + rng.integers(2, size=symbols.shape)) % 4
 
 
 def four_symbol_channel_law(i: int) -> dict[int, Fraction]:
@@ -122,9 +126,12 @@ def four_symbol_rotation_law(i: int) -> dict[int, Fraction]:
     return law
 
 
-def four_symbol_verify(received: int, revealed: FourSymbolCodeword) -> bool:
-    """Accept iff the received symbol has nonzero probability under the reveal."""
-    return received % 4 in (revealed.symbol, (revealed.symbol + 1) % 4)
+def four_symbol_verify(received, revealed: FourSymbolCodeword):
+    """Accept iff the received symbol has nonzero probability under the reveal.
+
+    `received` may be an array of symbols, judged elementwise.
+    """
+    return (received - revealed.symbol) % 4 <= 1
 
 
 def four_symbol_received_distribution(b: int) -> dict[int, Fraction]:
@@ -200,20 +207,13 @@ def continuous_receive_angle(v: np.ndarray) -> float | None:
     return plane_angle(u)
 
 
-def arc_accepts(received_angle: float, codeword_angle_: float) -> bool:
-    """Membership in the closed arc [codeword, codeword + pi] (mod 2*pi)."""
-    offset = (received_angle - codeword_angle_) % TAU
-    return offset <= math.pi + 1e-12 or TAU - offset <= 1e-12
+def arc_accepts(received_angle, codeword_angle_: float):
+    """Membership in the closed arc [codeword, codeword + pi] (mod 2*pi).
 
-
-def continuous_commit_verify(sent_angle: float, revealed_b: int, shift: float) -> bool:
-    """One deterministic round: send, shift by the channel, test the arc.
-
-    The revealed codeword is the honest one at angle revealed_b * pi/2.
+    `received_angle` may be an array of angles, judged elementwise.
     """
-    if not 0.0 <= shift <= math.pi:
-        raise ValueError("channel shift must lie in [0, pi]")
-    return arc_accepts(sent_angle + shift, revealed_b * QUARTER)
+    offset = (received_angle - codeword_angle_) % TAU
+    return (offset <= math.pi + 1e-12) | (TAU - offset <= 1e-12)
 
 
 def acceptance_probability(sent_angle: float, codeword_angle_: float) -> float:

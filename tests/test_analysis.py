@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -375,6 +376,21 @@ def test_binding_scan_visits_one_commit_per_class(d, L):
     assert len({_commit_class(c, L) for c in commits.tolist()}) == len(commits)
 
 
+@pytest.mark.parametrize("d, L", [(14, 18), (11, 64)])
+def test_binding_refuses_reveal_keys_past_int64(d, L):
+    # the (row, parity, rank) key of a chunk of commits needs 2 * rows * L**d < 2**63
+    shape = SimpleNamespace(d=d, L=L, predicate="lenient")
+    for figure in (analysis.binding_search, analysis.binding_sum_max):
+        with pytest.raises(ValueError, match="overflow int64"):
+            figure(shape)
+
+
+def test_binding_scan_runs_below_the_key_limit():
+    # binding reads only (d, L, predicate): no certified codebook exists at (7, 8)
+    shape = SimpleNamespace(d=7, L=8, predicate="lenient")
+    assert analysis.binding_search(shape).probability == Fraction(1, 7)
+
+
 # witnesses of the unreduced 11-value scan, frozen before it shrank to one commit per class
 BINDING_WITNESSES = {
     (6, 8, "lenient"): (Fraction(1, 6), (0,) * 6, (0, 0, 0, 0, 0, 1), Fraction(7, 6)),
@@ -574,6 +590,75 @@ def test_lattice_soundness_monte_carlo():
     assert hi == 1.0 and lo > 0.999
 
 
+@pytest.mark.parametrize("d, L", [(3, 5), (2, 7)])
+def test_lattice_soundness_monte_carlo_odd_l(d, L):
+    # odd L has unequal parity classes, so the honest point needs an exact class draw
+    estimate = analysis.lattice_soundness_mc(lattice.make_params(d, L), trials=10_000, seed=42)
+    assert estimate.successes == estimate.trials == 10_000
+
+
+@pytest.mark.parametrize("d, L", [(3, 8), (3, 5)])
+def test_lattice_soundness_mc_agrees_with_sessions_at_zero_eps(d, L):
+    # at eps = 0 only bit-exact decodes accept, about a third of them; engine
+    # sessions are the independent geometric oracle for the batched path
+    params = lattice.make_params(d, L, eps_meas=0.0)
+    n = 10_000
+    estimate = analysis.lattice_soundness_mc(params, trials=n, seed=11)
+    rng = np.random.default_rng(12)
+    specs = [lattice.lattice_protocol(params, b) for b in (0, 1)]
+    accepted = sum(
+        engine.run_session(specs[b], rng).outcome == engine.Accepted(b)
+        for b in rng.integers(2, size=n).tolist()
+    )
+    session_lo, session_hi = analysis.wilson_interval(accepted, n)
+    mc_lo, mc_hi = estimate.interval99
+    assert 0.2 < estimate.rate < 0.5
+    assert session_lo <= estimate.rate <= session_hi
+    assert mc_lo <= accepted / n <= mc_hi
+    assert mc_lo <= analysis.lattice_soundness_exact(params) <= mc_hi
+
+
+def test_lattice_soundness_mc_stream_pinned():
+    params = lattice.make_params(3, 8, eps_meas=0.0)
+    assert analysis.lattice_soundness_mc(params, trials=20_000, seed=1).successes == 6689
+
+
+@pytest.mark.parametrize("d, L", [(3, 8), (2, 5)])
+def test_lattice_soundness_mc_replays_scalar_path(d, L):
+    # replay the documented draw order of one chunk through the scalar encode,
+    # rotation, decode_commit and verify_reveal: every trial must agree
+    params = lattice.make_params(d, L, eps_meas=0.0)
+    n = 1500
+    rng = np.random.default_rng(3)
+    bits = rng.integers(2, size=n)
+    points = rng.integers(L, size=(n, d))
+    redraw = np.flatnonzero(points.sum(axis=1) % 2 != bits)
+    while len(redraw):
+        points[redraw] = rng.integers(L, size=(len(redraw), d))
+        redraw = redraw[points[redraw].sum(axis=1) % 2 != bits[redraw]]
+    events = rng.integers(2 * d, size=n)
+    rotations = [so3.rot_z(m * params.angles[j]) for j, m in lattice.noise_support(params)]
+    accepted = 0
+    for b, a, k in zip(bits.tolist(), points.tolist(), events.tolist()):
+        assert sum(a) % 2 == b and all(0 <= x < L for x in a)
+        decoded = lattice.decode_commit(params, rotations[k] @ lattice.encode(params, a))
+        accepted += decoded is not None and lattice.verify_reveal(params, decoded, b, a)
+    assert 0 < accepted < n
+    assert analysis.lattice_soundness_mc(params, trials=n, seed=3).successes == accepted
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_estimators_refuse_no_trials(trials):
+    params = lattice.make_params(2, 4)
+    for estimate in (
+        lambda: analysis.lattice_soundness_mc(params, trials, seed=1),
+        lambda: analysis.four_symbol_soundness_mc(trials, seed=1),
+        lambda: analysis.continuous_acceptance_mc(0.5, 0, trials, seed=1),
+    ):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            estimate()
+
+
 def test_invalid_eps_fails_before_any_run():
     basis = lattice.build_angle_basis(2, 4)
     with pytest.raises(ValueError, match="separation"):
@@ -619,6 +704,19 @@ def test_four_symbol_figures_match_rotation_law():
 def test_four_symbol_mc_agrees_with_exact():
     estimate = analysis.four_symbol_soundness_mc(trials=10_000, seed=1)
     assert estimate.successes == estimate.trials
+
+
+def test_continuous_mc_matches_scalar_draws():
+    # one batched uniform draw gives the same doubles as one scalar draw per trial
+    for alpha, b, seed in [(0.5, 0, 42), (0.5, 1, 43), (0.3, 0, 7), (0.0, 1, 1), (1.0, 0, 2)]:
+        rng = np.random.default_rng(seed)
+        sent = alpha * math.pi / 2.0
+        codeword = simple.codeword_angle(0, b)
+        expected = sum(
+            simple.arc_accepts(sent + float(rng.uniform(0.0, math.pi)), codeword)
+            for _ in range(3000)
+        )
+        assert analysis.continuous_acceptance_mc(alpha, b, 3000, seed).successes == expected
 
 
 # --- continuous figures -------------------------------------------------------------

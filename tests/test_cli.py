@@ -61,6 +61,24 @@ def test_simulate_lattice_soundness(capsys):
     assert "2000/2000 seed=42" in out
 
 
+def test_simulate_lattice_odd_l(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--protocol", "lattice", "--d", "3", "--L", "5",
+    )
+    assert code == 0
+    assert "soundness_mc.samples = 10000/10000 seed=42" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("protocol", ["lattice", "four-symbol", "continuous"])
+def test_simulate_rejects_no_trials(capsys, protocol, trials):
+    code, out, err = run_cli(
+        capsys, "simulate", "--protocol", protocol, "--trials", trials,
+    )
+    assert code == 1 and out == ""
+    assert "need at least one trial" in err
+
+
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
     paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
     for path in paths:

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framebc import lattice, so3
+from framebc import engine, lattice, so3
 from oracles import parity_class
 
 TOL = 1e-9
@@ -491,7 +491,7 @@ def test_honest_completeness_exhaustive(params_d2_l4):
 
 def test_honest_completeness_monte_carlo(params_d3_l8):
     rng = np.random.default_rng(29)
-    assert all(
-        lattice.honest_run(params_d3_l8, int(rng.integers(2)), rng)
-        for _ in range(10_000)
-    )
+    specs = [lattice.lattice_protocol(params_d3_l8, b) for b in (0, 1)]
+    for _ in range(10_000):
+        b = int(rng.integers(2))
+        assert engine.run_session(specs[b], rng).outcome == engine.Accepted(b)

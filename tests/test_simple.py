@@ -22,7 +22,7 @@ def test_codeword_symbol_bijection():
 
 def test_channel_wraps_at_three():
     rng = np.random.default_rng(0)
-    counts = Counter(simple.four_symbol_channel(3, rng) for _ in range(10_000))
+    counts = Counter(simple.four_symbol_channel(np.full(10_000, 3), rng).tolist())
     assert set(counts) == {3, 0}
     p, n = 0.5, 10_000
     sigma = math.sqrt(p * (1 - p) / n)
@@ -36,8 +36,17 @@ def test_channel_wraps_at_three():
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_channel_moves_zero_or_one(i, seed):
-    out = simple.four_symbol_channel(i, np.random.default_rng(seed))
-    assert (out - i) % 4 in (0, 1)
+    # one integers(2) draw per symbol, in order
+    out = simple.four_symbol_channel([i] * 8, np.random.default_rng(seed))
+    steps = np.random.default_rng(seed).integers(2, size=8)
+    assert out.tolist() == ((i + steps) % 4).tolist()
+
+
+@pytest.mark.parametrize("symbols", [[4], [0, -1], [1.5], [[0, 1], [2, 7]]])
+def test_channel_rejects_non_symbols(symbols):
+    with pytest.raises(ValueError, match="channel input must be in 0..3"):
+        simple.four_symbol_channel(symbols, np.random.default_rng(0))
+
 
 
 def test_rotation_realization_matches_channel_exactly():
@@ -49,6 +58,15 @@ def test_verify_on_channel_support():
     assert simple.four_symbol_verify(1, simple.FourSymbolCodeword.from_symbol(0))
     assert not simple.four_symbol_verify(2, simple.FourSymbolCodeword.from_symbol(0))
     assert simple.four_symbol_verify(0, simple.FourSymbolCodeword.from_symbol(3))
+
+
+def test_verify_judges_symbol_arrays_elementwise():
+    received = np.arange(-4, 8)
+    for s in range(4):
+        reveal = simple.FourSymbolCodeword.from_symbol(s)
+        expected = [r % 4 in (s, (s + 1) % 4) for r in received.tolist()]
+        assert simple.four_symbol_verify(received, reveal).tolist() == expected
+        assert [simple.four_symbol_verify(r, reveal) for r in received.tolist()] == expected
 
 
 def test_honest_acceptance_exact():
@@ -91,13 +109,21 @@ def test_decode_symbol_rejects_junk():
 
 def test_honest_continuous_always_accepts():
     for b in (0, 1):
-        for shift in np.linspace(0.0, math.pi, 101):
-            assert simple.continuous_commit_verify(b * math.pi / 2, b, float(shift))
+        codeword = simple.codeword_angle(0, b)
+        shifts = np.linspace(0.0, math.pi, 101)
+        for shift in shifts:
+            assert simple.arc_accepts(codeword + float(shift), codeword) is True
+        assert simple.arc_accepts(codeword + shifts, codeword).all()
 
 
-def test_shift_domain_checked():
-    with pytest.raises(ValueError):
-        simple.continuous_commit_verify(0.0, 0, -0.1)
+def test_arc_rejects_shifts_outside_channel_range():
+    # the channel shifts by [0, pi]; a shift just outside it leaves the honest arc
+    for b in (0, 1):
+        codeword = simple.codeword_angle(0, b)
+        shifts = np.array([-0.1, math.pi + 0.1])
+        for shift in shifts:
+            assert simple.arc_accepts(codeword + float(shift), codeword) is False
+        assert not simple.arc_accepts(codeword + shifts, codeword).any()
 
 
 def test_interpolation_closed_forms():
