@@ -62,9 +62,6 @@ from .engine import (
     probe_protocol,
     run_parallel,
     run_session,
-    serialize_transcript,
-    parse_transcript,
-    replay_verdict,
     transcript_distribution,
     compiled_transcript_distribution,
     twirl_compile,

@@ -66,9 +66,10 @@ def _check_trials(trials: int) -> None:
         raise ValueError("need at least one trial")
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 99% for a binomial proportion."""
     _check_trials(trials)
+    z = Z_99
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -603,9 +604,11 @@ def lattice_report(
 ) -> SecurityReport:
     """Full security report for a lattice parameter set.
 
-    mode "exact" enumerates everything, "monte-carlo" simulates soundness
-    only, "both" does both; exact binding and concealing are cheap enough to
-    include whenever requested.
+    mode "exact" computes the exact figures, "monte-carlo" simulates
+    soundness only, "both" does both.  Exact soundness enumerates honest
+    points within `budget`; concealing and its bound are closed forms in
+    (d, L), and both binding figures read one scan of the commit classes
+    per reveal predicate.
     """
     config = (
         ("protocol", "lattice"),

@@ -17,7 +17,6 @@ checkable statement for finite groups.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -240,7 +239,6 @@ def commit_reveal_protocol(
 
 @dataclass(frozen=True)
 class Transcript:
-    protocol: str
     alice_view: tuple[Message, ...]
     bob_view: tuple[Message, ...]
     outcome: ProtocolOutcome
@@ -258,8 +256,9 @@ def run_session(
 
     One rotation is sampled (or taken from `rotation`) and applied to every
     vector payload of the session: forward for Alice-to-Bob, inverse for
-    Bob-to-Alice.  Party strategy exceptions surface as an Aborted outcome
-    rather than propagating.
+    Bob-to-Alice.  A party's exception propagates to the caller: a cheat is
+    judged only by the decider's verdict, never by a fault, so a bug in an
+    honest party cannot pass as a rejected cheat.
     """
     if rotation is None:
         if rng is None:
@@ -275,20 +274,15 @@ def run_session(
     for role, action in spec.schedule:
         party = parties[role]
         other = parties[BOB if role == ALICE else ALICE]
-        try:
-            if action == "send":
-                msg = party.send(rng)
-                other.receive(_deliver(msg, rotation))
-            elif action == "decide":
-                outcome = party.decide()
-            else:
-                raise ValueError(f"unknown schedule action: {action}")
-        except Exception as exc:  # strategy faults become protocol aborts
-            outcome = Aborted(f"strategy-error:{role}:{type(exc).__name__}")
-            break
+        if action == "send":
+            other.receive(_deliver(party.send(rng), rotation))
+        elif action == "decide":
+            outcome = party.decide()
+        else:
+            raise ValueError(f"unknown schedule action: {action}")
     if outcome is None:
         outcome = Aborted("no-decision")
-    return Transcript(spec.name, tuple(alice.view), tuple(bob.view), outcome)
+    return Transcript(tuple(alice.view), tuple(bob.view), outcome)
 
 
 def _deliver(message: Message, rotation: np.ndarray) -> Message:
@@ -396,10 +390,10 @@ def twirl_compile(spec: ProtocolSpec, group: TwirlGroup) -> ProtocolSpec:
 # exact transcript distributions (finite channels / finite groups)
 # ---------------------------------------------------------------------------
 
-def transcript_key(transcript: Transcript, digits: int = 9) -> tuple:
+def transcript_key(transcript: Transcript) -> tuple:
     """Hashable canonical form of a transcript.
 
-    Vector payloads are rounded to `digits` decimals so that numerically
+    Vector payloads are rounded to 9 decimals so that numerically
     equal values reached along different float paths (for example a composed
     pair of twirl rotations versus one direct channel rotation) collapse to
     the same key.  Distinct protocol values differ by far more than the
@@ -407,7 +401,7 @@ def transcript_key(transcript: Transcript, digits: int = 9) -> tuple:
     """
     def key_message(m: Message) -> tuple:
         if m.is_vec():
-            values = tuple(round(float(x), digits) + 0.0 for x in m.payload)
+            values = tuple(round(float(x), 9) + 0.0 for x in m.payload)
             return (m.sender, m.kind, values)
         return (m.sender, m.kind, m.payload)
 
@@ -465,20 +459,17 @@ def _session_law(
 
 
 def transcript_distribution(
-    spec: ProtocolSpec, digits: int = 9, *, budget: int = DEFAULT_ENUM_BUDGET
+    spec: ProtocolSpec, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[tuple, Fraction]:
     """Exact transcript distribution of a deterministic protocol over finite mu.
 
     Parties must not consume randomness; everything random is the channel.
     """
-    return _session_law(spec, lambda t: transcript_key(t, digits), budget)
+    return _session_law(spec, transcript_key, budget)
 
 
 def compiled_transcript_distribution(
-    spec: ProtocolSpec,
-    group: CyclicZ,
-    digits: int = 9,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    spec: ProtocolSpec, group: CyclicZ, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[tuple, Fraction]:
     """Exact transcript distribution of the twirl-compiled protocol.
 
@@ -487,14 +478,11 @@ def compiled_transcript_distribution(
     with `transcript_distribution(spec)` is the compiler's simulation claim
     at finite-group scale.
     """
-    return _session_law(
-        spec, lambda t: transcript_key(t, digits), budget, alice_twirl=group, bob_twirl=group
-    )
+    return _session_law(spec, transcript_key, budget, alice_twirl=group, bob_twirl=group)
 
 
 def bob_wire_view_distribution(
     spec: ProtocolSpec,
-    digits: int = 9,
     *,
     alice_twirl: CyclicZ | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
@@ -507,24 +495,18 @@ def bob_wire_view_distribution(
     distributions states that Alice's private twirl alone randomizes her
     frame exactly like the group channel does.
     """
-    return _session_law(
-        spec, lambda t: transcript_key(t, digits)[1], budget, alice_twirl=alice_twirl
-    )
+    return _session_law(spec, lambda t: transcript_key(t)[1], budget, alice_twirl=alice_twirl)
 
 
-def probe_protocol(
-    mu: MisalignmentDistribution,
-    v_alice: tuple[float, float, float] = (0.6, -0.2, 0.75),
-    v_bob: tuple[float, float, float] = (-0.1, 0.9, 0.4),
-) -> ProtocolSpec:
+def probe_protocol(mu: MisalignmentDistribution) -> ProtocolSpec:
     """Deterministic two-message protocol for channel-equivalence checks.
 
     Alice sends a fixed vector, Bob replies with another fixed vector, and
     Bob's verdict is the sign of the first coordinate he received, so both
     message directions and the verdict all depend on the session rotation.
     """
-    payload_a = unit3(*v_alice)
-    payload_b = unit3(*v_bob)
+    payload_a = unit3(0.6, -0.2, 0.75)
+    payload_b = unit3(-0.1, 0.9, 0.4)
 
     def decide(view: list[Message]) -> ProtocolOutcome:
         incoming = [m for m in view if m.sender == ALICE and m.is_vec()]
@@ -541,20 +523,18 @@ def probe_protocol(
     )
 
 
-def haar_twirl_moments(
-    samples: int, seed: int, probe: np.ndarray | None = None
-) -> dict[str, float]:
+def haar_twirl_moments(samples: int, seed: int) -> dict[str, float]:
     """Moment comparison between a Haar channel and its compiled twirl.
 
     Applies `samples` direct Haar rotations and `samples` compiled relative
-    frames (both parties' private elements composed) to the probe vector.
+    frames (both parties' private elements composed) to the probe vector +x.
     Returns the largest deviations of the empirical mean from 0 and of the
     empirical second moment from I/3, for both constructions, plus the
     largest disagreement between the two constructions' moments.  Under the
     Haar law all of these vanish as the sample count grows.
     """
     rng = np.random.default_rng(seed)
-    v = np.array([1.0, 0.0, 0.0]) if probe is None else np.asarray(probe, dtype=float)
+    v = np.array([1.0, 0.0, 0.0])
     direct = np.einsum("nij,j->ni", haar_rotations(samples, rng), v)
     u_alice = haar_rotations(samples, rng)
     u_bob = haar_rotations(samples, rng)
@@ -620,91 +600,3 @@ def run_parallel(
     if failure is not None:
         return failure, tuple(transcripts)
     return Accepted(tuple(values)), tuple(transcripts)
-
-
-# ---------------------------------------------------------------------------
-# transcript serialization (line-delimited, replayable)
-# ---------------------------------------------------------------------------
-
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _payload_to_text(message: Message) -> str:
-    if message.is_vec():
-        return " ".join(_format_float(x) for x in message.payload)
-    return json.dumps(message.payload, separators=(",", ":"))
-
-
-def _payload_from_text(kind: str, text: str) -> object:
-    if kind == VEC:
-        return np.array([float(tok) for tok in text.split()])
-    return _tuplify(json.loads(text))
-
-
-def _tuplify(value: object) -> object:
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
-def serialize_transcript(transcript: Transcript) -> str:
-    """Line-delimited text record of a transcript.
-
-    One message per line with direction, payload kind, and values at 17
-    significant digits (lossless for doubles); parsing the text back yields
-    bit-identical payloads, so verdict replay is exact.
-    """
-    lines = [f"transcript\tv1\tprotocol={transcript.protocol}"]
-    for view_name, view in ((ALICE, transcript.alice_view), (BOB, transcript.bob_view)):
-        for i, m in enumerate(view):
-            lines.append(
-                f"msg\t{view_name}\t{i}\t{m.sender}\t{m.kind}\t{_payload_to_text(m)}"
-            )
-    out = transcript.outcome
-    if isinstance(out, Accepted):
-        lines.append(f"outcome\taccepted\t{json.dumps(out.value, separators=(',', ':'))}")
-    else:
-        lines.append(f"outcome\taborted\t{out.reason}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_transcript(text: str) -> Transcript:
-    protocol = ""
-    views: dict[str, list[Message]] = {ALICE: [], BOB: []}
-    outcome: ProtocolOutcome | None = None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if parts[0] == "transcript":
-            protocol = parts[2].removeprefix("protocol=")
-        elif parts[0] == "msg":
-            _, view_name, _idx, sender, kind, payload_text = parts
-            views[view_name].append(
-                Message(sender, kind, _payload_from_text(kind, payload_text))
-            )
-        elif parts[0] == "outcome":
-            if parts[1] == "accepted":
-                outcome = Accepted(_tuplify(json.loads(parts[2])))
-            else:
-                outcome = Aborted(parts[2])
-        else:
-            raise ValueError(f"unrecognized transcript line: {line!r}")
-    if outcome is None:
-        raise ValueError("transcript text has no outcome line")
-    return Transcript(protocol, tuple(views[ALICE]), tuple(views[BOB]), outcome)
-
-
-def replay_verdict(transcript: Transcript, make_decider: Callable[[], Party]) -> ProtocolOutcome:
-    """Recompute the verdict from a recorded view.
-
-    The decider must judge purely from its view (all implemented Bobs and
-    the echo Alice do); its view is restored from the transcript and
-    `decide` is invoked once.
-    """
-    decider = make_decider()
-    decider.begin(None)
-    source = transcript.bob_view if decider.role == BOB else transcript.alice_view
-    decider.view = list(source)
-    return decider.decide()

@@ -223,12 +223,16 @@ def make_params(
 # ---------------------------------------------------------------------------
 
 def parity(a) -> int:
-    return int(np.sum(np.asarray(a, dtype=int))) % 2
+    """Coordinate-sum parity; a coordinate that is not an integer raises TypeError."""
+    return sum(map(operator.index, a)) % 2
 
 
 def encode(params: LatticeParams, a) -> np.ndarray:
-    """Planar unit vector at angle sum_i a_i * theta_i."""
-    coords = [int(x) for x in a]
+    """Planar unit vector at angle sum_i a_i * theta_i.
+
+    A coordinate that is not an integer raises TypeError; it is never truncated.
+    """
+    coords = [operator.index(x) for x in a]
     if len(coords) != params.d:
         raise ValueError(f"expected {params.d} coordinates, got {len(coords)}")
     top = params.L + 1
@@ -446,10 +450,12 @@ def lattice_mu(params: LatticeParams) -> TwoPointAngleMixture:
 def CheatingLatticeAlice(
     params: LatticeParams, payload, reveal_b: int, reveal_a
 ) -> engine.ScriptedParty:
-    """Non-adaptive cheat: arbitrary commit payload, arbitrary fixed reveal."""
-    reveal = tuple(int(x) for x in reveal_a)
+    """Non-adaptive cheat: arbitrary commit payload, arbitrary fixed reveal.
+
+    The reveal is sent as given, so Bob's decider alone judges its form.
+    """
     return engine.ScriptedParty(
-        engine.ALICE, engine.commit_reveal_script(payload, reveal_b, reveal)
+        engine.ALICE, engine.commit_reveal_script(payload, reveal_b, tuple(reveal_a))
     )
 
 
@@ -461,7 +467,7 @@ def lattice_protocol(
     def honest_script(rng):
         a = commit(params, b, rng)[0] if fixed_a is None else fixed_a
         return engine.commit_reveal_script(
-            encode(params, a), b, tuple(int(x) for x in a)
+            encode(params, a), b, tuple(map(operator.index, a))
         )
 
     return engine.commit_reveal_protocol(

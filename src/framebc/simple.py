@@ -75,17 +75,17 @@ def symbol_vector(symbol: int) -> np.ndarray:
     return planar_unit(symbol * QUARTER)
 
 
-def decode_symbol(v: np.ndarray, tol: float = PLANE_TOL) -> int | None:
+def decode_symbol(v: np.ndarray) -> int | None:
     """Nearest axis symbol, or None when v is not essentially an axis vector."""
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
         return None
     u = v / norm
-    if abs(u[2]) > tol:
+    if abs(u[2]) > PLANE_TOL:
         return None
     best = int(np.argmax([float(u @ symbol_vector(s)) for s in range(4)]))
-    if float(np.linalg.norm(u - symbol_vector(best))) > tol:
+    if float(np.linalg.norm(u - symbol_vector(best))) > PLANE_TOL:
         return None
     return best
 

@@ -67,13 +67,13 @@ def identity_rotation() -> np.ndarray:
     return np.eye(3)
 
 
-def is_rotation(m: np.ndarray, tol: float = ANGLE_TOL) -> bool:
-    """True when m is orthogonal with determinant +1, within `tol`."""
+def is_rotation(m: np.ndarray) -> bool:
+    """True when m is orthogonal with determinant +1, within ANGLE_TOL."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
-    ortho = float(np.abs(m @ m.T - np.eye(3)).max()) <= tol
-    return ortho and abs(float(np.linalg.det(m)) - 1.0) <= tol
+    ortho = float(np.abs(m @ m.T - np.eye(3)).max()) <= ANGLE_TOL
+    return ortho and abs(float(np.linalg.det(m)) - 1.0) <= ANGLE_TOL
 
 
 def rotation_z_angle(rotation: np.ndarray) -> float:
@@ -204,7 +204,7 @@ class FiniteSupport:
         for rotation, prob in self.elements:
             if float(prob) < 0.0:
                 raise ValueError("probabilities must be nonnegative")
-            if not is_rotation(np.asarray(rotation, dtype=float), tol=1e-9):
+            if not is_rotation(np.asarray(rotation, dtype=float)):
                 raise ValueError("support element is not a rotation")
             total += float(prob)
         if abs(total - 1.0) > 1e-12:

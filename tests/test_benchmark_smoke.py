@@ -1,0 +1,28 @@
+"""Each benchmark workload runs one short round against the package and passes its checks.
+
+The workloads call public package names (`lattice.CheatingLatticeAlice`,
+`analysis.binding_search`, `engine.run_session`, ...); deleting or renaming
+one of them shows here as a failed run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["exact-analyze", "binding-highd", "sampling"])
+def test_benchmark_workload_round_passes(workload):
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0, proc.stderr

@@ -382,6 +382,177 @@ verdict = fail
 """
 
 
+GOLDEN_ANALYZE_LATTICE = """\
+# framebc security report
+schema = 1
+[config]
+protocol = lattice
+d = 3
+L = 8
+eps_meas = 3.849073520429344e-05
+predicate = lenient
+min_gap = 0.0003079258828508902
+separation = 0.0003079258816343475
+mode = exact
+trials = 0
+seed = 0
+[results]
+soundness = 1.0
+soundness.exact = 1
+concealing_exact = 0.25
+concealing_exact.exact = 1/4
+concealing_tv = 0.125
+concealing_tv.exact = 1/8
+concealing_bound = 0.657
+concealing_bound.exact = 657/1000
+binding_flip_strict = 0.16666666666666666
+binding_flip_strict.exact = 1/6
+binding_flip_lenient = 0.3333333333333333
+binding_flip_lenient.exact = 1/3
+binding_sum_max = 1.3333333333333333
+binding_sum_max.exact = 4/3
+method = exact-enumeration
+[notes]
+reveal-test readings differ: flip cheat is 1/6 under strict, 1/3 under lenient
+"""
+
+GOLDEN_ANALYZE_FOUR_SYMBOL = """\
+# framebc security report
+schema = 1
+[config]
+protocol = four-symbol
+mode = exact
+trials = 0
+seed = 0
+[results]
+soundness = 1.0
+soundness.exact = 1
+concealing_exact = 0.0
+concealing_exact.exact = 0
+binding_flip = 0.5
+binding_flip.exact = 1/2
+binding_sum_max = 1.5
+binding_sum_max.exact = 3/2
+method = exact-enumeration
+"""
+
+GOLDEN_ANALYZE_CONTINUOUS = """\
+# framebc security report
+schema = 1
+[config]
+protocol = continuous
+alpha = 0.5
+mode = exact
+trials = 0
+seed = 0
+[results]
+soundness = 1.0
+concealing_exact = 0.0
+concealing_exact.exact = 0
+accept_reveal0 = 0.75
+accept_reveal1 = 0.75
+accept_sum = 1.5
+binding_passive_flip = 0.5
+binding_passive_flip.exact = 1/2
+method = closed-form
+[notes]
+concealing is exact: the received-direction law is uniform for both bits
+"""
+
+GOLDEN_SIMULATE_LATTICE = """\
+# framebc security report
+schema = 1
+[config]
+protocol = lattice
+d = 3
+L = 8
+eps_meas = 3.849073520429344e-05
+predicate = lenient
+min_gap = 0.0003079258828508902
+separation = 0.0003079258816343475
+mode = monte-carlo
+trials = 2000
+seed = 7
+[results]
+soundness_mc = 1.0
+soundness_mc.wilson99 = [0.9966935207733805, 1.0]
+soundness_mc.samples = 2000/2000 seed=7
+method_mc = monte-carlo trials=2000 seed=7
+"""
+
+GOLDEN_SIMULATE_FOUR_SYMBOL = """\
+# framebc security report
+schema = 1
+[config]
+protocol = four-symbol
+mode = monte-carlo
+trials = 2000
+seed = 7
+[results]
+soundness_mc = 1.0
+soundness_mc.wilson99 = [0.9966935207733805, 1.0]
+soundness_mc.samples = 2000/2000 seed=7
+method_mc = monte-carlo trials=2000 seed=7
+"""
+
+GOLDEN_SIMULATE_CONTINUOUS = """\
+# framebc security report
+schema = 1
+[config]
+protocol = continuous
+alpha = 0.5
+mode = monte-carlo
+trials = 2000
+seed = 7
+[results]
+soundness = 1.0
+concealing_exact = 0.0
+concealing_exact.exact = 0
+accept_reveal0 = 0.75
+accept_reveal1 = 0.75
+accept_sum = 1.5
+binding_passive_flip = 0.5
+binding_passive_flip.exact = 1/2
+method = closed-form
+accept_reveal0_mc = 0.7455
+accept_reveal0_mc.wilson99 = [0.7196284030069046, 0.7697481156928253]
+accept_reveal0_mc.samples = 1491/2000 seed=7
+accept_reveal1_mc = 0.774
+accept_reveal1_mc.wilson99 = [0.7490273804826261, 0.7971606689011864]
+accept_reveal1_mc.samples = 1548/2000 seed=8
+method_mc = monte-carlo trials=2000 seed=7
+[notes]
+concealing is exact: the received-direction law is uniform for both bits
+"""
+
+GOLDEN_SWEEP_LATTICE = """\
+# framebc sweep protocol=lattice d-values=1,2 L-values=4,8 budget=10000000
+d\tL\teps_meas\tsoundness\tconcealing_exact\tconcealing_bound\tbinding_flip_strict\tbinding_flip_lenient
+1\t4\t0.03910861626005772\t1.0\t0.5\t0.5\t0.5\t1.0
+1\t8\t0.02178893568691453\t1.0\t0.25\t0.3\t0.5\t1.0
+2\t4\t0.0017831405026368405\t1.0\t0.5\t0.75\t0.25\t0.5
+2\t8\t0.0009906394197592692\t1.0\t0.25\t0.51\t0.25\t0.5
+"""
+
+GOLDEN_SWEEP_CONTINUOUS = """\
+# framebc sweep protocol=continuous alphas=0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1 trials=100 seed=42
+alpha\taccept_reveal0\taccept_reveal1\taccept_reveal0_mc\taccept_reveal1_mc\ttrials\tseed
+0.0\t1.0\t0.5\t1.0\t0.52\t100\t42
+0.1\t0.95\t0.55\t0.93\t0.55\t100\t42
+0.2\t0.9\t0.6\t0.89\t0.68\t100\t42
+0.3\t0.85\t0.65\t0.84\t0.66\t100\t42
+0.4\t0.8\t0.7\t0.81\t0.74\t100\t42
+0.5\t0.75\t0.75\t0.79\t0.76\t100\t42
+0.6\t0.7\t0.8\t0.7\t0.83\t100\t42
+0.7\t0.65\t0.85\t0.64\t0.9\t100\t42
+0.8\t0.6\t0.9\t0.61\t0.85\t100\t42
+0.9\t0.55\t0.95\t0.59\t0.93\t100\t42
+1.0\t0.5\t1.0\t0.47\t1.0\t100\t42
+"""
+
+SIM_2000 = ("--trials", "2000", "--seed", "7")
+
+
 @pytest.mark.parametrize(
     "argv, code, golden",
     [
@@ -389,8 +560,20 @@ verdict = fail
         (("mingap", "--d", "3", "--L", "8"), 0, GOLDEN_MINGAP),
         (("mingap", "--d", "3", "--L", "8", "--eps", "0.0001"), 0, GOLDEN_MINGAP_EPS_PASS),
         (("mingap", "--d", "3", "--L", "8", "--eps", "0.001"), 3, GOLDEN_MINGAP_EPS_FAIL),
+        (("analyze", "--protocol", "lattice", "--d", "3", "--L", "8"), 0, GOLDEN_ANALYZE_LATTICE),
+        (("analyze", "--protocol", "four-symbol"), 0, GOLDEN_ANALYZE_FOUR_SYMBOL),
+        (("analyze", "--protocol", "continuous"), 0, GOLDEN_ANALYZE_CONTINUOUS),
+        (("simulate", "--protocol", "lattice", *SIM_2000), 0, GOLDEN_SIMULATE_LATTICE),
+        (("simulate", "--protocol", "four-symbol", *SIM_2000), 0, GOLDEN_SIMULATE_FOUR_SYMBOL),
+        (("simulate", "--protocol", "continuous", *SIM_2000), 0, GOLDEN_SIMULATE_CONTINUOUS),
+        (("sweep", "--protocol", "lattice", "--d-values", "1,2", "--L-values", "4,8"), 0,
+         GOLDEN_SWEEP_LATTICE),
+        (("sweep", "--protocol", "continuous", "--trials", "100"), 0, GOLDEN_SWEEP_CONTINUOUS),
     ],
-    ids=["twirl-z8", "mingap", "mingap-eps-pass", "mingap-eps-fail"],
+    ids=["twirl-z8", "mingap", "mingap-eps-pass", "mingap-eps-fail",
+         "analyze-lattice", "analyze-four-symbol", "analyze-continuous",
+         "simulate-lattice", "simulate-four-symbol", "simulate-continuous",
+         "sweep-lattice", "sweep-continuous"],
 )
 def test_report_golden_stdout(capsys, monkeypatch, argv, code, golden):
     monkeypatch.delenv(cli.BUDGET_ENV, raising=False)

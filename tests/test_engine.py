@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -135,12 +136,20 @@ def test_classical_payloads_pass_unrotated():
     assert alice_data.payload == bob_data.payload == (1, (0, 1))
 
 
-def test_strategy_exception_becomes_abort():
+def test_strategy_exception_propagates():
     params = lattice.make_params(2, 4)
     spec = lattice.lattice_protocol(params, 0)
-    t = engine.run_session(spec, np.random.default_rng(6), alice=FaultyAlice())
-    assert isinstance(t.outcome, engine.Aborted)
-    assert t.outcome.reason.startswith("strategy-error:alice")
+    with pytest.raises(RuntimeError, match="broken strategy"):
+        engine.run_session(spec, np.random.default_rng(6), alice=FaultyAlice())
+
+
+def test_unknown_schedule_action_raises():
+    spec = dataclasses.replace(
+        echo_protocol(so3.HaarSO3(), so3.planar_unit(0.1)),
+        schedule=((engine.ALICE, "sned"), (engine.ALICE, "decide")),
+    )
+    with pytest.raises(ValueError, match="unknown schedule action: sned"):
+        engine.run_session(spec, rotation=so3.identity_rotation())
 
 
 def test_missing_rng_and_rotation_rejected():
@@ -290,55 +299,6 @@ def test_parallel_flip_one_instance_probability():
     assert success == Fraction(1, params.d)
 
 
-# --- transcript serialization ---------------------------------------------------
-
-def test_serialization_roundtrip_bit_exact():
-    params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 1)
-    t = engine.run_session(spec, np.random.default_rng(9))
-    text = engine.serialize_transcript(t)
-    parsed = engine.parse_transcript(text)
-    assert parsed.protocol == t.protocol
-    assert parsed.outcome == t.outcome
-    for original, restored in zip(
-        t.alice_view + t.bob_view, parsed.alice_view + parsed.bob_view
-    ):
-        assert original.sender == restored.sender
-        assert original.kind == restored.kind
-        if original.is_vec():
-            assert np.array_equal(original.payload, restored.payload)
-        else:
-            assert original.payload == restored.payload
-    assert engine.serialize_transcript(parsed) == text
-
-
-def test_replay_reproduces_verdict():
-    params = lattice.make_params(2, 4)
-    rng = np.random.default_rng(10)
-    for b in (0, 1):
-        spec = lattice.lattice_protocol(params, b)
-        for _ in range(10):
-            t = engine.run_session(spec, rng)
-            parsed = engine.parse_transcript(engine.serialize_transcript(t))
-            assert engine.replay_verdict(parsed, spec.make_bob) == t.outcome
-
-
-def test_replay_detects_tampering():
-    params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 1, fixed_a=(0, 1))
-    t = engine.run_session(spec, np.random.default_rng(11))
-    tampered = engine.Transcript(
-        t.protocol,
-        t.alice_view,
-        tuple(
-            engine.data_message(m.sender, (0, (0, 1))) if not m.is_vec() else m
-            for m in t.bob_view
-        ),
-        t.outcome,
-    )
-    assert engine.replay_verdict(tampered, spec.make_bob) != t.outcome
-
-
 # --- shared commit/reveal decider ------------------------------------------------
 
 COMMIT_REVEAL_SPECS = {
@@ -398,6 +358,26 @@ def test_commit_reveal_decider_malformed_reveals(scheme):
         t = engine.run_session(spec, rotation=so3.identity_rotation(), alice=alice)
         assert t.outcome == engine.Accepted(b), reveal
         assert type(t.outcome.value) is int
+
+
+def _broken_decoder(*args):
+    raise RuntimeError("decoder bug")
+
+
+HONEST_DECODERS = {
+    "lattice": (lattice, "decode_commit"),
+    "four-symbol": (simple, "decode_symbol"),
+    "continuous": (simple, "continuous_receive_angle"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(COMMIT_REVEAL_SPECS))
+def test_honest_decoder_bug_raises(monkeypatch, scheme):
+    # a fault in Bob's honest decoder is a bug, never a rejected cheat
+    monkeypatch.setattr(*HONEST_DECODERS[scheme], _broken_decoder)
+    spec = COMMIT_REVEAL_SPECS[scheme]()
+    with pytest.raises(RuntimeError, match="decoder bug"):
+        engine.run_session(spec, np.random.default_rng(16))
 
 
 @pytest.mark.parametrize("a", [(2.9, 2, 2), ("x", 1, 2), None])

@@ -153,6 +153,16 @@ def test_encode_range_check(params_d2_l4):
         lattice.encode(params_d2_l4, (-1, 0))
 
 
+def test_encode_and_parity_never_truncate(params_d2_l4):
+    # (0.9, 0) is not the point (0, 0): a fractional coordinate raises
+    for point in [(0.9, 0), (0, 1.0), np.array([0.0, 1.0])]:
+        with pytest.raises(TypeError):
+            lattice.encode(params_d2_l4, point)
+        with pytest.raises(TypeError):
+            lattice.parity(point)
+    assert lattice.parity(np.array([1, 2])) == 1
+
+
 def test_encode_injective_on_codebook(params_d2_l4):
     seen = set()
     for point in itertools.product(range(6), repeat=2):
@@ -495,3 +505,32 @@ def test_honest_completeness_monte_carlo(params_d3_l8):
     for _ in range(10_000):
         b = int(rng.integers(2))
         assert engine.run_session(specs[b], rng).outcome == engine.Accepted(b)
+
+
+def test_honest_script_never_truncates_fixed_point():
+    params = lattice.make_params(2, 4)
+    spec = lattice.lattice_protocol(params, 1, fixed_a=(0.9, 1))
+    with pytest.raises(TypeError):
+        engine.run_session(spec, np.random.default_rng(0))
+
+
+def test_cheating_reveal_is_judged_not_truncated():
+    # from the commit (0, 0), the reveal (1, (0, 1)) passes the lenient test
+    # after the noise e_2 or 2e_2; (0.9, 1.9) is malformed, never read as (0, 1)
+    params = lattice.make_params(2, 8, predicate="lenient")
+    spec = lattice.lattice_protocol(params, 1)
+    payload = lattice.encode(params, (0, 0))
+    rng = np.random.default_rng(0)
+    outcomes = Counter()
+    for _ in range(200):
+        rotation = so3.sample(spec.mu, rng)
+        for reveal in [(0, 1), (0.9, 1.9)]:
+            cheat = lattice.CheatingLatticeAlice(params, payload, 1, reveal)
+            scripted = engine.ScriptedParty(
+                engine.ALICE, engine.commit_reveal_script(payload, 1, reveal)
+            )
+            for alice in (cheat, scripted):
+                t = engine.run_session(spec, rotation=rotation, alice=alice)
+                outcomes[reveal, t.outcome] += 1
+    assert outcomes[(0.9, 1.9), engine.Aborted("malformed-reveal")] == 400
+    assert outcomes[(0, 1), engine.Accepted(1)] > 0
