@@ -39,6 +39,7 @@ from .lattice import (
     decode_batch,
     decode_commit,
     encode_batch,
+    honest_points,
     lattice_mu,
     noise_support,
     parity,
@@ -169,48 +170,34 @@ BINDING_CHUNK = 128
 _BindingTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _best_reveals(
-    params: LatticeParams, events: np.ndarray, decodes: np.ndarray, predicate: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best reveal of each parity for each row of decoded noise events.
+def _first_best(scores: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best score of each reveal bit per row, and the first candidate reaching it.
 
-    events, shape (n, 2d, d), holds Bob's decoded point under each of a
-    commit's noise events, and decodes, shape (n, 2d), marks those that
-    decode.  A reveal scores the number of a row's events whose
-    `accepting_reveals` include it.  Returns the best count per row and
-    reveal bit, shape (n, 2), and the reveals reaching them, shape (n, 2, d),
-    ties going to the lexicographically smallest; a count of 0 has no reveal.
+    scores and bits, shape (n, k), give each row's k candidate reveals in
+    lexicographic order, a score of -1 marking one that cannot be revealed.
+    Returns the best score per row and bit, shape (n, 2), clipped at 0, and
+    the index of the first candidate reaching it, so ties go to the
+    smallest reveal.
     """
-    d, L = params.d, params.L
-    size = L**d
-    if 2 * len(events) * size >= 2**63:
-        raise ValueError(
-            f"binding reveal keys overflow int64 at d={d}, L={L}: "
-            f"2 * {len(events)} rows * L**d >= 2**63"
-        )
-    reveals, ok = accepting_reveals(params, events, predicate)
-    ok &= decodes[..., None]
-    reveals = reveals[ok]
-    # key each reveal by its row and parity, then by its lexicographic rank in {0..L-1}^d
-    group = 2 * np.nonzero(ok)[0] + reveals.sum(axis=1) % 2
-    rank = reveals @ L ** np.arange(d - 1, -1, -1)
-    keys, counts = np.unique(group * size + rank, return_counts=True)
-    group, rank = np.divmod(keys, size)
-    # per (row, parity) group: the highest count first, then the smallest reveal
-    order = np.lexsort((rank, -counts, group))
-    first = order[np.unique(group[order], return_index=True)[1]]
-    best = np.zeros((2, 2 * len(events)), dtype=np.int64)
-    best[:, group[first]] = counts[first], rank[first]
-    points = np.stack(np.unravel_index(best[1], (L,) * d), axis=-1)
-    return best[0].reshape(-1, 2), points.reshape(-1, 2, d)
+    per_bit = np.where(bits[:, None, :] == np.arange(2)[:, None], scores[:, None, :], -1)
+    pick = per_bit.argmax(axis=-1)
+    return np.take_along_axis(per_bit, pick[..., None], axis=-1)[..., 0].clip(0), pick
 
 
-def _binding_scan(params: LatticeParams, predicate: str) -> _BindingTable:
-    """Commit class representatives (m, d) with their `_best_reveals` counts and reveals.
+def _binding_scan(params: LatticeParams, predicate: str | None) -> _BindingTable:
+    """Commit class representatives (m, d) with the best reveal of each bit under `predicate`.
 
     The representatives come in `combinations_with_replacement` order and are
-    scored BINDING_CHUNK at a time.  The noise event (j, m) moves a commit to
-    commit + m*e_j, which decodes iff it stays in the codebook {0..L+1}^d.
+    scored BINDING_CHUNK at a time.  The noise event (j, m) moves a commit c
+    to c + m*e_j, which decodes iff it stays in the codebook {0..L+1}^d.
+    Every reveal an event accepts is then c + offset, for an offset from one
+    fixed table, the `accepting_reveals` of the displacements m*e_j in
+    lexicographic order.  A reveal scores the number of decodable events
+    that accept its offset (one matrix product per chunk) if it lies in
+    {0..L-1}^d.  Returns the commits, the best count per commit and reveal
+    bit, shape (m, 2), and the first reveal reaching it, shape (m, 2, d), so
+    ties go to the lexicographically smallest; a count of 0 has the reveal 0.
+    A `predicate` of None reads the one params carries.
     """
     d, L = params.d, params.L
     # the smallest value of each coordinate class (min(v, 2), min(L+1-v, 4)):
@@ -219,12 +206,33 @@ def _binding_scan(params: LatticeParams, predicate: str) -> _BindingTable:
     # so the distance to the decodable top L+1 saturates at 4
     values = sorted({0, 1, 2, L - 2, L - 1, L, L + 1} & set(range(L + 2)))
     commits = np.array(list(itertools.combinations_with_replacement(values, d)), dtype=np.int64)
-    shifts = np.stack([m * np.eye(d, dtype=np.int64)[j] for j, m in noise_support(params)])
-    chunks = []
+    displacements = np.stack([m * np.eye(d, dtype=np.int64)[j] for j, m in noise_support(params)])
+    event_offsets, _ = accepting_reveals(params, displacements, predicate)
+    offsets, index = np.unique(event_offsets.reshape(-1, d), axis=0, return_inverse=True)
+    # accepts[e, k] = 1 when event e accepts offset k; an event lists each offset once
+    accepts = np.zeros((len(displacements), len(offsets)), dtype=np.int64)
+    np.put_along_axis(accepts, index.reshape(len(displacements), -1), 1, axis=1)
+    # an offset m*e_j - s*e_k moves at most two coordinates; list them, padded
+    # with a dummy coordinate d that every commit holds at 0 and no offset moves
+    moved = np.sort(np.where(offsets != 0, np.arange(d), d), axis=1)[:, :2]
+    steps = np.take_along_axis(np.pad(offsets, ((0, 0), (0, 1))), moved, axis=1)
+    counts, reveals = [], []
     for start in range(0, len(commits), BINDING_CHUNK):
-        events = commits[start:start + BINDING_CHUNK, None, :] + shifts
-        chunks.append(_best_reveals(params, events, (events <= L + 1).all(axis=-1), predicate))
-    return commits, *map(np.concatenate, zip(*chunks))
+        chunk = commits[start:start + BINDING_CHUNK]
+        decodes = (chunk[:, None, :] + displacements <= L + 1).all(axis=-1)
+        # c + offset lies in {0..L-1}^d iff its moved coordinates do and no
+        # other coordinate of c is above L-1 (none is below 0)
+        padded = np.pad(chunk, ((0, 0), (0, 1)))
+        high = padded > L - 1
+        shifted = padded[:, moved] + steps
+        in_range = ((shifted >= 0) & (shifted <= L - 1)).all(axis=-1) & (
+            high[:, moved].sum(axis=-1) == high.sum(axis=-1, keepdims=True)
+        )
+        bits = (chunk.sum(axis=-1, keepdims=True) + offsets.sum(axis=-1)) % 2
+        best, pick = _first_best(np.where(in_range, decodes @ accepts, -1), bits)
+        counts.append(best)
+        reveals.append((chunk[:, None, :] + offsets[pick]) * (best[..., None] > 0))
+    return commits, np.concatenate(counts), np.concatenate(reveals)
 
 
 def _best_flip(table: _BindingTable) -> BindingSearchResult:
@@ -264,14 +272,14 @@ def binding_search(
     min(L+1-v, 4)) of distances to the low edge and to the decodable top.
     Each class is scored once, by its smallest member: C(d+6, 6) of them for L >= 5.
     """
-    return _best_flip(_binding_scan(params, predicate or params.predicate))
+    return _best_flip(_binding_scan(params, predicate))
 
 
 def binding_sum_max(
     params: LatticeParams, predicate: str | None = None
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Max over commit points of best-reveal-0 plus best-reveal-1 acceptance."""
-    return _best_sum(_binding_scan(params, predicate or params.predicate))
+    return _best_sum(_binding_scan(params, predicate))
 
 
 @dataclass
@@ -305,18 +313,21 @@ def binding_search_finite_precision(
     reach (but never exceed) the same 1/d (lenient) and 1/(2d) (strict) caps
     as codeword commits.
     """
-    predicate = predicate or params.predicate
     w = np.asarray(w, dtype=float)
     if abs(float(np.linalg.norm(w)) - 1.0) > 1e-9:
         raise ValueError("committed payload must be a unit vector")
-    # the channel's own 2d rotations, (d, 2) reshaped into noise_support's (j, m) order
-    received = np.stack([r @ w for r in lattice_mu(params)._rotations.reshape(-1, 3, 3)])
+    received = np.stack([r @ w for r in lattice_mu(params).rotations])
     points, ok = decode_batch(params, received)
-    (counts,), (reveals,) = _best_reveals(params, points[None], ok[None], predicate)
-    best = {
-        bit: (Fraction(int(count), 2 * params.d), tuple(reveal.tolist()) if count else None)
-        for bit, (count, reveal) in enumerate(zip(counts, reveals))
-    }
+    reveals, in_range = accepting_reveals(params, points, predicate)
+    reveals, counts = np.unique(reveals[in_range & ok[:, None]], axis=0, return_counts=True)
+    best = dict.fromkeys((0, 1), (Fraction(0), None))
+    # no candidate at all when no event decodes to a point with an in-range reveal
+    if len(reveals):
+        (top,), (pick,) = _first_best(counts[None], reveals.sum(axis=1)[None] % 2)
+        for bit in (0, 1):
+            if top[bit]:
+                reveal = tuple(reveals[pick[bit]].tolist())
+                best[bit] = (Fraction(int(top[bit]), 2 * params.d), reveal)
 
     anchor_arr = decode_commit(params, w)
     anchor = None if anchor_arr is None else tuple(int(x) for x in anchor_arr)
@@ -366,7 +377,7 @@ def lattice_soundness_exact(
         raise BudgetExceededError(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
-    rotations = lattice_mu(params)._rotations.reshape(-1, 3, 3)
+    rotations = lattice_mu(params).rotations
     honest = params._points[(params._points < L).all(axis=1)]
     accepted = [0, 0]
     for start in range(0, len(honest), SOUNDNESS_CHUNK):
@@ -391,26 +402,19 @@ def lattice_soundness_mc(
 
     Trials run SOUNDNESS_CHUNK at a time.  Each chunk of n draws, from one
     generator seeded with `seed`, in this order: the n committed bits, the
-    honest points, and the n noise events.  The points are drawn by
-    rejection: every row whose point's parity differs from its bit draws a
-    fresh uniform point of {0..L-1}^d, all such rows at once, until none
-    differs, so each point is uniform over its bit's parity class for odd L
-    too.  A noise event is an index into the channel's 2d rotations in
-    `noise_support` order.  Each trial is then encoded, rotated, decoded and
-    verified exactly as a session does it, row by row in arrays.
+    honest points (by `honest_points`, as a session's `commit` draws them),
+    and the n noise events.  A noise event is an index into the channel's 2d
+    rotations in `noise_support` order.  Each trial is then encoded,
+    rotated, decoded and verified exactly as a session does it, row by row
+    in arrays.
     """
     rng = _sampler(trials, seed)
-    d, L = params.d, params.L
-    rotations = lattice_mu(params)._rotations.reshape(-1, 3, 3)
+    rotations = lattice_mu(params).rotations
     successes = 0
     for start in range(0, trials, SOUNDNESS_CHUNK):
         n = min(SOUNDNESS_CHUNK, trials - start)
         bits = rng.integers(2, size=n)
-        points = rng.integers(L, size=(n, d))
-        redraw = np.flatnonzero(points.sum(axis=1) % 2 != bits)
-        while len(redraw):
-            points[redraw] = rng.integers(L, size=(len(redraw), d))
-            redraw = redraw[points[redraw].sum(axis=1) % 2 != bits[redraw]]
+        points = honest_points(params, bits, rng)
         events = rng.integers(len(rotations), size=n)
         payloads = encode_batch(params, points)
         # the stacked matmul computes each row exactly as rotation @ payload does

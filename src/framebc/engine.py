@@ -208,7 +208,6 @@ class ProtocolSpec:
     "decide"; all implemented protocols end with a single decide step.
     """
 
-    name: str
     schedule: tuple[tuple[str, str], ...]
     mu: MisalignmentDistribution
     make_alice: Callable[[], Party]
@@ -216,7 +215,6 @@ class ProtocolSpec:
 
 
 def commit_reveal_protocol(
-    name: str,
     mu: MisalignmentDistribution,
     script: list[tuple[str, object]] | Callable,
     decode: Callable[[np.ndarray], object | None],
@@ -229,7 +227,6 @@ def commit_reveal_protocol(
     """
     decider = commit_reveal_decider(decode, verify)
     return ProtocolSpec(
-        name=name,
         schedule=((ALICE, "send"), (ALICE, "send"), (BOB, "decide")),
         mu=mu,
         make_alice=lambda: ScriptedParty(ALICE, script),
@@ -378,7 +375,6 @@ def twirl_compile(spec: ProtocolSpec, group: TwirlGroup) -> ProtocolSpec:
     """
     _require_group(group)
     return ProtocolSpec(
-        name=f"{spec.name}+twirl",
         schedule=spec.schedule,
         mu=noiseless_channel(),
         make_alice=lambda: TwirledParty(spec.make_alice(), group),
@@ -515,7 +511,6 @@ def probe_protocol(mu: MisalignmentDistribution) -> ProtocolSpec:
         return Accepted(1 if float(incoming[0].payload[0]) >= 0.0 else 0)
 
     return ProtocolSpec(
-        name="probe",
         schedule=((ALICE, "send"), (BOB, "send"), (BOB, "decide")),
         mu=mu,
         make_alice=lambda: ScriptedParty(ALICE, [(VEC, payload_a)]),

@@ -171,8 +171,7 @@ class LatticeParams:
     predicate: str = "lenient"
 
     def __post_init__(self) -> None:
-        if self.predicate not in PREDICATES:
-            raise ValueError(f"predicate must be one of {PREDICATES}")
+        _resolve_predicate(self, None)
         if not self.basis.certifies(self.eps_meas):
             raise ValueError(
                 f"eps_meas={self.eps_meas!r} not certified: it must be nonnegative "
@@ -216,6 +215,14 @@ def make_params(
     if eps_meas is None:
         eps_meas = basis.max_safe_eps / 4.0
     return LatticeParams(basis=basis, eps_meas=eps_meas, predicate=predicate)
+
+
+def _resolve_predicate(params: LatticeParams, predicate: str | None) -> str:
+    """The reveal test to apply: `predicate`, or the one params carries when None."""
+    predicate = params.predicate if predicate is None else predicate
+    if predicate not in PREDICATES:
+        raise ValueError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
+    return predicate
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +273,30 @@ def parity_class_size(d: int, L: int, b: int) -> int:
     return (total + imbalance) // 2 if b == 0 else (total - imbalance) // 2
 
 
+def honest_points(
+    params: LatticeParams, bits: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One honest point per bit, uniform over that bit's parity class of {0..L-1}^d.
+
+    Draws an (n, d) uniform array, then, by rejection, a fresh uniform point
+    for every row whose parity differs from its bit, all such rows at once,
+    until none differs; so odd L, whose parity classes are unequal, is exact.
+    """
+    points = rng.integers(params.L, size=(len(bits), params.d))
+    redraw = np.flatnonzero(points.sum(axis=1) % 2 != bits)
+    while len(redraw):
+        points[redraw] = rng.integers(params.L, size=(len(redraw), params.d))
+        redraw = redraw[points[redraw].sum(axis=1) % 2 != bits[redraw]]
+    return points
+
+
 def commit(
     params: LatticeParams, b: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the secret lattice point for bit b and its encoded payload.
-
-    The point is uniform over the parity-b subset of {0..L-1}^d.  For even L
-    the last coordinate is resampled within its parity class directly (a
-    two-to-one map from a uniform draw, so still exactly uniform); odd L
-    falls back to rejection sampling because its parity classes are unequal.
-    """
+    """Draw the secret lattice point for bit b with `honest_points`, and its encoded payload."""
     if b not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
-    L = params.L
-    if L % 2 == 0:
-        a = rng.integers(0, L, size=params.d)
-        need = (b - int(a[:-1].sum())) % 2
-        a[-1] = int(a[-1]) - (int(a[-1]) % 2) + need
-    else:
-        while True:
-            a = rng.integers(0, L, size=params.d)
-            if int(a.sum()) % 2 == b:
-                break
-    a = a.astype(int)
+    a = honest_points(params, np.array([b]), rng)[0]
     return a, encode(params, a)
 
 
@@ -355,7 +363,7 @@ def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
 
 
 def noise_support(params: LatticeParams):
-    """The 2d equally likely (j, multiplier) noise outcomes."""
+    """The 2d equally likely (j, multiplier) noise outcomes, in `lattice_mu`'s rotation order."""
     for j in range(params.d):
         for multiplier in (1, 2):
             yield j, multiplier
@@ -373,10 +381,11 @@ def verify_reveal(
     Checks the revealed point is in the honest range with the revealed
     parity, then that decoded - revealed is a single-coordinate bump of 1
     or 2 (strict) or additionally the zero vector (lenient).  `predicate`
-    overrides the one carried by params.  A revealed point that is not a
+    overrides the one carried by params, and one outside PREDICATES raises
+    ValueError, as in every function taking it.  A revealed point that is not a
     sequence of integers raises TypeError; it is never truncated.
     """
-    predicate = predicate or params.predicate
+    predicate = _resolve_predicate(params, predicate)
     a = [operator.index(x) for x in revealed_a]
     if len(a) != params.d:
         return False
@@ -405,7 +414,7 @@ def verify_batch(
     predicate: str | None = None,
 ) -> np.ndarray:
     """`verify_reveal` over rows: (n, d) decoded and revealed points, n revealed bits."""
-    predicate = predicate or params.predicate
+    predicate = _resolve_predicate(params, predicate)
     revealed_a = np.asarray(revealed_a)
     in_range = ((revealed_a >= 0) & (revealed_a <= params.L - 1)).all(axis=1)
     parity_ok = revealed_a.sum(axis=1) % 2 == np.asarray(revealed_b) % 2
@@ -430,9 +439,8 @@ def accepting_reveals(
     decoded - s*e_k, s in {1, 2}, led by decoded itself under lenient, shape
     (..., c, d), and the mask of those inside {0..L-1}^d, shape (..., c).
     """
-    predicate = predicate or params.predicate
     eye = np.eye(params.d, dtype=np.int64)
-    shifts = [0 * eye[0]] if predicate == "lenient" else []
+    shifts = [0 * eye[0]] if _resolve_predicate(params, predicate) == "lenient" else []
     shifts = np.array(shifts + [bump * eye[k] for k in range(params.d) for bump in (1, 2)])
     reveals = np.asarray(decoded, dtype=np.int64)[..., None, :] - shifts
     return reveals, ((reveals >= 0) & (reveals <= params.L - 1)).all(axis=-1)
@@ -471,7 +479,6 @@ def lattice_protocol(
         )
 
     return engine.commit_reveal_protocol(
-        f"lattice(d={params.d},L={params.L},{params.predicate})",
         lattice_mu(params),
         honest_script,
         lambda received: decode_commit(params, received),

@@ -156,7 +156,6 @@ def CheatingFourSymbolAlice(
 
 def four_symbol_protocol(codeword: FourSymbolCodeword) -> engine.ProtocolSpec:
     return engine.commit_reveal_protocol(
-        "four-symbol",
         four_symbol_mu(),
         engine.commit_reveal_script(
             symbol_vector(codeword.symbol), codeword.b, codeword.a
@@ -276,7 +275,6 @@ def InterpolatingAlice(
 
 def continuous_protocol(a: int, b: int) -> engine.ProtocolSpec:
     return engine.commit_reveal_protocol(
-        "continuous",
         continuous_mu(),
         engine.commit_reveal_script(planar_unit(codeword_angle(a, b)), b, a),
         continuous_receive_angle,

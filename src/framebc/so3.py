@@ -85,10 +85,10 @@ def rotation_z_angle(rotation: np.ndarray) -> float:
     return math.atan2(float(rotation[1, 0]), float(rotation[0, 0])) % TAU
 
 
-def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    """Equality of angles mod 2*pi, absolute tolerance `tol`."""
+def angles_close(a: float, b: float) -> bool:
+    """Equality of angles mod 2*pi, absolute tolerance ANGLE_TOL."""
     diff = (a - b) % TAU
-    return diff <= tol or TAU - diff <= tol
+    return diff <= ANGLE_TOL or TAU - diff <= ANGLE_TOL
 
 
 def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -153,14 +153,17 @@ class CyclicZ:
 class TwoPointAngleMixture:
     """Pick one of d base angles uniformly, then rotate about +z by it or twice it.
 
-    Each (angle index, multiplier) pair has probability 1/(2d).  This is the
-    channel the lattice scheme is designed for: with probability 1/2 the
-    rotation advances the encoded angle by theta_j, otherwise by 2*theta_j.
-    The 2d rotations are built once, read-only, and `sample` hands them out.
+    Each noise event (angle index j, multiplier m) has probability 1/(2d).
+    This is the channel the lattice scheme is designed for: with probability
+    1/2 the rotation advances the encoded angle by theta_j, otherwise by
+    2*theta_j.  The 2d rotations rot_z(m * theta_j) are built once as one
+    read-only (2d, 3, 3) array `rotations`, row 2j + m - 1 for event (j, m),
+    which is `lattice.noise_support` order; `sample` and `enumerate_support`
+    both hand out its rows.
     """
 
     angles: tuple[float, ...]
-    _rotations: np.ndarray = field(init=False, repr=False, compare=False)
+    rotations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.angles) < 1:
@@ -169,10 +172,9 @@ class TwoPointAngleMixture:
             raise ValueError(f"angles must be finite and positive, got {self.angles!r}")
         if len(set(self.angles)) != len(self.angles):
             raise ValueError("angles must be distinct")
-        # (d, 2, 3, 3): rot_z(m * angle) for each angle and m in (1, 2)
-        rotations = np.array([[rot_z(m * angle) for m in (1, 2)] for angle in self.angles])
+        rotations = np.array([rot_z(m * angle) for angle in self.angles for m in (1, 2)])
         rotations.flags.writeable = False
-        object.__setattr__(self, "_rotations", rotations)
+        object.__setattr__(self, "rotations", rotations)
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,7 @@ def sample(mu: MisalignmentDistribution, rng: np.random.Generator) -> np.ndarray
         return rot_z(TAU * k / mu.n)
     if isinstance(mu, TwoPointAngleMixture):
         j = int(rng.integers(len(mu.angles)))
-        return mu._rotations[j, int(rng.integers(2))]
+        return mu.rotations[2 * j + int(rng.integers(2))]
     if isinstance(mu, UniformSegment):
         return rot_z(float(rng.uniform(0.0, mu.phi_max)))
     if isinstance(mu, FiniteSupport):
@@ -248,9 +250,10 @@ def enumerate_support(
 ) -> list[tuple[np.ndarray, Fraction]]:
     """Complete support of a finite mu as (rotation, exact probability) pairs.
 
-    Raises ContinuousSupportError for HaarSO3 and UniformSegment.  Entries
-    whose rotations coincide (e.g. a mixture where one angle doubles another)
-    are merged, so probabilities always sum to exactly 1.
+    Raises ContinuousSupportError for HaarSO3 and UniformSegment.  A
+    TwoPointAngleMixture lists its 2d shared read-only rotations at 1/(2d)
+    each, in the order of its `rotations` rows, even where two coincide
+    (one angle doubling another); probabilities always sum to exactly 1.
     """
     if isinstance(mu, (HaarSO3, UniformSegment)):
         raise ContinuousSupportError(
@@ -259,30 +262,10 @@ def enumerate_support(
     if isinstance(mu, CyclicZ):
         return [(rot_z(TAU * k / mu.n), Fraction(1, mu.n)) for k in range(mu.n)]
     if isinstance(mu, TwoPointAngleMixture):
-        d = len(mu.angles)
-        raw = []
-        for j in range(d):
-            for multiplier in (1, 2):
-                raw.append((multiplier * mu.angles[j], Fraction(1, 2 * d)))
-        return _merge_z_angles(raw)
+        return [(rotation, Fraction(1, len(mu.rotations))) for rotation in mu.rotations]
     if isinstance(mu, FiniteSupport):
         return [
             (np.array(rotation, dtype=float), Fraction(prob))
             for rotation, prob in mu.elements
         ]
     raise TypeError(f"not a misalignment distribution: {mu!r}")
-
-
-def _merge_z_angles(
-    weighted_angles: list[tuple[float, Fraction]],
-) -> list[tuple[np.ndarray, Fraction]]:
-    merged: list[tuple[float, Fraction]] = []
-    for angle, prob in weighted_angles:
-        angle %= TAU
-        for i, (existing, acc) in enumerate(merged):
-            if angles_close(angle, existing, tol=1e-12):
-                merged[i] = (existing, acc + prob)
-                break
-        else:
-            merged.append((angle, prob))
-    return [(rot_z(angle), prob) for angle, prob in merged]

@@ -376,13 +376,59 @@ def test_binding_scan_visits_one_commit_per_class(d, L):
     assert len({_commit_class(c, L) for c in commits.tolist()}) == len(commits)
 
 
-@pytest.mark.parametrize("d, L", [(14, 18), (11, 64)])
-def test_binding_refuses_reveal_keys_past_int64(d, L):
-    # the (row, parity, rank) key of a chunk of commits needs 2 * rows * L**d < 2**63
+def _replayed_flip(shape, result, predicate):
+    # the share of the 2d noise events whose decodable point accepts the witness reveal
+    accepted = 0
+    for j, m in lattice.noise_support(shape):
+        decoded = list(result.commit_point)
+        decoded[j] += m
+        accepted += decoded[j] <= shape.L + 1 and lattice.verify_reveal(
+            shape, decoded, result.reveal_bit, result.reveal_point, predicate
+        )
+    return Fraction(accepted, 2 * shape.d)
+
+
+@pytest.mark.parametrize("d, L", [(6, 1000), (9, 100)])
+def test_binding_past_the_old_int64_key_limit(d, L):
+    # L**d is not a power of two and 256 * L**d >= 2**63: sizes whose packed
+    # (row, parity, rank) reveal key wrapped or overflowed int64
+    assert 256 * L**d >= 2**63 and L & (L - 1)
     shape = SimpleNamespace(d=d, L=L, predicate="lenient")
-    for figure in (analysis.binding_search, analysis.binding_sum_max):
-        with pytest.raises(ValueError, match="overflow int64"):
-            figure(shape)
+    for predicate, flip in (("lenient", Fraction(1, d)), ("strict", Fraction(1, 2 * d))):
+        result = analysis.binding_search(shape, predicate)
+        assert result.probability == flip
+        assert result.reveal_bit != sum(result.commit_point) % 2
+        assert _replayed_flip(shape, result, predicate) == flip
+    assert analysis.binding_sum_max(shape)[0] == 1 + Fraction(1, d)
+    assert analysis.binding_sum_max(shape, "strict")[0] == 1 + Fraction(1, 2 * d)
+
+
+@pytest.mark.parametrize("predicate", ["strict", "lenient"])
+def test_binding_class_counts_do_not_depend_on_large_l(predicate):
+    # for L >= 5 the commit classes, in scan order, score alike at every L
+    _, small, _ = analysis._binding_scan(SimpleNamespace(d=6, L=8, predicate=predicate), None)
+    _, large, _ = analysis._binding_scan(SimpleNamespace(d=6, L=1000, predicate=predicate), None)
+    assert np.array_equal(small, large)
+
+
+@pytest.mark.parametrize("bad", ["bogus", "Lenient", ""])
+def test_every_predicate_override_is_validated(bad):
+    # at (3, 8) "Lenient" used to score as strict: 1/6 where lenient is 1/3
+    params = lattice.make_params(3, 8)
+    point = np.array([1, 2, 3])
+    calls = [
+        lambda: lattice.verify_reveal(params, point, 0, point, predicate=bad),
+        lambda: lattice.verify_batch(params, point[None], [0], point[None], predicate=bad),
+        lambda: lattice.accepting_reveals(params, point, bad),
+        lambda: analysis.binding_search(params, bad),
+        lambda: analysis.binding_sum_max(params, bad),
+        lambda: analysis.binding_search_finite_precision(
+            params, lattice.encode(params, point), bad
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="predicate must be one of"):
+            call()
 
 
 def test_binding_scan_runs_below_the_key_limit():

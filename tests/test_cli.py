@@ -550,6 +550,95 @@ alpha\taccept_reveal0\taccept_reveal1\taccept_reveal0_mc\taccept_reveal1_mc\ttri
 1.0\t0.5\t1.0\t0.47\t1.0\t100\t42
 """
 
+GOLDEN_ANALYZE_LATTICE_D5_L8 = """\
+# framebc security report
+schema = 1
+[config]
+protocol = lattice
+d = 5
+L = 8
+eps_meas = 3.840231144192059e-08
+predicate = lenient
+min_gap = 3.0721849153536596e-07
+separation = 3.0721849153536474e-07
+mode = exact
+trials = 0
+seed = 0
+[results]
+soundness = 1.0
+soundness.exact = 1
+concealing_exact = 0.25
+concealing_exact.exact = 1/4
+concealing_tv = 0.125
+concealing_tv.exact = 1/8
+concealing_bound = 0.83193
+concealing_bound.exact = 83193/100000
+binding_flip_strict = 0.1
+binding_flip_strict.exact = 1/10
+binding_flip_lenient = 0.2
+binding_flip_lenient.exact = 1/5
+binding_sum_max = 1.2
+binding_sum_max.exact = 6/5
+method = exact-enumeration
+[notes]
+reveal-test readings differ: flip cheat is 1/10 under strict, 1/5 under lenient
+"""
+
+GOLDEN_ANALYZE_LATTICE_D4_L16_STRICT = """\
+# framebc security report
+schema = 1
+[config]
+protocol = lattice
+d = 4
+L = 16
+eps_meas = 1.921908087953816e-07
+predicate = strict
+min_gap = 1.5375264703632041e-06
+separation = 1.5375264703630527e-06
+mode = exact
+trials = 0
+seed = 0
+[results]
+soundness = 1.0
+soundness.exact = 1
+concealing_exact = 0.125
+concealing_exact.exact = 1/8
+concealing_tv = 0.0625
+concealing_tv.exact = 1/16
+concealing_bound = 0.5177469135802469
+concealing_bound.exact = 671/1296
+binding_flip_strict = 0.125
+binding_flip_strict.exact = 1/8
+binding_flip_lenient = 0.25
+binding_flip_lenient.exact = 1/4
+binding_sum_max = 1.125
+binding_sum_max.exact = 9/8
+method = exact-enumeration
+[notes]
+reveal-test readings differ: flip cheat is 1/8 under strict, 1/4 under lenient
+"""
+
+GOLDEN_SWEEP_LATTICE_D4_L9 = """\
+# framebc sweep protocol=lattice d-values=1,2,3,4 L-values=2,3,5,9 budget=10000000
+d\tL\teps_meas\tsoundness\tconcealing_exact\tconcealing_bound\tbinding_flip_strict\tbinding_flip_lenient
+1\t2\t0.06470476127563018\t1.0\t1.0\t0.75\t0.5\t1.0
+1\t3\t0.04877258050403206\t1.0\t1.0\t0.6\t0.5\t1.0
+1\t5\t0.032631548055012886\t1.0\t0.6666666666666666\t0.42857142857142855\t0.5\t1.0
+1\t9\t0.019614773931961236\t1.0\t0.4\t0.2727272727272727\t0.5\t1.0
+2\t2\t0.006611006467976489\t1.0\t1.0\t0.9375\t0.25\t0.5
+2\t3\t0.004958507745231972\t1.0\t0.75\t0.84\t0.25\t0.5
+2\t5\t0.0014859542687116621\t1.0\t0.44871794871794873\t0.673469387755102\t0.25\t0.5
+2\t9\t0.0008915759211004111\t1.0\t0.24146341463414633\t0.47107438016528924\t0.25\t0.5
+3\t2\t0.0010742463913562975\t1.0\t1.0\t0.984375\t0.16666666666666666\t0.3333333333333333
+3\t3\t0.00039503990323938544\t1.0\t0.6923076923076923\t0.936\t0.16666666666666666\t0.3333333333333333
+3\t5\t5.773610252136848e-05\t1.0\t0.40885816692268306\t0.8134110787172012\t0.16666666666666666\t0.3333333333333333
+3\t9\t6.242855054700683e-06\t1.0\t0.22419840433539065\t0.6153268219383922\t0.16666666666666666\t0.3333333333333333
+4\t2\t8.286013114293161e-06\t1.0\t1.0\t0.99609375\t0.125\t0.25
+4\t3\t6.214509836203782e-06\t1.0\t0.675\t0.9744\t0.125\t0.25
+4\t5\t4.143006557687726e-06\t1.0\t0.4015831080527566\t0.893377759266972\t0.125\t0.25
+4\t9\t7.861606152724054e-07\t1.0\t0.22242224262382826\t0.7202376886824671\t0.125\t0.25
+"""
+
 SIM_2000 = ("--trials", "2000", "--seed", "7")
 
 
@@ -569,11 +658,18 @@ SIM_2000 = ("--trials", "2000", "--seed", "7")
         (("sweep", "--protocol", "lattice", "--d-values", "1,2", "--L-values", "4,8"), 0,
          GOLDEN_SWEEP_LATTICE),
         (("sweep", "--protocol", "continuous", "--trials", "100"), 0, GOLDEN_SWEEP_CONTINUOUS),
+        (("analyze", "--protocol", "lattice", "--d", "5", "--L", "8"), 0,
+         GOLDEN_ANALYZE_LATTICE_D5_L8),
+        (("analyze", "--protocol", "lattice", "--d", "4", "--L", "16", "--predicate", "strict"), 0,
+         GOLDEN_ANALYZE_LATTICE_D4_L16_STRICT),
+        (("sweep", "--protocol", "lattice", "--d-values", "1,2,3,4", "--L-values", "2,3,5,9"), 0,
+         GOLDEN_SWEEP_LATTICE_D4_L9),
     ],
     ids=["twirl-z8", "mingap", "mingap-eps-pass", "mingap-eps-fail",
          "analyze-lattice", "analyze-four-symbol", "analyze-continuous",
          "simulate-lattice", "simulate-four-symbol", "simulate-continuous",
-         "sweep-lattice", "sweep-continuous"],
+         "sweep-lattice", "sweep-continuous",
+         "analyze-lattice-d5-L8", "analyze-lattice-d4-L16-strict", "sweep-lattice-d4-L9"],
 )
 def test_report_golden_stdout(capsys, monkeypatch, argv, code, golden):
     monkeypatch.delenv(cli.BUDGET_ENV, raising=False)

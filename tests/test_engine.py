@@ -37,7 +37,6 @@ class EchoBob(engine.Party):
 
 def echo_protocol(mu, v):
     return engine.ProtocolSpec(
-        name="echo",
         schedule=((engine.ALICE, "send"), (engine.BOB, "send"), (engine.ALICE, "decide")),
         mu=mu,
         make_alice=lambda: EchoAlice(v),
@@ -96,7 +95,6 @@ def test_session_applies_one_rotation_to_all_vectors():
             return engine.Accepted(0)
 
     spec = engine.ProtocolSpec(
-        name="two-vec",
         schedule=(
             (engine.ALICE, "send"),
             (engine.ALICE, "send"),
@@ -235,7 +233,6 @@ def test_twirled_lattice_sessions_still_sound():
     spec = lattice.lattice_protocol(params, 1)
     compiled = engine.twirl_compile(spec, so3.HaarSO3())
     assert compiled.mu.elements[0][1] == Fraction(1)
-    assert compiled.name.endswith("+twirl")
 
 
 # --- parallel composition ------------------------------------------------------

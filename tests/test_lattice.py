@@ -218,6 +218,35 @@ def test_commit_parity_always_matches(d, L, b, seed):
     assert abs(np.linalg.norm(payload) - 1.0) <= TOL
 
 
+def test_commit_draws_as_honest_points():
+    # a session's commit and the Monte Carlo estimator share one sampler and one stream
+    params = lattice.make_params(2, 4)
+    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    for b in (0, 1, 1, 0, 1):
+        a, payload = lattice.commit(params, b, rng)
+        assert np.array_equal(a, lattice.honest_points(params, np.array([b]), replay)[0])
+        assert np.array_equal(payload, lattice.encode(params, a))
+
+
+def test_channel_support_lists_the_sampled_rotations(params_d3_l8):
+    # enumerate_support and sample hand out the same read-only rotation rows,
+    # row k being the k-th noise_support event (j, m)
+    params = params_d3_l8
+    mu = lattice.lattice_mu(params)
+    support = so3.enumerate_support(mu)
+    events = list(lattice.noise_support(params))
+    assert len(support) == len(events) == 2 * params.d
+    for (rotation, prob), (j, m) in zip(support, events):
+        assert prob == Fraction(1, 2 * params.d)
+        assert np.array_equal(rotation, so3.rot_z(m * params.angles[j]))
+        assert not rotation.flags.writeable
+    rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(60):
+        drawn = so3.sample(mu, rng)
+        j, m = int(replay.integers(params.d)), int(replay.integers(2)) + 1
+        assert np.shares_memory(drawn, support[events.index((j, m))][0])
+
+
 def test_parity_class_size_closed_form():
     for d, L in [(1, 2), (2, 3), (3, 4), (2, 5)]:
         for b in (0, 1):

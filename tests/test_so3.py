@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -148,10 +149,14 @@ def test_enumerate_two_point_generic():
     assert all(p == Fraction(1, 4) for _, p in support)
 
 
-def test_enumerate_two_point_merges_coincident_rotations():
-    # with theta2 = 2*theta1 the doubled first angle collides with the second
+def test_enumerate_two_point_lists_coincident_rotations():
+    # with theta2 = 2*theta1 the doubled first angle collides with the second;
+    # both events are listed, and the law summed per rotation is unchanged
     support = so3.enumerate_support(so3.TwoPointAngleMixture((0.2, 0.4)))
-    probs = {round(so3.rotation_z_angle(r), 9): p for r, p in support}
+    assert len(support) == 4
+    probs = Counter()
+    for r, p in support:
+        probs[round(so3.rotation_z_angle(r), 9)] += p
     assert probs == {0.2: Fraction(1, 4), 0.4: Fraction(1, 2), 0.8: Fraction(1, 4)}
     assert sum(p for _, p in support) == 1
 
