@@ -378,7 +378,8 @@ def lattice_soundness_exact(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
     rotations = lattice_mu(params).rotations
-    honest = params._points[(params._points < L).all(axis=1)]
+    codebook = params.basis._points
+    honest = codebook[(codebook < L).all(axis=1)]
     accepted = [0, 0]
     for start in range(0, len(honest), SOUNDNESS_CHUNK):
         points = honest[start:start + SOUNDNESS_CHUNK]

@@ -219,7 +219,7 @@ def cmd_sweep(args) -> int:
             header += "\taccept_reveal0_mc\taccept_reveal1_mc\ttrials\tseed"
         rows.append(header)
         curve = analysis.cheat_curve_continuous(
-            alphas, trials=args.trials or 1, seed=args.seed, with_mc=with_mc
+            alphas, trials=args.trials, seed=args.seed, with_mc=with_mc
         )
         for row in curve:
             cells = (row.alpha, row.p0_exact, row.p1_exact)

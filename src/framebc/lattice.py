@@ -2,10 +2,10 @@
 
 A d-dimensional lattice point a in {0..L-1}^d is encoded as the planar unit
 vector at angle alpha(a) = sum_i a_i * theta_i.  The basis angles theta_i
-are rationally independent (square roots of distinct primes, commonly
-scaled), so the map is injective on the decoding range {0..L+1}^d and the
-channel's rotation by theta_j or 2*theta_j turns a into a + e_j or a + 2e_j
-in coordinates.  Committing to a bit b means drawing a uniformly from the
+are rationally independent (square roots of distinct primes times one
+common factor), so the map is injective on the decoding range {0..L+1}^d
+and the channel's rotation by theta_j or 2*theta_j turns a into a + e_j or
+a + 2e_j in coordinates.  Committing to a bit b means drawing a uniformly from the
 parity-b class and sending the encoded vector; revealing means sending
 (b, a) in the clear and letting Bob compare against what he decoded.
 
@@ -17,10 +17,13 @@ unless the induced Euclidean separation 2*sin(min_gap/2) exceeds
 2*eps_meas, which is exactly the condition for the tolerance ball around a
 received vector to contain at most one codeword.
 
-Certification keeps only the sorted angle table and its sort permutation.
-The decoder's point, cosine and sine tables are built from them on the
-first decode and shared by every parameter set over the same basis, so
-work that never decodes (binding, concealing) never pays for them.
+The certified basis owns all derived state.  Certification keeps only the
+sorted angle table and its sort permutation; the decoder's point, cosine
+and sine tables are built from them on the first decode, and the channel
+on its first use, all cached on the basis.  A parameter set is a plain
+validated record over the basis, so every parameter set over one basis
+shares one copy of each, and work that never decodes (binding,
+concealing) never pays for the tables.
 """
 
 from __future__ import annotations
@@ -53,23 +56,23 @@ def first_primes(k: int) -> list[int]:
 class AngleBasis:
     """Certified angle basis for a (d, L) codebook.
 
-    angles[i] = scale * sqrt(p_i) with p_i the i-th prime; the scale is
+    angles[i] is sqrt(p_i), p_i the i-th prime, times one common factor
     chosen so sum_i (L+1)*angles[i] = pi/2, which keeps every codebook angle
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
     angular distance between distinct codebook angles, certified by sorting
     the full codebook at construction.  `build_angle_basis` keeps the
     sorted angles (`_angles`) and the permutation that sorts the codebook
-    (`_order`); the decoder's sorted points and their cosines and sines are
-    built from those on first use and then cached on the basis.
+    (`_order`).  The basis is the only owner of derived state: the
+    decoder's sorted points and their cosines and sines, and the channel
+    `_mu`, are built on first use and then cached here.
     """
 
     d: int
     L: int
     angles: tuple[float, ...]
-    scale: float
     min_gap: float
-    _angles: np.ndarray = field(init=False, repr=False, compare=False)
-    _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _angles: np.ndarray = field(repr=False, compare=False)
+    _order: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
@@ -83,6 +86,10 @@ class AngleBasis:
     @functools.cached_property
     def _sin(self) -> np.ndarray:
         return np.sin(self._angles)
+
+    @functools.cached_property
+    def _mu(self) -> TwoPointAngleMixture:
+        return TwoPointAngleMixture(self.angles)
 
     @property
     def separation(self) -> float:
@@ -130,8 +137,7 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
             f"the enumeration budget {budget}"
         )
     roots = np.sqrt(np.array(first_primes(d), dtype=float))
-    scale = (math.pi / 2.0) / ((L + 1) * float(roots.sum()))
-    angles = scale * roots
+    angles = (math.pi / 2.0) / ((L + 1) * float(roots.sum())) * roots
     # the smallest integer dtype holding L+1; matmul casts it to float64, so
     # every angle is the same float64 product as from an int64 grid
     alphas = codebook_points(d, L, np.min_scalar_type(L + 1)) @ angles
@@ -140,16 +146,14 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     min_gap = float(np.diff(alphas).min()) if len(alphas) > 1 else math.tau
     if min_gap <= 0.0:
         raise ValueError("degenerate basis: duplicate codebook angles")
-    basis = AngleBasis(
+    return AngleBasis(
         d=d,
         L=L,
         angles=tuple(float(a) for a in angles),
-        scale=scale,
         min_gap=min_gap,
+        _angles=alphas,
+        _order=order,
     )
-    object.__setattr__(basis, "_angles", alphas)
-    object.__setattr__(basis, "_order", order)
-    return basis
 
 
 @dataclass(frozen=True)
@@ -161,9 +165,9 @@ class LatticeParams:
     always decodes honest traffic uniquely.  The `predicate` selects Bob's
     reveal test: "strict" requires the decoded point to differ from the
     revealed one by e_j or 2e_j; "lenient" additionally accepts zero
-    difference.  Construction only validates: the decode tables `_angles`,
-    `_points`, `_cos` and `_sin` are the basis's, read through on first use,
-    so parameter sets over one basis share one copy of each.
+    difference.  Construction only validates, and the record holds nothing
+    beyond these three fields: the decode tables and the channel belong to
+    the basis, so parameter sets over one basis share one copy of each.
     """
 
     basis: AngleBasis
@@ -178,17 +182,6 @@ class LatticeParams:
                 f"and the codeword separation {self.basis.separation!r} must "
                 "exceed 2*eps_meas"
             )
-
-    # cached here too, so a per-trial decode reads each table in one lookup
-    _angles = functools.cached_property(lambda self: self.basis._angles)
-    _points = functools.cached_property(lambda self: self.basis._points)
-    _cos = functools.cached_property(lambda self: self.basis._cos)
-    _sin = functools.cached_property(lambda self: self.basis._sin)
-
-    @functools.cached_property
-    def _mu(self) -> TwoPointAngleMixture:
-        # built on first use, so make_params does no channel set-up work
-        return TwoPointAngleMixture(self.angles)
 
     @property
     def d(self) -> int:
@@ -313,7 +306,8 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     received = np.asarray(received, dtype=float)
     rx, ry, rz = float(received[0]), float(received[1]), float(received[2])
     phi = math.atan2(ry, rx) % (2.0 * math.pi)
-    angles = params._angles
+    basis = params.basis
+    angles = basis._angles
     i = int(np.searchsorted(angles, phi))
     candidates = {0, len(angles) - 1}
     if i < len(angles):
@@ -322,7 +316,7 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
         candidates.add(i - 1)
     best_idx = -1
     best_sq = math.inf
-    cos_table, sin_table = params._cos, params._sin
+    cos_table, sin_table = basis._cos, basis._sin
     for idx in candidates:
         dx = rx - cos_table[idx]
         dy = ry - sin_table[idx]
@@ -331,7 +325,7 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
             best_sq = sq
             best_idx = idx
     if best_sq <= params.eps_meas * params.eps_meas:
-        return params._points[best_idx].copy()
+        return basis._points[best_idx].copy()
     return None
 
 
@@ -347,19 +341,20 @@ def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
     xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
     rx, ry, rz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     phi = np.arctan2(ry, rx) % (2.0 * math.pi)
-    last = len(params._angles) - 1
-    i = np.searchsorted(params._angles, phi)
+    basis = params.basis
+    last = len(basis._angles) - 1
+    i = np.searchsorted(basis._angles, phi)
     candidates = np.stack(
         [np.zeros_like(i), np.full_like(i, last), np.minimum(i, last), np.maximum(i - 1, 0)],
         axis=1,
     )
-    dx = rx[:, None] - params._cos[candidates]
-    dy = ry[:, None] - params._sin[candidates]
+    dx = rx[:, None] - basis._cos[candidates]
+    dy = ry[:, None] - basis._sin[candidates]
     sq = dx * dx + dy * dy + (rz * rz)[:, None]
     pick = np.argmin(sq, axis=1)
     rows = np.arange(len(xyz))
     ok = sq[rows, pick] <= params.eps_meas * params.eps_meas
-    return params._points[candidates[rows, pick]], ok
+    return basis._points[candidates[rows, pick]], ok
 
 
 def noise_support(params: LatticeParams):
@@ -447,8 +442,8 @@ def accepting_reveals(
 
 
 def lattice_mu(params: LatticeParams) -> TwoPointAngleMixture:
-    """The channel distribution this parameter set is designed for, built once per params."""
-    return params._mu
+    """The channel distribution this parameter set is designed for, built once per basis."""
+    return params.basis._mu
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +468,11 @@ def lattice_protocol(
     """Commit/reveal session spec; the honest point is drawn per session unless fixed."""
 
     def honest_script(rng):
-        a = commit(params, b, rng)[0] if fixed_a is None else fixed_a
-        return engine.commit_reveal_script(
-            encode(params, a), b, tuple(map(operator.index, a))
-        )
+        if fixed_a is None:
+            a, payload = commit(params, b, rng)
+        else:
+            a, payload = fixed_a, encode(params, fixed_a)
+        return engine.commit_reveal_script(payload, b, tuple(map(operator.index, a)))
 
     return engine.commit_reveal_protocol(
         lattice_mu(params),

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import engine
 from .so3 import (
+    TAU,
     FiniteSupport,
     UniformSegment,
     enumerate_support,
@@ -37,7 +38,6 @@ from .so3 import (
     rot_z,
 )
 
-TAU = 2.0 * math.pi
 QUARTER = math.pi / 2.0
 
 #: maximum out-of-plane component accepted after normalization
@@ -75,14 +75,22 @@ def symbol_vector(symbol: int) -> np.ndarray:
     return planar_unit(symbol * QUARTER)
 
 
-def decode_symbol(v: np.ndarray) -> int | None:
-    """Nearest axis symbol, or None when v is not essentially an axis vector."""
+def _unit_in_plane(v: np.ndarray) -> np.ndarray | None:
+    """v normalised, or None when v is near zero or leaves the z = 0 plane."""
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
         return None
     u = v / norm
     if abs(u[2]) > PLANE_TOL:
+        return None
+    return u
+
+
+def decode_symbol(v: np.ndarray) -> int | None:
+    """Nearest axis symbol, or None when v is not essentially an axis vector."""
+    u = _unit_in_plane(v)
+    if u is None:
         return None
     best = int(np.argmax([float(u @ symbol_vector(s)) for s in range(4)]))
     if float(np.linalg.norm(u - symbol_vector(best))) > PLANE_TOL:
@@ -196,14 +204,8 @@ def codeword_angle(a: int, b: int) -> float:
 
 def continuous_receive_angle(v: np.ndarray) -> float | None:
     """Planar angle of a received vector; None rejects off-plane payloads."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        return None
-    u = v / norm
-    if abs(u[2]) > PLANE_TOL:
-        return None
-    return plane_angle(u)
+    u = _unit_in_plane(v)
+    return None if u is None else plane_angle(u)
 
 
 def arc_accepts(received_angle, codeword_angle_: float):

@@ -145,9 +145,6 @@ class CyclicZ:
         if self.n < 1:
             raise ValueError("cyclic group order must be >= 1")
 
-    def element(self, k: int) -> np.ndarray:
-        return rot_z(TAU * (k % self.n) / self.n)
-
 
 @dataclass(frozen=True)
 class TwoPointAngleMixture:

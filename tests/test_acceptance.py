@@ -146,7 +146,7 @@ def test_criterion_7_finite_precision():
             zero_checked += 1
 
         # midway between adjacent codewords also scores zero
-        table = params._angles
+        table = params.basis._angles
         mid = so3.planar_unit((table[100] + table[101]) / 2)
         assert analysis.binding_search_finite_precision(params, mid).overall == 0
 

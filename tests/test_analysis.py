@@ -478,7 +478,7 @@ def test_finite_precision_near_codeword_equals_codeword(fp_params):
 
 def test_finite_precision_midpoint_scores_zero(fp_params):
     params = fp_params
-    angles = params._angles
+    angles = params.basis._angles
     mid = so3.planar_unit((angles[100] + angles[101]) / 2)
     result = analysis.binding_search_finite_precision(params, mid)
     assert result.anchor is None
@@ -579,7 +579,7 @@ def test_finite_precision_matches_scalar_reference(fp_params, predicate):
     formal = so3.planar_unit(-theta[0] + 3 * theta[1] + 4 * theta[2])
     vectors = [
         near / np.linalg.norm(near),
-        so3.planar_unit((params._angles[100] + params._angles[101]) / 2),
+        so3.planar_unit((params.basis._angles[100] + params.basis._angles[101]) / 2),
         np.array([0.0, 0.0, 1.0]),
         formal,
     ]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -225,14 +226,34 @@ def test_haar_twirl_moment_deltas():
     assert all(v < 0.02 for v in deltas.values())
 
 
-def test_twirled_lattice_sessions_still_sound():
-    # wrap the lattice protocol itself; over the noiseless channel the twirl
-    # by a z-cyclic group shifts angles, which the decoder cannot always
-    # absorb, so run the compiled protocol over its own stated channel
+def test_twirl_compiled_sessions_sample_the_group_channel_law():
+    # the compiled protocol runs over the noiseless channel
     params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 1)
-    compiled = engine.twirl_compile(spec, so3.HaarSO3())
+    compiled = engine.twirl_compile(lattice.lattice_protocol(params, 1), so3.HaarSO3())
     assert compiled.mu.elements[0][1] == Fraction(1)
+
+    # each party draws its own element per session, and the sampled transcripts
+    # follow the exact law of the original protocol over the group channel
+    group = so3.CyclicZ(4)
+    exact = engine.transcript_distribution(engine.probe_protocol(group))
+    spec = engine.twirl_compile(engine.probe_protocol(group), group)
+    rng = np.random.default_rng(31)
+    n = 4000
+    counts = Counter(engine.transcript_key(engine.run_session(spec, rng)) for _ in range(n))
+    assert set(counts) <= set(exact)
+    for key, prob in exact.items():
+        p = float(prob)
+        assert abs(counts[key] - n * p) <= 6 * math.sqrt(n * p * (1 - p)), counts[key]
+
+    # a data message passes the twirl unrotated
+    codeword = simple.FourSymbolCodeword(1, 0)
+    four_symbol = engine.twirl_compile(simple.four_symbol_protocol(codeword), group)
+    t = engine.run_session(four_symbol, rng)
+    reveals = [m.payload for m in t.bob_view if m.sender == engine.ALICE and not m.is_vec()]
+    assert reveals == [(codeword.b, codeword.a)]
+
+    with pytest.raises(ValueError, match="needs an rng or a fixed element"):
+        engine.run_session(spec, rotation=so3.identity_rotation())
 
 
 # --- parallel composition ------------------------------------------------------

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framebc import engine, lattice, so3
+from framebc import analysis, engine, lattice, so3
 from oracles import parity_class
 
 TOL = 1e-9
@@ -35,7 +35,7 @@ def test_basis_d1_l2_closed_form():
     assert basis.min_gap == pytest.approx(math.pi / 6, abs=TOL)
     params = lattice.LatticeParams(basis, eps_meas=0.0)
     expected = [k * math.pi / 6 for k in range(4)]
-    assert np.allclose(params._angles, expected, atol=TOL)
+    assert np.allclose(params.basis._angles, expected, atol=TOL)
 
 
 def test_min_gap_matches_pairwise_oracle(params_d2_l4):
@@ -94,10 +94,10 @@ def test_decode_tables_match_int64_reference(d, L):
     order = np.argsort(alphas)
     reference = alphas[order]
     assert np.array_equal(params.basis._angles.view(np.int64), reference.view(np.int64))
-    assert params._points.dtype == np.int64
-    assert np.array_equal(params._points, points[order])
-    assert np.array_equal(params._cos.view(np.int64), np.cos(reference).view(np.int64))
-    assert np.array_equal(params._sin.view(np.int64), np.sin(reference).view(np.int64))
+    assert params.basis._points.dtype == np.int64
+    assert np.array_equal(params.basis._points, points[order])
+    assert np.array_equal(params.basis._cos.view(np.int64), np.cos(reference).view(np.int64))
+    assert np.array_equal(params.basis._sin.view(np.int64), np.sin(reference).view(np.int64))
 
 
 def test_decode_tables_built_on_first_decode_and_shared():
@@ -107,9 +107,39 @@ def test_decode_tables_built_on_first_decode_and_shared():
     decoded = lattice.decode_commit(params, lattice.encode(params, (1, 2, 3)))
     assert tuple(decoded) == (1, 2, 3)
     assert set(tables) <= set(vars(params.basis))
+    built = {name: getattr(params.basis, name) for name in tables + ("_angles",)}
     other = lattice.LatticeParams(params.basis, eps_meas=0.0, predicate="strict")
-    for name in tables + ("_angles",):
-        assert getattr(other, name) is getattr(params, name) is getattr(params.basis, name)
+    lattice.decode_batch(other, lattice.encode_batch(other, [(1, 2, 3), (0, 0, 1)]))
+    for name, table in built.items():
+        assert vars(other.basis)[name] is table
+
+
+PARAMS_FIELDS = {"basis", "eps_meas", "predicate"}
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda p: lattice.decode_commit(p, lattice.encode(p, (1, 2))),
+        lambda p: lattice.decode_batch(p, lattice.encode_batch(p, [(1, 2), (3, 0)])),
+        lambda p: engine.run_session(lattice.lattice_protocol(p, 1), np.random.default_rng(3)),
+        lambda p: analysis.lattice_soundness_mc(p, 50, seed=4),
+        lambda p: analysis.lattice_soundness_exact(p),
+    ],
+    ids=["decode_commit", "decode_batch", "session", "soundness_mc", "soundness_exact"],
+)
+def test_params_hold_only_their_fields_after_use(use):
+    # every derived table and the channel live on the basis, never on params
+    params = lattice.make_params(2, 4)
+    use(params)
+    assert set(vars(params)) == PARAMS_FIELDS
+
+
+def test_lattice_mu_shared_by_params_over_one_basis():
+    basis = lattice.build_angle_basis(2, 4)
+    strict = lattice.LatticeParams(basis, eps_meas=0.0, predicate="strict")
+    lenient = lattice.LatticeParams(basis, eps_meas=basis.max_safe_eps / 2)
+    assert lattice.lattice_mu(strict) is lattice.lattice_mu(lenient)
 
 
 def test_make_params_holds_only_the_sorted_angles_and_order():
@@ -301,7 +331,7 @@ def test_decode_out_of_plane_aborts(params_d2_l4):
 
 def test_decode_far_angle_aborts(params_d2_l4):
     # halfway between two adjacent codebook angles, beyond eps of both
-    angles = params_d2_l4._angles
+    angles = params_d2_l4.basis._angles
     mid = so3.planar_unit((angles[3] + angles[4]) / 2)
     assert lattice.decode_commit(params_d2_l4, mid) is None
 
@@ -309,7 +339,7 @@ def test_decode_far_angle_aborts(params_d2_l4):
 def _decode_cases(params, rng) -> np.ndarray:
     """Vectors at the edges of decode_commit's rule, one per row."""
     eps = params.eps_meas
-    angles = params._angles
+    angles = params.basis._angles
     cases = []
     # codewords nudged along the circle to just inside and just outside eps,
     # on both sides, so the nearest codeword is angular neighbour i or i - 1
@@ -534,6 +564,21 @@ def test_honest_completeness_monte_carlo(params_d3_l8):
     for _ in range(10_000):
         b = int(rng.integers(2))
         assert engine.run_session(specs[b], rng).outcome == engine.Accepted(b)
+
+
+def test_honest_session_encodes_its_point_once(monkeypatch):
+    params = lattice.make_params(2, 4)
+    calls = []
+    encode = lattice.encode
+
+    def counting_encode(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(lattice, "encode", counting_encode)
+    t = engine.run_session(lattice.lattice_protocol(params, 0), np.random.default_rng(5))
+    assert t.outcome == engine.Accepted(0)
+    assert len(calls) == 1
 
 
 def test_honest_script_never_truncates_fixed_point():
