@@ -8,7 +8,7 @@ with both knobs: concealing tightens as L grows, binding as d grows.
 
 import numpy as np
 
-from framebc import analysis, engine, lattice, so3
+from framebc import analysis, lattice, so3
 
 d, L = 3, 8
 params = lattice.make_params(d, L)
@@ -60,9 +60,3 @@ table = params.basis._angles
 midpoint = so3.planar_unit((table[100] + table[101]) / 2)
 fp = analysis.binding_search_finite_precision(params, midpoint)
 print("midway vector decodes to:", fp.anchor, "best acceptance:", fp.overall)
-
-print()
-print("== parallel composition commits several bits ==")
-spec = lattice.lattice_protocol(params, 1)
-outcome, _ = engine.run_parallel(spec, 3, rng)
-print("three parallel honest sessions:", outcome)

@@ -9,7 +9,7 @@ two-party session.  It provides:
 - `lattice`: the lattice-coordinate scheme whose security sharpens with its
   dimension d and range L;
 - `engine`: generic sessions and parties, transcripts, the group-twirl
-  compiler, budgeted exact transcript laws, and `run_parallel(spec, k)`;
+  compiler and budgeted exact transcript laws;
 - `analysis`: exact (rational) and Monte Carlo security figures plus
   `SecurityReport`, the one formatter of the `key = value` text reports;
 - `cli`: the `framebc` command with analyze / simulate / twirl-check /
@@ -60,7 +60,6 @@ from .engine import (
     Transcript,
     haar_twirl_moments,
     probe_protocol,
-    run_parallel,
     run_session,
     transcript_distribution,
     compiled_transcript_distribution,

@@ -79,7 +79,7 @@ def data_message(sender: str, value: object) -> Message:
 
 @dataclass(frozen=True)
 class Accepted:
-    value: object  # the revealed bit, or a tuple of bits for composed runs
+    value: object  # the revealed bit
 
 
 @dataclass(frozen=True)
@@ -550,48 +550,3 @@ def haar_twirl_moments(samples: int, seed: int) -> dict[str, float]:
         "cross_mean_max": float(np.abs(mean_d - mean_c).max()),
         "cross_second_max": float(np.abs(second_d - second_c).max()),
     }
-
-
-# ---------------------------------------------------------------------------
-# parallel composition
-# ---------------------------------------------------------------------------
-
-def run_parallel(
-    spec: ProtocolSpec,
-    k: int,
-    rng: np.random.Generator | None = None,
-    *,
-    alices: list[Party] | None = None,
-    bobs: list[Party] | None = None,
-    rotations: list[np.ndarray] | None = None,
-) -> tuple[ProtocolOutcome, tuple[Transcript, ...]]:
-    """Run k independent sessions of `spec`, accepted iff all accept.
-
-    Returns Accepted with the tuple of per-instance values when every
-    instance accepts, otherwise Aborted naming the first failing instance.
-    Explicit per-instance `rotations` support exact enumeration.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1 instances")
-    for name, given in (("alices", alices), ("bobs", bobs), ("rotations", rotations)):
-        if given is not None and len(given) != k:
-            raise ValueError(f"{name} has {len(given)} entries, need k = {k}")
-    transcripts = []
-    values = []
-    failure: Aborted | None = None
-    for i in range(k):
-        t = run_session(
-            spec,
-            rng,
-            rotation=None if rotations is None else rotations[i],
-            alice=None if alices is None else alices[i],
-            bob=None if bobs is None else bobs[i],
-        )
-        transcripts.append(t)
-        if isinstance(t.outcome, Accepted):
-            values.append(t.outcome.value)
-        elif failure is None:
-            failure = Aborted(f"instance-{i}:{t.outcome.reason}")
-    if failure is not None:
-        return failure, tuple(transcripts)
-    return Accepted(tuple(values)), tuple(transcripts)

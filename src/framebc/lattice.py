@@ -17,12 +17,13 @@ unless the induced Euclidean separation 2*sin(min_gap/2) exceeds
 2*eps_meas, which is exactly the condition for the tolerance ball around a
 received vector to contain at most one codeword.
 
-The certified basis owns all derived state.  Certification keeps only the
-sorted angle table and its sort permutation; the decoder's point, cosine
-and sine tables are built from them on the first decode, and the channel
-on its first use, all cached on the basis.  A parameter set is a plain
-validated record over the basis, so every parameter set over one basis
-shares one copy of each, and work that never decodes (binding,
+The certified basis owns all derived state.  Certification computes the
+codebook angles a bounded chunk at a time (`codebook_angles`), sorts them
+in place and keeps only that sorted table.  The sort permutation and the
+decoder's point, cosine and sine tables are built on the first decode, and
+the channel on its first use, all cached on the basis.  A parameter set is
+a plain validated record over the basis, so every parameter set over one
+basis shares one copy of each, and work that never decodes (binding,
 concealing) never pays for the tables.
 """
 
@@ -60,11 +61,11 @@ class AngleBasis:
     chosen so sum_i (L+1)*angles[i] = pi/2, which keeps every codebook angle
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
     angular distance between distinct codebook angles, certified by sorting
-    the full codebook at construction.  `build_angle_basis` keeps the
-    sorted angles (`_angles`) and the permutation that sorts the codebook
-    (`_order`).  The basis is the only owner of derived state: the
+    the full codebook at construction.  `build_angle_basis` keeps only the
+    sorted angles (`_angles`).  The basis is the only owner of derived
+    state: the permutation that sorts the codebook (`_order`), the
     decoder's sorted points and their cosines and sines, and the channel
-    `_mu`, are built on first use and then cached here.
+    `_mu` are built on first use and then cached here.
     """
 
     d: int
@@ -72,7 +73,11 @@ class AngleBasis:
     angles: tuple[float, ...]
     min_gap: float
     _angles: np.ndarray = field(repr=False, compare=False)
-    _order: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        # the angles are distinct, so this sorts them exactly as `_angles`
+        return np.argsort(codebook_angles(self.d, self.L, np.asarray(self.angles)))
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
@@ -116,6 +121,32 @@ def codebook_points(d: int, L: int, dtype=int) -> np.ndarray:
     return np.ascontiguousarray(np.indices((L + 2,) * d, dtype=dtype).reshape(d, -1).T)
 
 
+#: codebook rows per angle product; bounds certification's temporaries
+ANGLE_CHUNK = 1 << 16
+
+
+def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
+    """`codebook_points(d, L) @ angles` as float64, computed a chunk at a time.
+
+    Each chunk fixes the leading coordinates and holds the grid of the
+    trailing ones, at most ANGLE_CHUNK rows (or L+2 when one coordinate
+    alone exceeds it), in the smallest integer dtype holding L+1.  matmul
+    casts a chunk to float64 and computes each row on its own, so every
+    angle is the same float64 product as from one int64 grid.
+    """
+    base = L + 2
+    tail = 1
+    while tail < d and base ** (tail + 1) <= ANGLE_CHUNK:
+        tail += 1
+    chunk = np.empty((base**tail, d), dtype=np.min_scalar_type(L + 1))
+    chunk[:, d - tail:] = codebook_points(tail, L, chunk.dtype)
+    out = np.empty(codebook_size(d, L))
+    for k, prefix in enumerate(np.ndindex((base,) * (d - tail))):
+        chunk[:, :d - tail] = prefix
+        np.matmul(chunk, angles, out=out[k * len(chunk):(k + 1) * len(chunk)])
+    return out
+
+
 def _check_size(d: int, L: int) -> None:
     if d < 1:
         raise ValueError("need d >= 1 lattice dimensions")
@@ -126,8 +157,10 @@ def _check_size(d: int, L: int) -> None:
 def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> AngleBasis:
     """Construct and certify the angle basis for a (d, L) codebook.
 
-    Fails with BudgetExceededError when the codebook is too large to
-    certify: the certificate requires enumerating all (L+2)^d angles.
+    The certificate computes all (L+2)^d codebook angles with
+    `codebook_angles`, sorts them in place and keeps only the sorted table;
+    the permutation that sorts them waits for the first decode.  Fails with
+    BudgetExceededError when the codebook is too large to certify.
     """
     _check_size(d, L)
     n_points = codebook_size(d, L)
@@ -138,12 +171,14 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
         )
     roots = np.sqrt(np.array(first_primes(d), dtype=float))
     angles = (math.pi / 2.0) / ((L + 1) * float(roots.sum())) * roots
-    # the smallest integer dtype holding L+1; matmul casts it to float64, so
-    # every angle is the same float64 product as from an int64 grid
-    alphas = codebook_points(d, L, np.min_scalar_type(L + 1)) @ angles
-    order = np.argsort(alphas)
-    alphas = alphas[order]
-    min_gap = float(np.diff(alphas).min()) if len(alphas) > 1 else math.tau
+    alphas = codebook_angles(d, L, angles)
+    alphas.sort()
+    # neighbouring gaps a chunk at a time, so no temporary spans the table;
+    # a codebook holds at least (2+2)^1 angles
+    min_gap = min(
+        float(np.diff(alphas[i:i + ANGLE_CHUNK + 1]).min())
+        for i in range(0, len(alphas) - 1, ANGLE_CHUNK)
+    )
     if min_gap <= 0.0:
         raise ValueError("degenerate basis: duplicate codebook angles")
     return AngleBasis(
@@ -152,7 +187,6 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
         angles=tuple(float(a) for a in angles),
         min_gap=min_gap,
         _angles=alphas,
-        _order=order,
     )
 
 

@@ -256,67 +256,6 @@ def test_twirl_compiled_sessions_sample_the_group_channel_law():
         engine.run_session(spec, rotation=so3.identity_rotation())
 
 
-# --- parallel composition ------------------------------------------------------
-
-def test_parallel_validation():
-    params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 0)
-    with pytest.raises(ValueError, match="k >= 1"):
-        engine.run_parallel(spec, 0, np.random.default_rng(0))
-
-
-def test_parallel_k1_matches_base_distribution():
-    params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 1, fixed_a=(0, 1))
-    base = {}
-    parallel = {}
-    for rotation, prob in so3.enumerate_support(spec.mu):
-        t = engine.run_session(spec, rotation=rotation)
-        k = engine.transcript_key(t)
-        base[k] = base.get(k, Fraction(0)) + prob
-        outcome, transcripts = engine.run_parallel(spec, 1, rotations=[rotation])
-        k2 = engine.transcript_key(transcripts[0])
-        parallel[k2] = parallel.get(k2, Fraction(0)) + prob
-        assert outcome == engine.Accepted((1,))
-    assert base == parallel
-
-
-def test_parallel_k2_honest_always_accepts():
-    params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 1)
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        outcome, transcripts = engine.run_parallel(spec, 2, rng)
-        assert outcome == engine.Accepted((1, 1))
-        assert len(transcripts) == 2
-
-
-def test_parallel_flip_one_instance_probability():
-    # cheat in instance 0 with the optimal single-coordinate bump, honest in
-    # instance 1; product-rule enumeration over both channels gives 1/d
-    params = lattice.make_params(2, 8, predicate="lenient")
-    spec = lattice.lattice_protocol(params, 0, fixed_a=(2, 2))
-    commit_point = (2, 2)
-    reveal_point = (2, 3)  # parity 1: flips the first instance's bit
-    support = so3.enumerate_support(spec.mu)
-    success = Fraction(0)
-    for r1, p1 in support:
-        for r2, p2 in support:
-            cheat = lattice.CheatingLatticeAlice(
-                params, lattice.encode(params, commit_point), 1, reveal_point
-            )
-            outcome, _ = engine.run_parallel(
-                spec,
-                2,
-                rotations=[r1, r2],
-                alices=[cheat, spec.make_alice()],
-                bobs=[spec.make_bob(), spec.make_bob()],
-            )
-            if outcome == engine.Accepted((1, 0)):
-                success += p1 * p2
-    assert success == Fraction(1, params.d)
-
-
 # --- shared commit/reveal decider ------------------------------------------------
 
 COMMIT_REVEAL_SPECS = {
@@ -491,19 +430,3 @@ def test_exact_enumeration_rejects_non_group_and_continuous_twirls():
         engine.compiled_transcript_distribution(spec, so3.HaarSO3())
     with pytest.raises(ValueError, match="needs a finite group"):
         engine.bob_wire_view_distribution(spec, alice_twirl=so3.HaarSO3())
-
-
-def test_run_parallel_rejects_wrong_list_lengths():
-    spec = _lattice_spec()
-    rotation = so3.identity_rotation()
-    with pytest.raises(ValueError, match="k >= 1"):
-        engine.run_parallel(spec, 0, rotations=[])
-    with pytest.raises(ValueError, match="rotations has 1 entries, need k = 2"):
-        engine.run_parallel(spec, 2, rotations=[rotation])
-    with pytest.raises(ValueError, match="alices has 3 entries"):
-        engine.run_parallel(spec, 2, rotations=[rotation] * 2,
-                            alices=[spec.make_alice() for _ in range(3)])
-    with pytest.raises(ValueError, match="bobs has 1 entries"):
-        engine.run_parallel(spec, 2, rotations=[rotation] * 2, bobs=[spec.make_bob()])
-    outcome, transcripts = engine.run_parallel(spec, 2, rotations=[rotation] * 2)
-    assert outcome == engine.Accepted((1, 1)) and len(transcripts) == 2

@@ -79,11 +79,28 @@ def test_basis_validation():
         lattice.build_angle_basis(2, 1)
 
 
-# sizes on both sides of the uint8/uint16 switch of the certification grid
+# d = 1, odd and even L+2, codebooks just below and above ANGLE_CHUNK rows,
+# and one coordinate alone wider than a chunk
+@pytest.mark.parametrize(
+    "d,L",
+    [(1, 2), (1, 3), (3, 5), (3, 6), (5, 7), (6, 5), (4, 16), (6, 8), (1, 70000)],
+)
+def test_codebook_angles_match_single_product(d, L):
+    # the chunked products equal one int64 grid @ angles product, bit for bit
+    assert 9**5 < lattice.ANGLE_CHUNK < min(7**6, 70000 + 2)
+    angles = np.asarray(lattice.build_angle_basis(d, L).angles)
+    points = lattice.codebook_points(d, L)
+    assert points.dtype == np.int64
+    chunked = lattice.codebook_angles(d, L, angles)
+    assert np.array_equal(chunked.view(np.int64), (points @ angles).view(np.int64))
+
+
+# sizes on both sides of the uint8/uint16 switch of the certification grid,
+# and codebooks of several angle chunks
 @pytest.mark.parametrize(
     "d,L",
     [(1, 2), (2, 4), (2, 5), (3, 8), (4, 3), (5, 4), (1, 253), (1, 254), (1, 255),
-     (2, 254), (2, 300)],
+     (2, 254), (2, 300), (4, 16), (6, 5), (6, 8)],
 )
 def test_decode_tables_match_int64_reference(d, L):
     # reference: the int64 codebook times the basis angles, sorted
@@ -94,15 +111,24 @@ def test_decode_tables_match_int64_reference(d, L):
     order = np.argsort(alphas)
     reference = alphas[order]
     assert np.array_equal(params.basis._angles.view(np.int64), reference.view(np.int64))
+    assert np.array_equal(params.basis._order, order)
     assert params.basis._points.dtype == np.int64
     assert np.array_equal(params.basis._points, points[order])
     assert np.array_equal(params.basis._cos.view(np.int64), np.cos(reference).view(np.int64))
     assert np.array_equal(params.basis._sin.view(np.int64), np.sin(reference).view(np.int64))
 
 
-def test_decode_tables_built_on_first_decode_and_shared():
+def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
     params = lattice.make_params(3, 8)
-    tables = ("_points", "_cos", "_sin")
+    tables = ("_order", "_points", "_cos", "_sin")
+    # work that never decodes builds no table, not even the sort permutation
+    analysis.binding_search(params, "strict")
+    analysis.binding_sum_max(params, "lenient")
+    analysis.concealing_exact(params.d, params.L)
+    with monkeypatch.context() as patch:
+        # lattice_report's binding scans, without its decoding soundness enumeration
+        patch.setattr(analysis, "lattice_soundness_exact", lambda p, budget: Fraction(1))
+        analysis.lattice_report(params)
     assert not set(tables) & set(vars(params.basis))
     decoded = lattice.decode_commit(params, lattice.encode(params, (1, 2, 3)))
     assert tuple(decoded) == (1, 2, 3)
@@ -142,16 +168,19 @@ def test_lattice_mu_shared_by_params_over_one_basis():
     assert lattice.lattice_mu(strict) is lattice.lattice_mu(lenient)
 
 
-def test_make_params_holds_only_the_sorted_angles_and_order():
-    # 10^6 codebook points: the float64 angles and int64 order take 16e6 bytes
+def test_make_params_holds_only_the_sorted_angles():
+    # 10^6 codebook points: the sorted float64 angles take 8e6 bytes.  The
+    # peak leaves room for chunk temporaries only: a second full-length
+    # array (argsort, np.diff) would pass 15 MiB, the (N, d) float64 grid 45
     tracemalloc.start()
     try:
         params = lattice.make_params(6, 8)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(params.basis._angles) == 10**6
-    assert held < 24 * 2**20
+    assert held < 10 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_params_reject_coarse_eps():
