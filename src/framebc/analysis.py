@@ -35,6 +35,7 @@ from .lattice import (
     BudgetExceededError,
     LatticeParams,
     _check_size,
+    _decode_positions,
     accepting_reveals,
     decode_batch,
     decode_commit,
@@ -44,7 +45,6 @@ from .lattice import (
     noise_support,
     parity,
     parity_class_size,
-    verify_batch,
 )
 from .simple import (
     FourSymbolCodeword,
@@ -350,12 +350,35 @@ def binding_search_finite_precision(
 SOUNDNESS_CHUNK = 4096
 
 
-def _honest_accepts(
-    params: LatticeParams, received: np.ndarray, bits: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Bob's verdict on each row: decode `received`, then test the honest reveal (bit, point)."""
-    decoded, ok = decode_batch(params, received)
-    return ok & verify_batch(params, decoded, bits, points)
+def _lex_weights(d: int, L: int) -> np.ndarray:
+    """Place values of the lexicographic index lex(x) = sum_j x_j (L+2)^(d-1-j) of {0..L+1}^d."""
+    return (L + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def _reveal_steps(params: LatticeParams) -> np.ndarray:
+    """The differences lex(decoded) - lex(a) at which Bob accepts an honest reveal of a.
+
+    An honest reveal (parity(a), a), a in {0..L-1}^d, passes `verify_reveal`
+    exactly when decoded = a + m*e_k, m in {1, 2} (or decoded = a, under
+    lenient).  All of these lie in the codebook, on which lex is a
+    bijection, so the test is lex(decoded) - lex(a) in {m*(L+2)^(d-1-k)}
+    (plus 0 under lenient): 2d distinct values, since L+2 > 2.  The shifts
+    are read from `accepting_reveals`, whose reveals from the origin are
+    the negated accepted differences decoded - a.
+    """
+    reveals, _ = accepting_reveals(params, np.zeros(params.d, dtype=np.int64))
+    return -(reveals @ _lex_weights(params.d, params.L))
+
+
+def _honest_accepts(params: LatticeParams, received: np.ndarray, lex: np.ndarray) -> np.ndarray:
+    """Bob's verdict on each row of `received`, shape (..., n, 3), against n honest reveals.
+
+    `lex` holds the lexicographic indices of the n honest points; each row
+    is decoded to its position in the sorted codebook, whose lexicographic
+    index `_order` gives, and tested with `_reveal_steps`.
+    """
+    positions, ok = _decode_positions(params, received)
+    return ok & np.isin(params.basis._order[positions] - lex, _reveal_steps(params))
 
 
 def lattice_soundness_exact(
@@ -365,11 +388,13 @@ def lattice_soundness_exact(
 
     Enumerates {0..L-1}^d in chunks against the full noise support: encodes
     each point, rotates it by every rot_z(m*theta_j), decodes, and verifies
-    the honest reveal (its own parity and point).  Counts acceptances per
-    parity class and returns the exact acceptance probability with b
-    uniform (1 whenever the parameters certify).  The points are walked in
-    codebook-angle order, so each rotated batch reaches the decoder's
-    binary search already sorted.
+    the honest reveal (its own parity and point) by `_honest_accepts`.
+    Counts acceptances per parity class and returns the exact acceptance
+    probability with b uniform (1 whenever the parameters certify).  The
+    points are the lexicographic indices of the sorted codebook (`_order`)
+    that keep every coordinate below L, so they are walked in
+    codebook-angle order and each rotated batch reaches the decoder's
+    binary search already sorted; no point table is built.
     """
     d, L = params.d, params.L
     cost = (L**d) * 2 * d
@@ -378,17 +403,19 @@ def lattice_soundness_exact(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
     rotations = lattice_mu(params).rotations
-    codebook = params.basis._points
-    honest = codebook[(codebook < L).all(axis=1)]
+    # drop the codewords with a coordinate above L-1, one coordinate at a time
+    honest = params.basis._order
+    for weight in _lex_weights(d, L):
+        honest = honest[honest // weight % (L + 2) < L]
     accepted = [0, 0]
     for start in range(0, len(honest), SOUNDNESS_CHUNK):
-        points = honest[start:start + SOUNDNESS_CHUNK]
+        lex = honest[start:start + SOUNDNESS_CHUNK]
+        points = np.stack(np.unravel_index(lex, (L + 2,) * d), axis=1)
         payloads = encode_batch(params, points)
         # the stacked matmul computes each row exactly as rotation @ payload does
-        received = np.concatenate([(r @ payloads[:, :, None])[:, :, 0] for r in rotations])
-        revealed = np.tile(points, (len(rotations), 1))
-        bits = revealed.sum(axis=1) % 2
-        ok = _honest_accepts(params, received, bits, revealed)
+        received = np.stack([(r @ payloads[:, :, None])[:, :, 0] for r in rotations])
+        ok = _honest_accepts(params, received, lex)
+        bits = points.sum(axis=1) % 2
         for b in (0, 1):
             accepted[b] += int(np.count_nonzero(ok & (bits == b)))
     # P(accept) = 1/2 * sum_b accepted_b / (|class b| * 2d)
@@ -406,11 +433,12 @@ def lattice_soundness_mc(
     honest points (by `honest_points`, as a session's `commit` draws them),
     and the n noise events.  A noise event is an index into the channel's 2d
     rotations in `noise_support` order.  Each trial is then encoded,
-    rotated, decoded and verified exactly as a session does it, row by row
-    in arrays.
+    rotated, decoded and verified as a session does it, row by row in
+    arrays, the reveal test by `_honest_accepts`.
     """
     rng = _sampler(trials, seed)
     rotations = lattice_mu(params).rotations
+    weights = _lex_weights(params.d, params.L)
     successes = 0
     for start in range(0, trials, SOUNDNESS_CHUNK):
         n = min(SOUNDNESS_CHUNK, trials - start)
@@ -420,7 +448,7 @@ def lattice_soundness_mc(
         payloads = encode_batch(params, points)
         # the stacked matmul computes each row exactly as rotation @ payload does
         received = (rotations[events] @ payloads[:, :, None])[:, :, 0]
-        successes += int(np.count_nonzero(_honest_accepts(params, received, bits, points)))
+        successes += int(np.count_nonzero(_honest_accepts(params, received, points @ weights)))
     return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
 
 

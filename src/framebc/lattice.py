@@ -19,12 +19,14 @@ received vector to contain at most one codeword.
 
 The certified basis owns all derived state.  Certification computes the
 codebook angles a bounded chunk at a time (`codebook_angles`), sorts them
-in place and keeps only that sorted table.  The sort permutation and the
-decoder's point, cosine and sine tables are built on the first decode, and
-the channel on its first use, all cached on the basis.  A parameter set is
-a plain validated record over the basis, so every parameter set over one
-basis shares one copy of each, and work that never decodes (binding,
-concealing) never pays for the tables.
+in place to read min_gap and keeps no table.  The first decode computes
+them once more and keeps the permutation that sorts them (`_order`, the
+lexicographic index of each sorted codeword) and the sorted angles; the
+cosine and sine tables follow on that decode, the point table only for
+decoders that return points, and the channel on its first use, all cached
+on the basis.  A parameter set is a plain validated record over the
+basis, so every parameter set over one basis shares one copy of each, and
+work that never decodes (binding, concealing) never pays for the tables.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,23 +63,35 @@ class AngleBasis:
     chosen so sum_i (L+1)*angles[i] = pi/2, which keeps every codebook angle
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
     angular distance between distinct codebook angles, certified by sorting
-    the full codebook at construction.  `build_angle_basis` keeps only the
-    sorted angles (`_angles`).  The basis is the only owner of derived
-    state: the permutation that sorts the codebook (`_order`), the
-    decoder's sorted points and their cosines and sines, and the channel
-    `_mu` are built on first use and then cached here.
+    the full codebook at construction.  The basis holds no table after
+    certification and is the only owner of derived state: the permutation
+    that sorts the codebook (`_order`) and the sorted angles (`_angles`),
+    the decoder's cosines, sines and sorted points, and the channel `_mu`
+    are built on first use and then cached here.
     """
 
     d: int
     L: int
     angles: tuple[float, ...]
     min_gap: float
-    _angles: np.ndarray = field(repr=False, compare=False)
+
+    def _sort_codebook(self) -> None:
+        # one pass keeps both; the angles are distinct, so alphas[order]
+        # equals the in-place sort that certification read min_gap from
+        alphas = codebook_angles(self.d, self.L, np.asarray(self.angles))
+        order = np.argsort(alphas)
+        vars(self).update(_order=order, _angles=alphas[order])
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
-        # the angles are distinct, so this sorts them exactly as `_angles`
-        return np.argsort(codebook_angles(self.d, self.L, np.asarray(self.angles)))
+        # entry k is the lexicographic index of the codeword with the k-th smallest angle
+        self._sort_codebook()
+        return vars(self)["_order"]
+
+    @functools.cached_property
+    def _angles(self) -> np.ndarray:
+        self._sort_codebook()
+        return vars(self)["_angles"]
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
@@ -158,8 +172,8 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     """Construct and certify the angle basis for a (d, L) codebook.
 
     The certificate computes all (L+2)^d codebook angles with
-    `codebook_angles`, sorts them in place and keeps only the sorted table;
-    the permutation that sorts them waits for the first decode.  Fails with
+    `codebook_angles`, sorts them in place, reads min_gap and drops the
+    table; the decode tables wait for the first decode.  Fails with
     BudgetExceededError when the codebook is too large to certify.
     """
     _check_size(d, L)
@@ -181,13 +195,7 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     )
     if min_gap <= 0.0:
         raise ValueError("degenerate basis: duplicate codebook angles")
-    return AngleBasis(
-        d=d,
-        L=L,
-        angles=tuple(float(a) for a in angles),
-        min_gap=min_gap,
-        _angles=alphas,
-    )
+    return AngleBasis(d=d, L=L, angles=tuple(float(a) for a in angles), min_gap=min_gap)
 
 
 @dataclass(frozen=True)
@@ -276,18 +284,28 @@ def encode(params: LatticeParams, a) -> np.ndarray:
     return planar_unit(alpha)
 
 
+#: the split point of `encode_batch`'s exact two-part sum
+ENCODE_QUANTUM = 2.0**-51
+
+
 def encode_batch(params: LatticeParams, points) -> np.ndarray:
     """`encode` over the rows of an (n, d) point array, as an (n, 3) array.
 
-    Each row is bit-identical to `encode`'s: the same correctly rounded
-    `math.fsum` of the products a_i * theta_i, then math.cos and math.sin.
-    Callers pass in-range points.
+    Each row is bit-identical to `encode`'s, with no per-row Python call.
+    Every product p = a_i * theta_i lies in [0, pi/2], so it splits exactly
+    at the quantum ENCODE_QUANTUM into hi = floor(p/q)*q and lo = p - hi.
+    The hi parts are multiples of q summing below 2 < 2^53 q.  The lo parts
+    are below q and multiples of the smallest nonzero product's ulp, so
+    their sum fits 53 bits whenever every basis angle exceeds d * 2^-52.
+    Both row sums are therefore exact, and their sum is rounded once: the
+    correctly rounded sum that `math.fsum` returns.  np.cos and np.sin then
+    give math.cos and math.sin's doubles on this platform, which the tests
+    check.  Callers pass in-range points.
     """
     products = np.asarray(points, dtype=float).reshape(-1, params.d) * params.angles
-    alphas = list(map(math.fsum, products.tolist()))
-    return np.column_stack(
-        [list(map(math.cos, alphas)), list(map(math.sin, alphas)), np.zeros(len(alphas))]
-    )
+    hi = np.floor(products / ENCODE_QUANTUM) * ENCODE_QUANTUM
+    alphas = hi.sum(axis=1) + (products - hi).sum(axis=1)
+    return np.column_stack([np.cos(alphas), np.sin(alphas), np.zeros(len(alphas))])
 
 
 def parity_class_size(d: int, L: int, b: int) -> int:
@@ -372,23 +390,38 @@ def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
     are decode_commit's: the table endpoints and the two angular neighbours
     of each received direction, judged by squared distance in R^3.
     """
-    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    rx, ry, rz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    phi = np.arctan2(ry, rx) % (2.0 * math.pi)
+    positions, ok = _decode_positions(params, np.asarray(xyz, dtype=float).reshape(-1, 3))
+    return params.basis._points[positions], ok
+
+
+def _decode_positions(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`decode_batch`'s rule on an (..., 3) array, as positions in the sorted codebook.
+
+    Scores the candidates 0, last, i and i-1 (i the insertion point of the
+    received direction) in that order, each as one array, and keeps the
+    first of equal minima, as argmin over the four would.  Returns the
+    positions and the within-eps mask, both of shape (...).
+    """
+    rx, ry, rz = xyz[..., 0], xyz[..., 1], xyz[..., 2]
     basis = params.basis
-    last = len(basis._angles) - 1
-    i = np.searchsorted(basis._angles, phi)
-    candidates = np.stack(
-        [np.zeros_like(i), np.full_like(i, last), np.minimum(i, last), np.maximum(i - 1, 0)],
-        axis=1,
-    )
-    dx = rx[:, None] - basis._cos[candidates]
-    dy = ry[:, None] - basis._sin[candidates]
-    sq = dx * dx + dy * dy + (rz * rz)[:, None]
-    pick = np.argmin(sq, axis=1)
-    rows = np.arange(len(xyz))
-    ok = sq[rows, pick] <= params.eps_meas * params.eps_meas
-    return basis._points[candidates[rows, pick]], ok
+    angles, cos_table, sin_table = basis._angles, basis._cos, basis._sin
+    last = len(angles) - 1
+    i = np.searchsorted(angles, np.arctan2(ry, rx) % (2.0 * math.pi))
+    rz_sq = rz * rz
+
+    def squared_distance(candidate):
+        dx = rx - cos_table[candidate]
+        dy = ry - sin_table[candidate]
+        return dx * dx + dy * dy + rz_sq
+
+    best = np.zeros_like(i)
+    best_sq = squared_distance(0)
+    for candidate in (last, np.minimum(i, last), np.maximum(i - 1, 0)):
+        sq = squared_distance(candidate)
+        closer = sq < best_sq
+        best = np.where(closer, candidate, best)
+        best_sq = np.where(closer, sq, best_sq)
+    return best, best_sq <= params.eps_meas * params.eps_meas
 
 
 def noise_support(params: LatticeParams):
@@ -433,28 +466,6 @@ def verify_reveal(
     if bumps == 0:
         return predicate == "lenient"
     return bumps == 1 and bump_value in (1, 2)
-
-
-def verify_batch(
-    params: LatticeParams,
-    decoded,
-    revealed_b,
-    revealed_a,
-    predicate: str | None = None,
-) -> np.ndarray:
-    """`verify_reveal` over rows: (n, d) decoded and revealed points, n revealed bits."""
-    predicate = _resolve_predicate(params, predicate)
-    revealed_a = np.asarray(revealed_a)
-    in_range = ((revealed_a >= 0) & (revealed_a <= params.L - 1)).all(axis=1)
-    parity_ok = revealed_a.sum(axis=1) % 2 == np.asarray(revealed_b) % 2
-    diff = np.asarray(decoded) - revealed_a
-    bumps = np.count_nonzero(diff, axis=1)
-    # with a single bump the row sum is that bump's value
-    bump_value = diff.sum(axis=1)
-    passes = (bumps == 1) & ((bump_value == 1) | (bump_value == 2))
-    if predicate == "lenient":
-        passes |= bumps == 0
-    return in_range & parity_ok & passes
 
 
 def accepting_reveals(

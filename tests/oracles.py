@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from framebc import lattice
+
 
 def parity_class(d: int, L: int, b: int):
     """Iterate the points of {0..L-1}^d with parity b."""
@@ -47,3 +49,39 @@ def concealing_by_enumeration(d: int, L: int) -> Fraction:
     """sum_x |h0 n1 - h1 n0| / (n0 n1) over the `received_histograms`."""
     (h0, h1), (n0, n1) = received_histograms(d, L)
     return Fraction(int(np.abs(h0 * n1 - h1 * n0).sum()), n0 * n1)
+
+
+def verify_rows(params, decoded, revealed_b, revealed_a) -> np.ndarray:
+    """`lattice.verify_reveal` over rows of (n, d) decoded and revealed points, n bits."""
+    revealed_a = np.asarray(revealed_a)
+    in_range = ((revealed_a >= 0) & (revealed_a <= params.L - 1)).all(axis=1)
+    parity_ok = revealed_a.sum(axis=1) % 2 == np.asarray(revealed_b) % 2
+    diff = np.asarray(decoded) - revealed_a
+    bumps = np.count_nonzero(diff, axis=1)
+    # with a single bump the row sum is that bump's value
+    bump_value = diff.sum(axis=1)
+    passes = (bumps == 1) & ((bump_value == 1) | (bump_value == 2))
+    if params.predicate == "lenient":
+        passes |= bumps == 0
+    return in_range & parity_ok & passes
+
+
+def soundness_by_point_decoding(params) -> Fraction:
+    """Exact honest acceptance by decoding every rotated honest codeword to its point.
+
+    Encodes all of {0..L-1}^d, rotates each payload by every channel
+    rotation, decodes the L^d * 2d vectors to points with
+    `lattice.decode_batch` and tests each honest reveal with `verify_rows`.
+    """
+    d, L = params.d, params.L
+    points = np.array(list(itertools.product(range(L), repeat=d)))
+    payloads = lattice.encode_batch(params, points)
+    rotations = lattice.lattice_mu(params).rotations
+    received = np.concatenate([(r @ payloads[:, :, None])[:, :, 0] for r in rotations])
+    revealed = np.tile(points, (len(rotations), 1))
+    bits = revealed.sum(axis=1) % 2
+    decoded, ok = lattice.decode_batch(params, received)
+    accepted = ok & verify_rows(params, decoded, bits, revealed)
+    counts = [int(np.count_nonzero(accepted & (bits == b))) for b in (0, 1)]
+    n0, n1 = (lattice.parity_class_size(d, L, b) * 2 * d for b in (0, 1))
+    return Fraction(counts[0] * n1 + counts[1] * n0, 2 * n0 * n1)

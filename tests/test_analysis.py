@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,7 +9,12 @@ import numpy as np
 import pytest
 
 from framebc import analysis, engine, lattice, simple, so3
-from oracles import concealing_by_enumeration, histogram_laws, parity_class
+from oracles import (
+    concealing_by_enumeration,
+    histogram_laws,
+    parity_class,
+    soundness_by_point_decoding,
+)
 
 # Exact concealing distances, frozen after first computation and confirmed by
 # an independent boundary-count derivation: for even L the distance is 2/L
@@ -418,7 +424,6 @@ def test_every_predicate_override_is_validated(bad):
     point = np.array([1, 2, 3])
     calls = [
         lambda: lattice.verify_reveal(params, point, 0, point, predicate=bad),
-        lambda: lattice.verify_batch(params, point[None], [0], point[None], predicate=bad),
         lambda: lattice.accepting_reveals(params, point, bad),
         lambda: analysis.binding_search(params, bad),
         lambda: analysis.binding_sum_max(params, bad),
@@ -620,6 +625,63 @@ def test_lattice_soundness_exact_counts_rejections():
                     accepted += Fraction(1, 2 * size * 2 * 2)
     assert 0 < accepted < 1
     assert analysis.lattice_soundness_exact(params) == accepted
+
+
+@pytest.mark.parametrize(
+    "d,L", [(1, 2), (2, 4), (2, 5), (3, 4), (3, 8), (4, 3), (3, 16), (4, 16), (5, 4), (6, 5)]
+)
+def test_lattice_soundness_exact_matches_point_decoding(d, L):
+    # the index-space enumeration against decoding every rotated honest
+    # codeword to its point and testing the reveal coordinate by coordinate
+    basis = lattice.build_angle_basis(d, L)
+    for eps in (0.0, basis.max_safe_eps / 4, 0.9999 * basis.max_safe_eps):
+        for predicate in lattice.PREDICATES:
+            params = lattice.LatticeParams(basis, eps, predicate)
+            assert analysis.lattice_soundness_exact(params) == soundness_by_point_decoding(params)
+
+
+@pytest.mark.parametrize(
+    "d,L,predicate,expected",
+    [
+        (2, 5, "lenient", Fraction(595, 1248)),
+        (3, 4, "strict", Fraction(23, 64)),
+        (4, 16, "lenient", Fraction(193393, 524288)),
+        (6, 8, "lenient", Fraction(5241, 16384)),
+    ],
+)
+def test_lattice_soundness_exact_pinned_at_zero_eps(d, L, predicate, expected):
+    # at eps = 0 only bit-exact decodes accept, so these count the float rounding
+    params = lattice.make_params(d, L, eps_meas=0.0, predicate=predicate)
+    assert analysis.lattice_soundness_exact(params) == expected
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: analysis.lattice_soundness_exact(p),
+        lambda p: analysis.lattice_soundness_mc(p, 5000, seed=2),
+    ],
+    ids=["exact", "mc"],
+)
+def test_soundness_builds_no_point_table(run):
+    params = lattice.make_params(3, 8)
+    run(params)
+    assert "_order" in vars(params.basis)
+    assert "_points" not in vars(params.basis)
+
+
+def test_lattice_soundness_exact_memory_bound():
+    # 10^6 codewords: the decode tables (_order, _angles, _cos, _sin) take
+    # 32 MB; the int64 point table (48 MB), or any other full-length (N, d)
+    # int64 array, would pass the bound
+    params = lattice.make_params(6, 8)
+    tracemalloc.start()
+    try:
+        assert analysis.lattice_soundness_exact(params) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_soundness_budget_guard():

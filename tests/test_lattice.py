@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,8 +121,8 @@ def test_decode_tables_match_int64_reference(d, L):
 
 def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
     params = lattice.make_params(3, 8)
-    tables = ("_order", "_points", "_cos", "_sin")
-    # work that never decodes builds no table, not even the sort permutation
+    tables = ("_order", "_angles", "_points", "_cos", "_sin")
+    # work that never decodes builds no table, not even the sorted angles
     analysis.binding_search(params, "strict")
     analysis.binding_sum_max(params, "lenient")
     analysis.concealing_exact(params.d, params.L)
@@ -133,7 +134,7 @@ def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
     decoded = lattice.decode_commit(params, lattice.encode(params, (1, 2, 3)))
     assert tuple(decoded) == (1, 2, 3)
     assert set(tables) <= set(vars(params.basis))
-    built = {name: getattr(params.basis, name) for name in tables + ("_angles",)}
+    built = {name: getattr(params.basis, name) for name in tables}
     other = lattice.LatticeParams(params.basis, eps_meas=0.0, predicate="strict")
     lattice.decode_batch(other, lattice.encode_batch(other, [(1, 2, 3), (0, 0, 1)]))
     for name, table in built.items():
@@ -168,18 +169,19 @@ def test_lattice_mu_shared_by_params_over_one_basis():
     assert lattice.lattice_mu(strict) is lattice.lattice_mu(lenient)
 
 
-def test_make_params_holds_only_the_sorted_angles():
-    # 10^6 codebook points: the sorted float64 angles take 8e6 bytes.  The
-    # peak leaves room for chunk temporaries only: a second full-length
-    # array (argsort, np.diff) would pass 15 MiB, the (N, d) float64 grid 45
+def test_make_params_holds_no_table():
+    # 10^6 codebook points: certification sorts 8e6 bytes of angles and
+    # drops them.  The peak leaves room for that table and chunk temporaries
+    # only: a second full-length array (argsort, np.diff) would pass 15 MiB,
+    # the (N, d) float64 grid 45
     tracemalloc.start()
     try:
         params = lattice.make_params(6, 8)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(params.basis._angles) == 10**6
-    assert held < 10 * 2**20
+    assert not {"_order", "_angles"} & set(vars(params.basis))
+    assert held < 2**20
     assert peak < 12 * 2**20
 
 
@@ -439,23 +441,86 @@ def test_encode_batch_matches_encode(params_d3_l8):
     assert np.array_equal(batch, scalar)
 
 
+def _uncertified_params(d, L):
+    # build_angle_basis's angles without its certificate, which most of
+    # these codebooks are far too large for; encoding reads only d and angles
+    roots = np.sqrt(np.array(lattice.first_primes(d), dtype=float))
+    angles = (math.pi / 2.0) / ((L + 1) * float(roots.sum())) * roots
+    return SimpleNamespace(d=d, L=L, angles=tuple(float(a) for a in angles))
+
+
+def _encode_reference(params, points):
+    # encode's arithmetic row by row: math.fsum of the rounded products a_i *
+    # theta_i (numpy rounds each product as Python's int * float does), then
+    # math.cos and math.sin
+    alphas = list(map(math.fsum, (np.asarray(points) * params.angles).tolist()))
+    return np.column_stack(
+        [list(map(math.cos, alphas)), list(map(math.sin, alphas)), np.zeros(len(alphas))]
+    )
+
+
+@pytest.mark.parametrize(
+    "d,L", [(1, 2), (3, 8), (4, 16), (6, 8), (8, 16), (4, 1000), (12, 100), (20, 1000)]
+)
+def test_encode_batch_bit_identical_on_random_points(d, L):
+    params = _uncertified_params(d, L)
+    points = np.random.default_rng(d * L).integers(L + 2, size=(300_000, d))
+    batch = lattice.encode_batch(params, points).view(np.int64)
+    assert np.array_equal(batch, _encode_reference(params, points).view(np.int64))
+    # the reference is encode's own arithmetic: check it against encode on a prefix
+    scalar = np.stack([lattice.encode(params, p) for p in points[:20_000].tolist()])
+    assert np.array_equal(batch[:20_000], scalar.view(np.int64))
+
+
+@pytest.mark.parametrize("d,L", [(4, 16), (6, 8)])
+def test_encode_batch_bit_identical_on_full_codebook(d, L):
+    params = _uncertified_params(d, L)
+    points = lattice.codebook_points(d, L)
+    batch = lattice.encode_batch(params, points).view(np.int64)
+    assert np.array_equal(batch, _encode_reference(params, points).view(np.int64))
+
+
+def test_numpy_trig_matches_math_on_codebook_range():
+    # encode_batch takes np.cos and np.sin for math.cos and math.sin; that
+    # holds per platform, not by any standard, so it is checked here on
+    # angles spread over [0, pi/2], the range every codebook angle lies in
+    alphas = np.random.default_rng(17).uniform(0.0, math.pi / 2, size=2_000_000)
+    alphas[:3] = (0.0, math.pi / 4, math.pi / 2)
+    listed = alphas.tolist()
+    for vectorised, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+        reference = np.array(list(map(scalar, listed)))
+        assert np.array_equal(vectorised(alphas).view(np.int64), reference.view(np.int64))
+
+
 @pytest.mark.parametrize("predicate", lattice.PREDICATES)
-def test_verify_batch_matches_verify_reveal(params_d3_l8, predicate):
-    rng = np.random.default_rng(5)
-    revealed = rng.integers(-1, 10, size=(3000, 3))
-    decoded = revealed.copy()
-    # bump one coordinate by -1..3 in most rows, leave some untouched
-    coord = rng.integers(3, size=3000)
-    decoded[np.arange(3000), coord] += rng.integers(-1, 4, size=3000)
-    decoded[::7, 0] += 1
-    bits = rng.integers(2, size=3000)
-    ok = lattice.verify_batch(params_d3_l8, decoded, bits, revealed, predicate)
-    expected = [
-        lattice.verify_reveal(params_d3_l8, dec, int(b), rev, predicate)
-        for dec, b, rev in zip(decoded, bits, revealed)
+def test_reveal_steps_match_verify_reveal(params_d3_l8, predicate):
+    # the soundness index rule against the coordinate test, for every honest
+    # point of (3, 8) and every decoded point near it in the codebook
+    params = lattice.LatticeParams(params_d3_l8.basis, params_d3_l8.eps_meas, predicate)
+    d, L = params.d, params.L
+    weights = analysis._lex_weights(d, L)
+    steps = set(analysis._reveal_steps(params).tolist())
+    eye = np.eye(d, dtype=np.int64)
+    moves = [0 * eye[0]]
+    moves += [m * eye[k] for k in range(d) for m in (-2, -1, 1, 2, 3)]
+    moves += [
+        s * eye[j] + t * eye[k]
+        for j, k in itertools.combinations(range(d), 2)
+        for s in (-1, 1, 2)
+        for t in (-1, 1, 2)
     ]
-    assert ok.tolist() == expected
-    assert 0 < sum(expected) < len(expected)
+    verdicts = Counter()
+    for a in itertools.product(range(L), repeat=d):
+        for move in moves:
+            decoded = np.array(a) + move
+            if decoded.min() < 0 or decoded.max() > L + 1:
+                continue
+            by_index = int((decoded - a) @ weights) in steps
+            expected = lattice.verify_reveal(params, decoded, lattice.parity(a), a)
+            assert by_index == expected
+            verdicts[by_index, decoded.max() > L - 1] += 1
+    # accepted and refused decodes, with and without a coordinate at L or L+1
+    assert set(verdicts) == {(v, top) for v in (True, False) for top in (True, False)}
 
 
 # --- reveal verification ---------------------------------------------------
