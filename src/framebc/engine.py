@@ -518,6 +518,10 @@ def probe_protocol(mu: MisalignmentDistribution) -> ProtocolSpec:
     )
 
 
+#: Haar draws per chunk of `haar_twirl_moments`; bounds its per-chunk stacks
+HAAR_CHUNK = 1 << 13
+
+
 def haar_twirl_moments(samples: int, seed: int) -> dict[str, float]:
     """Moment comparison between a Haar channel and its compiled twirl.
 
@@ -527,14 +531,24 @@ def haar_twirl_moments(samples: int, seed: int) -> dict[str, float]:
     empirical second moment from I/3, for both constructions, plus the
     largest disagreement between the two constructions' moments.  Under the
     Haar law all of these vanish as the sample count grows.
+
+    The draws come HAAR_CHUNK at a time in one stream order: the direct
+    block, then Alice's, then Bob's.  Only the two (samples, 3) probe images
+    and Alice's image of +x, which must outlive Bob's draws, are held whole;
+    each image row is computed on its own, so the moments, taken over the
+    whole arrays, match one draw per block bit for bit.
     """
     rng = np.random.default_rng(seed)
-    v = np.array([1.0, 0.0, 0.0])
-    direct = np.einsum("nij,j->ni", haar_rotations(samples, rng), v)
-    u_alice = haar_rotations(samples, rng)
-    u_bob = haar_rotations(samples, rng)
-    relative = np.matmul(u_bob.transpose(0, 2, 1), u_alice)
-    compiled = np.einsum("nij,j->ni", relative, v)
+    cuts = list(range(HAAR_CHUNK, samples, HAAR_CHUNK))
+    direct, alice, compiled = (np.empty((samples, 3)) for _ in range(3))
+    # a rotation's image of +x is its first column
+    for block in (direct, alice):
+        for out in np.split(block, cuts):
+            out[:] = haar_rotations(len(out), rng)[:, :, 0]
+    # the relative frame u_bob^T u_alice takes +x to u_bob^T (u_alice +x)
+    for out, a in zip(np.split(compiled, cuts), np.split(alice, cuts)):
+        u_bob = haar_rotations(len(out), rng)
+        out[:] = np.matmul(u_bob.transpose(0, 2, 1), a[:, :, None])[:, :, 0]
 
     def moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x.mean(axis=0), (x.T @ x) / len(x)

@@ -22,11 +22,12 @@ codebook angles a bounded chunk at a time (`codebook_angles`), sorts them
 in place to read min_gap and keeps no table.  The first decode computes
 them once more and keeps the permutation that sorts them (`_order`, the
 lexicographic index of each sorted codeword) and the sorted angles; the
-cosine and sine tables follow on that decode, the point table only for
-decoders that return points, and the channel on its first use, all cached
-on the basis.  A parameter set is a plain validated record over the
-basis, so every parameter set over one basis shares one copy of each, and
-work that never decodes (binding, concealing) never pays for the tables.
+cosine and sine tables follow on that decode and the channel on its first
+use, all cached on the basis.  No point table exists: a decoded point is
+its codeword's lexicographic index, unravelled.  A parameter set is a
+plain validated record over the basis, so every parameter set over one
+basis shares one copy of each, and work that never decodes (binding,
+concealing) never pays for the tables.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class AngleBasis:
     the full codebook at construction.  The basis holds no table after
     certification and is the only owner of derived state: the permutation
     that sorts the codebook (`_order`) and the sorted angles (`_angles`),
-    the decoder's cosines, sines and sorted points, and the channel `_mu`
-    are built on first use and then cached here.
+    the decoder's cosines and sines, and the channel `_mu` are built on
+    first use and then cached here.
     """
 
     d: int
@@ -92,11 +93,6 @@ class AngleBasis:
     def _angles(self) -> np.ndarray:
         self._sort_codebook()
         return vars(self)["_angles"]
-
-    @functools.cached_property
-    def _points(self) -> np.ndarray:
-        # row k is the codebook point with the k-th smallest angle
-        return np.stack(np.unravel_index(self._order, (self.L + 2,) * self.d), axis=1)
 
     @functools.cached_property
     def _cos(self) -> np.ndarray:
@@ -352,8 +348,10 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     angular neighbours of the received direction (plus the table endpoints
     to cover wraparound), then the true Euclidean distance in R^3 decides.
     Out-of-plane or shrunken vectors fail the distance test on their own.
-    `decode_batch` applies the same rule to many vectors at once; this
-    scalar form stays for the per-session decodes of `engine.run_session`.
+    The winner's entry of `_order` is its lexicographic index, which
+    unravels to the decoded int64 point.  `decode_batch` applies the same
+    rule to many vectors at once; this scalar form stays for the
+    per-session decodes of `engine.run_session`.
     """
     received = np.asarray(received, dtype=float)
     rx, ry, rz = float(received[0]), float(received[1]), float(received[2])
@@ -377,7 +375,8 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
             best_sq = sq
             best_idx = idx
     if best_sq <= params.eps_meas * params.eps_meas:
-        return basis._points[best_idx].copy()
+        point = np.unravel_index(basis._order[best_idx], (basis.L + 2,) * basis.d)
+        return np.array(point, dtype=np.int64)
     return None
 
 
@@ -391,7 +390,8 @@ def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
     of each received direction, judged by squared distance in R^3.
     """
     positions, ok = _decode_positions(params, np.asarray(xyz, dtype=float).reshape(-1, 3))
-    return params.basis._points[positions], ok
+    lex = params.basis._order[positions]
+    return np.stack(np.unravel_index(lex, (params.L + 2,) * params.d), axis=1), ok
 
 
 def _decode_positions(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

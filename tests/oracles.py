@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from framebc import lattice
+from framebc import lattice, so3
 
 
 def parity_class(d: int, L: int, b: int):
@@ -85,3 +85,33 @@ def soundness_by_point_decoding(params) -> Fraction:
     counts = [int(np.count_nonzero(accepted & (bits == b))) for b in (0, 1)]
     n0, n1 = (lattice.parity_class_size(d, L, b) * 2 * d for b in (0, 1))
     return Fraction(counts[0] * n1 + counts[1] * n0, 2 * n0 * n1)
+
+
+def haar_twirl_moments_one_shot(samples: int, seed: int) -> dict[str, float]:
+    """`engine.haar_twirl_moments` with each block drawn in one call.
+
+    Holds the direct, Alice's and Bob's (samples, 3, 3) Haar stacks and the
+    relative frames at once, and applies each stack to +x with einsum.
+    """
+    rng = np.random.default_rng(seed)
+    v = np.array([1.0, 0.0, 0.0])
+    direct = np.einsum("nij,j->ni", so3.haar_rotations(samples, rng), v)
+    u_alice = so3.haar_rotations(samples, rng)
+    u_bob = so3.haar_rotations(samples, rng)
+    relative = np.matmul(u_bob.transpose(0, 2, 1), u_alice)
+    compiled = np.einsum("nij,j->ni", relative, v)
+
+    def moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x.mean(axis=0), (x.T @ x) / len(x)
+
+    mean_d, second_d = moments(direct)
+    mean_c, second_c = moments(compiled)
+    isotropic = np.eye(3) / 3.0
+    return {
+        "direct_mean_max": float(np.abs(mean_d).max()),
+        "direct_second_max": float(np.abs(second_d - isotropic).max()),
+        "compiled_mean_max": float(np.abs(mean_c).max()),
+        "compiled_second_max": float(np.abs(second_c - isotropic).max()),
+        "cross_mean_max": float(np.abs(mean_d - mean_c).max()),
+        "cross_second_max": float(np.abs(second_d - second_c).max()),
+    }

@@ -666,8 +666,9 @@ def test_lattice_soundness_exact_pinned_at_zero_eps(d, L, predicate, expected):
 def test_soundness_builds_no_point_table(run):
     params = lattice.make_params(3, 8)
     run(params)
-    assert "_order" in vars(params.basis)
-    assert "_points" not in vars(params.basis)
+    assert set(vars(params.basis)) == {
+        "d", "L", "angles", "min_gap", "_order", "_angles", "_cos", "_sin", "_mu",
+    }
 
 
 def test_lattice_soundness_exact_memory_bound():

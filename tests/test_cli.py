@@ -639,6 +639,45 @@ d\tL\teps_meas\tsoundness\tconcealing_exact\tconcealing_bound\tbinding_flip_stri
 4\t9\t7.861606152724054e-07\t1.0\t0.22242224262382826\t0.7202376886824671\t0.125\t0.25
 """
 
+GOLDEN_TWIRL_HAAR = """\
+# framebc twirl equivalence report
+schema = 1
+[config]
+group = haar
+samples = 100000
+seed = 42
+[results]
+method = moment-test
+compiled_mean_max = 0.0036004333373069243
+compiled_second_max = 0.0016357631800268946
+cross_mean_max = 0.003151684481406481
+cross_second_max = 0.001616671212968316
+direct_mean_max = 0.0012020409386054557
+direct_second_max = 0.001166231668178419
+threshold = 0.02
+verdict = pass
+"""
+
+# 12345 samples: one full Haar chunk and a partial one
+GOLDEN_TWIRL_HAAR_12345 = """\
+# framebc twirl equivalence report
+schema = 1
+[config]
+group = haar
+samples = 12345
+seed = 7
+[results]
+method = moment-test
+compiled_mean_max = 0.01122595854279045
+compiled_second_max = 0.005994372120527125
+cross_mean_max = 0.013050658780549713
+cross_second_max = 0.009382557344271281
+direct_mean_max = 0.010539210689499251
+direct_second_max = 0.0033881852237441557
+threshold = 0.02
+verdict = pass
+"""
+
 SIM_2000 = ("--trials", "2000", "--seed", "7")
 
 
@@ -646,6 +685,10 @@ SIM_2000 = ("--trials", "2000", "--seed", "7")
     "argv, code, golden",
     [
         (("twirl-check", "--group", "z8"), 0, GOLDEN_TWIRL_Z8),
+        (("twirl-check", "--group", "haar", "--samples", "100000", "--seed", "42"), 0,
+         GOLDEN_TWIRL_HAAR),
+        (("twirl-check", "--group", "haar", "--samples", "12345", "--seed", "7"), 0,
+         GOLDEN_TWIRL_HAAR_12345),
         (("mingap", "--d", "3", "--L", "8"), 0, GOLDEN_MINGAP),
         (("mingap", "--d", "3", "--L", "8", "--eps", "0.0001"), 0, GOLDEN_MINGAP_EPS_PASS),
         (("mingap", "--d", "3", "--L", "8", "--eps", "0.001"), 3, GOLDEN_MINGAP_EPS_FAIL),
@@ -665,7 +708,7 @@ SIM_2000 = ("--trials", "2000", "--seed", "7")
         (("sweep", "--protocol", "lattice", "--d-values", "1,2,3,4", "--L-values", "2,3,5,9"), 0,
          GOLDEN_SWEEP_LATTICE_D4_L9),
     ],
-    ids=["twirl-z8", "mingap", "mingap-eps-pass", "mingap-eps-fail",
+    ids=["twirl-z8", "twirl-haar", "twirl-haar-12345", "mingap", "mingap-eps-pass", "mingap-eps-fail",
          "analyze-lattice", "analyze-four-symbol", "analyze-continuous",
          "simulate-lattice", "simulate-four-symbol", "simulate-continuous",
          "sweep-lattice", "sweep-continuous",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from framebc import engine, lattice, simple, so3
+from oracles import haar_twirl_moments_one_shot
 
 
 class EchoAlice(engine.Party):
@@ -224,6 +226,29 @@ def test_one_sided_twirl_randomizes_alice():
 def test_haar_twirl_moment_deltas():
     deltas = engine.haar_twirl_moments(100_000, seed=42)
     assert all(v < 0.02 for v in deltas.values())
+
+
+@pytest.mark.parametrize(
+    "samples", [1, engine.HAAR_CHUNK - 1, engine.HAAR_CHUNK, engine.HAAR_CHUNK + 1, 100_000]
+)
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_haar_twirl_moments_match_one_draw_per_block(samples, seed):
+    # chunked draws, first columns and Bob's frames applied to Alice's image
+    # of +x change no bit
+    assert engine.haar_twirl_moments(samples, seed) == haar_twirl_moments_one_shot(samples, seed)
+
+
+def test_haar_twirl_moments_memory_bound():
+    # drawing each block whole peaks at about 25 MiB traced; the streamed
+    # draws hold three (n, 3) images of +x (6.9 MiB) plus one chunk's
+    # temporaries
+    tracemalloc.start()
+    try:
+        engine.haar_twirl_moments(100_000, seed=42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25.9 / 2 * 2**20
 
 
 def test_twirl_compiled_sessions_sample_the_group_channel_law():

@@ -96,6 +96,11 @@ def test_codebook_angles_match_single_product(d, L):
     assert np.array_equal(chunked.view(np.int64), (points @ angles).view(np.int64))
 
 
+BASIS_FIELDS = {"d", "L", "angles", "min_gap"}
+# every table a decode builds: no point table is among them
+BASIS_TABLES = {"_order", "_angles", "_cos", "_sin"}
+
+
 # sizes on both sides of the uint8/uint16 switch of the certification grid,
 # and codebooks of several angle chunks
 @pytest.mark.parametrize(
@@ -113,15 +118,42 @@ def test_decode_tables_match_int64_reference(d, L):
     reference = alphas[order]
     assert np.array_equal(params.basis._angles.view(np.int64), reference.view(np.int64))
     assert np.array_equal(params.basis._order, order)
-    assert params.basis._points.dtype == np.int64
-    assert np.array_equal(params.basis._points, points[order])
     assert np.array_equal(params.basis._cos.view(np.int64), np.cos(reference).view(np.int64))
     assert np.array_equal(params.basis._sin.view(np.int64), np.sin(reference).view(np.int64))
+    assert set(vars(params.basis)) == BASIS_FIELDS | BASIS_TABLES
+
+
+# d = 1, the uint8/uint16 boundary, several angle chunks and 10^6 codewords
+@pytest.mark.parametrize("d,L", [(1, 2), (2, 5), (3, 8), (1, 254), (4, 16), (6, 8)])
+def test_decoded_points_are_int64_codebook_rows(d, L):
+    # decoding the k-th sorted codeword gives codebook_points(d, L)[_order[k]]
+    params = lattice.make_params(d, L)
+    basis = params.basis
+    n = lattice.codebook_size(d, L)
+    positions = np.unique(
+        np.concatenate([[0, 1, n - 2, n - 1], np.random.default_rng(d * L).integers(n, size=3000)])
+    )
+    xyz = np.column_stack([basis._cos[positions], basis._sin[positions], np.zeros(len(positions))])
+    expected = lattice.codebook_points(d, L)[basis._order[positions]]
+    decoded, ok = lattice.decode_batch(params, xyz)
+    assert ok.all()
+    assert decoded.dtype == np.int64
+    assert np.array_equal(decoded, expected)
+    for received, point in zip(xyz[:500], expected):
+        single = lattice.decode_commit(params, received)
+        assert single.dtype == np.int64
+        assert np.array_equal(single, point)
+
+
+def test_session_at_d6_l8_builds_only_the_decode_tables_and_channel():
+    params = lattice.make_params(6, 8)
+    spec = lattice.lattice_protocol(params, 1)
+    assert engine.run_session(spec, np.random.default_rng(5)).outcome == engine.Accepted(1)
+    assert set(vars(params.basis)) == BASIS_FIELDS | BASIS_TABLES | {"_mu"}
 
 
 def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
     params = lattice.make_params(3, 8)
-    tables = ("_order", "_angles", "_points", "_cos", "_sin")
     # work that never decodes builds no table, not even the sorted angles
     analysis.binding_search(params, "strict")
     analysis.binding_sum_max(params, "lenient")
@@ -130,11 +162,11 @@ def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
         # lattice_report's binding scans, without its decoding soundness enumeration
         patch.setattr(analysis, "lattice_soundness_exact", lambda p, budget: Fraction(1))
         analysis.lattice_report(params)
-    assert not set(tables) & set(vars(params.basis))
+    assert not BASIS_TABLES & set(vars(params.basis))
     decoded = lattice.decode_commit(params, lattice.encode(params, (1, 2, 3)))
     assert tuple(decoded) == (1, 2, 3)
-    assert set(tables) <= set(vars(params.basis))
-    built = {name: getattr(params.basis, name) for name in tables}
+    assert set(vars(params.basis)) - BASIS_FIELDS - {"_mu"} == BASIS_TABLES
+    built = {name: getattr(params.basis, name) for name in BASIS_TABLES}
     other = lattice.LatticeParams(params.basis, eps_meas=0.0, predicate="strict")
     lattice.decode_batch(other, lattice.encode_batch(other, [(1, 2, 3), (0, 0, 1)]))
     for name, table in built.items():
@@ -280,13 +312,25 @@ def test_commit_parity_always_matches(d, L, b, seed):
 
 
 def test_commit_draws_as_honest_points():
-    # a session's commit and the Monte Carlo estimator share one sampler and one stream
-    params = lattice.make_params(2, 4)
-    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-    for b in (0, 1, 1, 0, 1):
-        a, payload = lattice.commit(params, b, rng)
-        assert np.array_equal(a, lattice.honest_points(params, np.array([b]), replay)[0])
-        assert np.array_equal(payload, lattice.encode(params, a))
+    # a session's commit and the Monte Carlo estimator share one sampler and
+    # one stream: a commit redraws a (1, d) row until its parity is b
+    for d, L in ((2, 4), (2, 3), (3, 5), (6, 8)):
+        params = lattice.make_params(d, L)
+        rng, replay, oracle = (np.random.default_rng(11) for _ in range(3))
+
+        def row_by_rejection(b):
+            row = oracle.integers(L, size=(1, d))
+            while row.sum() % 2 != b:
+                row = oracle.integers(L, size=(1, d))
+            return row[0]
+
+        for b in [0, 1, 1, 0, 1] * 8:
+            a, payload = lattice.commit(params, b, rng)
+            assert a.dtype == np.int64 and a.shape == (d,)
+            assert np.array_equal(a, lattice.honest_points(params, np.array([b]), replay)[0])
+            assert np.array_equal(a, row_by_rejection(b))
+            assert np.array_equal(payload, lattice.encode(params, a))
+        assert rng.integers(2**62) == replay.integers(2**62) == oracle.integers(2**62)
 
 
 def test_channel_support_lists_the_sampled_rotations(params_d3_l8):
