@@ -41,11 +41,14 @@ print("== but Alice can flip with probability 1/2 ==")
 flip, (commit_symbol, reveal) = analysis.four_symbol_flip_cheat()
 print(f"best flip: commit symbol {commit_symbol}, reveal (a={reveal.a}, b={reveal.b})"
       f" -> success {flip}")
+cheat_script = engine.commit_reveal_script(
+    simple.symbol_vector(commit_symbol), reveal.b, reveal.a
+)
 wins = 0
 n = 20_000
 for _ in range(n):
     spec = simple.four_symbol_protocol(simple.FourSymbolCodeword(0, 0))
-    cheat = simple.CheatingFourSymbolAlice(commit_symbol, reveal)
+    cheat = engine.ScriptedParty(engine.ALICE, cheat_script)
     t = engine.run_session(spec, rng, alice=cheat)
     wins += isinstance(t.outcome, engine.Accepted)
 print(f"simulated flip success: {wins}/{n} = {wins/n:.4f}")

@@ -507,16 +507,11 @@ def CheatingLatticeAlice(
     )
 
 
-def lattice_protocol(
-    params: LatticeParams, b: int, fixed_a=None
-) -> engine.ProtocolSpec:
-    """Commit/reveal session spec; the honest point is drawn per session unless fixed."""
+def lattice_protocol(params: LatticeParams, b: int) -> engine.ProtocolSpec:
+    """Commit/reveal session spec; the honest point is drawn per session."""
 
     def honest_script(rng):
-        if fixed_a is None:
-            a, payload = commit(params, b, rng)
-        else:
-            a, payload = fixed_a, encode(params, fixed_a)
+        a, payload = commit(params, b, rng)
         return engine.commit_reveal_script(payload, b, tuple(map(operator.index, a)))
 
     return engine.commit_reveal_protocol(

@@ -152,16 +152,6 @@ def four_symbol_received_distribution(b: int) -> dict[int, Fraction]:
     return dist
 
 
-def CheatingFourSymbolAlice(
-    commit_symbol: int, reveal: FourSymbolCodeword
-) -> engine.ScriptedParty:
-    """Commits one symbol, reveals an arbitrary codeword."""
-    return engine.ScriptedParty(
-        engine.ALICE,
-        engine.commit_reveal_script(symbol_vector(commit_symbol), reveal.b, reveal.a),
-    )
-
-
 def four_symbol_protocol(codeword: FourSymbolCodeword) -> engine.ProtocolSpec:
     return engine.commit_reveal_protocol(
         four_symbol_mu(),
@@ -263,16 +253,6 @@ def quadrant_indicator_distribution(b: int) -> dict[tuple[int, ...], Fraction]:
         indicator = tuple(1 if k in (q, (q - 1) % 4) else 0 for k in range(4))
         dist[indicator] = dist.get(indicator, Fraction(0)) + mass
     return dist
-
-
-def InterpolatingAlice(
-    strategy: InterpolationStrategy, reveal_b: int, reveal_a: int = 0
-) -> engine.ScriptedParty:
-    """Sends the interpolated vector, then reveals a fixed codeword."""
-    return engine.ScriptedParty(
-        engine.ALICE,
-        engine.commit_reveal_script(planar_unit(strategy.angle), reveal_b, reveal_a),
-    )
 
 
 def continuous_protocol(a: int, b: int) -> engine.ProtocolSpec:

@@ -107,20 +107,13 @@ def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_rotation(rng: np.random.Generator) -> np.ndarray:
-    """One rotation distributed by the Haar measure on SO(3).
-
-    Sampled as a normalized 4-dimensional Gaussian quaternion, which is
-    exactly uniform on the unit 3-sphere and hence Haar after the two-to-one
-    quotient onto SO(3).
-    """
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    return _quaternions_to_matrices(q)
-
-
 def haar_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar rotations as an (n, 3, 3) stack."""
+    """n rotations distributed by the Haar measure on SO(3), as an (n, 3, 3) stack.
+
+    Each is sampled as a normalized 4-dimensional Gaussian quaternion, which
+    is exactly uniform on the unit 3-sphere and hence Haar after the
+    two-to-one quotient onto SO(3).
+    """
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     return _quaternions_to_matrices(q)
@@ -222,7 +215,7 @@ def sample(mu: MisalignmentDistribution, rng: np.random.Generator) -> np.ndarray
     other distribution returns a fresh array.
     """
     if isinstance(mu, HaarSO3):
-        return haar_rotation(rng)
+        return haar_rotations(1, rng)[0]
     if isinstance(mu, CyclicZ):
         k = int(rng.integers(mu.n))
         return rot_z(TAU * k / mu.n)

@@ -871,11 +871,14 @@ def test_wilson_interval_sanity():
 def test_reports_are_deterministic():
     params_a = lattice.make_params(3, 8)
     params_b = lattice.make_params(3, 8)
-    text_a = analysis.lattice_report(params_a, mode="both", trials=500, seed=7).to_text()
-    text_b = analysis.lattice_report(params_b, mode="both", trials=500, seed=7).to_text()
-    assert text_a == text_b
-    assert "binding_flip_lenient.exact = 1/3" in text_a
-    assert "seed = 7" in text_a
+    for mode, expected in [
+        ("exact", "binding_flip_lenient.exact = 1/3"),
+        ("monte-carlo", "seed = 7"),
+    ]:
+        text_a = analysis.lattice_report(params_a, mode=mode, trials=500, seed=7).to_text()
+        text_b = analysis.lattice_report(params_b, mode=mode, trials=500, seed=7).to_text()
+        assert text_a == text_b
+        assert expected in text_a
 
 
 def test_report_flags_predicate_discrepancy():

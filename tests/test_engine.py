@@ -108,7 +108,7 @@ def test_session_applies_one_rotation_to_all_vectors():
         make_bob=SilentBob,
     )
     rng = np.random.default_rng(3)
-    rotation = so3.haar_rotation(rng)
+    rotation = so3.sample(so3.HaarSO3(), rng)
     t = engine.run_session(spec, rng, rotation=rotation)
     assert len(t.alice_view) == len(t.bob_view) == 2
     for sent, got in zip(t.alice_view, t.bob_view):
@@ -119,7 +119,7 @@ def test_reverse_direction_uses_inverse_rotation():
     v = so3.unit3(0.3, -0.5, 0.81)
     spec = echo_protocol(so3.HaarSO3(), v)
     rng = np.random.default_rng(4)
-    rotation = so3.haar_rotation(rng)
+    rotation = so3.sample(so3.HaarSO3(), rng)
     alice, bob = spec.make_alice(), spec.make_bob()
     t = engine.run_session(spec, rng, rotation=rotation, alice=alice, bob=bob)
     # bob's reply as he sent it, versus what alice saw: off by rotation^-1
@@ -130,11 +130,12 @@ def test_reverse_direction_uses_inverse_rotation():
 
 def test_classical_payloads_pass_unrotated():
     params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 1, fixed_a=(0, 1))
+    spec = lattice.lattice_protocol(params, 1)
     t = engine.run_session(spec, np.random.default_rng(5))
     alice_data = [m for m in t.alice_view if not m.is_vec()][0]
     bob_data = [m for m in t.bob_view if not m.is_vec()][0]
-    assert alice_data.payload == bob_data.payload == (1, (0, 1))
+    assert alice_data.payload == bob_data.payload
+    assert alice_data.payload[0] == 1 and len(alice_data.payload[1]) == 2
 
 
 def test_strategy_exception_propagates():
@@ -284,7 +285,7 @@ def test_twirl_compiled_sessions_sample_the_group_channel_law():
 # --- shared commit/reveal decider ------------------------------------------------
 
 COMMIT_REVEAL_SPECS = {
-    "lattice": lambda: lattice.lattice_protocol(lattice.make_params(2, 4), 0, fixed_a=(2, 2)),
+    "lattice": lambda: lattice.lattice_protocol(lattice.make_params(2, 4), 0),
     "four-symbol": lambda: simple.four_symbol_protocol(simple.FourSymbolCodeword(0, 0)),
     "continuous": lambda: simple.continuous_protocol(0, 0),
 }
@@ -366,7 +367,7 @@ def test_honest_decoder_bug_raises(monkeypatch, scheme):
 def test_lattice_reveal_value_must_be_integers(a):
     # the point is validated, never truncated: (2.9, 2, 2) is not the honest (2, 2, 2)
     params = lattice.make_params(3, 8)
-    spec = lattice.lattice_protocol(params, 0, fixed_a=(2, 2, 2))
+    spec = lattice.lattice_protocol(params, 0)
     commit_vector = lattice.encode(params, (2, 2, 2))
     for reveal, outcome in [
         ((0, a), engine.Aborted("malformed-reveal")),
@@ -382,7 +383,13 @@ def test_lattice_reveal_value_must_be_integers(a):
 # --- one budgeted session enumerator ---------------------------------------------
 
 def _lattice_spec():
-    return lattice.lattice_protocol(lattice.make_params(2, 4), 1, fixed_a=(0, 1))
+    # exact laws need an Alice that draws nothing: the honest messages for (0, 1)
+    params = lattice.make_params(2, 4)
+    script = engine.commit_reveal_script(lattice.encode(params, (0, 1)), 1, (0, 1))
+    return dataclasses.replace(
+        lattice.lattice_protocol(params, 1),
+        make_alice=lambda: engine.ScriptedParty(engine.ALICE, script),
+    )
 
 
 # (name, law(spec, budget), spec factory, session count)

@@ -719,13 +719,6 @@ def test_honest_session_encodes_its_point_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_honest_script_never_truncates_fixed_point():
-    params = lattice.make_params(2, 4)
-    spec = lattice.lattice_protocol(params, 1, fixed_a=(0.9, 1))
-    with pytest.raises(TypeError):
-        engine.run_session(spec, np.random.default_rng(0))
-
-
 def test_cheating_reveal_is_judged_not_truncated():
     # from the commit (0, 0), the reveal (1, (0, 1)) passes the lenient test
     # after the noise e_2 or 2e_2; (0.9, 1.9) is malformed, never read as (0, 1)

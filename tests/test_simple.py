@@ -228,10 +228,11 @@ def test_interpolating_alice_through_engine():
     rng = np.random.default_rng(8)
     spec = simple.continuous_protocol(0, 0)
     strategy = simple.InterpolationStrategy(0.5)
+    script = engine.commit_reveal_script(planar_unit(strategy.angle), 1, 0)
     n = 4000
     wins = sum(
         engine.run_session(
-            spec, rng, alice=simple.InterpolatingAlice(strategy, reveal_b=1)
+            spec, rng, alice=engine.ScriptedParty(engine.ALICE, script)
         ).outcome
         == engine.Accepted(1)
         for _ in range(n)

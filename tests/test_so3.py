@@ -34,7 +34,7 @@ def test_rotation_inverse_composition():
 
 def test_rotation_matrix_invariants():
     rng = np.random.default_rng(1)
-    mats = [so3.rot_z(0.7), so3.haar_rotation(rng), so3.haar_rotation(rng)]
+    mats = [so3.rot_z(0.7), *so3.haar_rotations(2, rng)]
     for m in mats:
         assert np.abs(m @ m.T - np.eye(3)).max() <= TOL
         assert abs(np.linalg.det(m) - 1.0) <= TOL
@@ -45,7 +45,7 @@ def test_rotation_matrix_invariants():
 def test_rotation_preserves_norm():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        rotation = so3.haar_rotation(rng)
+        rotation = so3.sample(so3.HaarSO3(), rng)
         v = so3.unit3(*rng.normal(size=3))
         assert abs(np.linalg.norm(rotation @ v) - 1.0) <= TOL
 
@@ -56,7 +56,7 @@ def test_rotation_preserves_dot_products(seed):
     rng = np.random.default_rng(seed)
     u = so3.unit3(*rng.normal(size=3))
     v = so3.unit3(*rng.normal(size=3))
-    rotation = so3.haar_rotation(rng)
+    rotation = so3.sample(so3.HaarSO3(), rng)
     assert abs((rotation @ u) @ (rotation @ v) - u @ v) <= TOL
 
 
