@@ -17,22 +17,23 @@ unless the induced Euclidean separation 2*sin(min_gap/2) exceeds
 2*eps_meas, which is exactly the condition for the tolerance ball around a
 received vector to contain at most one codeword.
 
-The certified basis owns all derived state.  Certification computes the
-codebook angles a bounded chunk at a time (`codebook_angles`), sorts them
-in place to read min_gap and keeps no table.  The first decode computes
-them once more and keeps the permutation that sorts them (`_order`, the
-lexicographic index of each sorted codeword) and the sorted angles; the
-cosine and sine tables follow on that decode and the channel on its first
-use, all cached on the basis.  No point table exists: a decoded point is
-its codeword's lexicographic index, unravelled.  A parameter set is a
-plain validated record over the basis, so every parameter set over one
-basis shares one copy of each, and work that never decodes (binding,
-concealing) never pays for the tables.
+The certified basis owns all derived state.  Certification keeps no table: a
+meet-in-the-middle search names the few pair differences k that can attain
+min_gap, re-scored over their pairs a chunk at a time (`build_angle_basis`).
+The first decode computes the codebook angles (`codebook_angles`) and keeps
+the permutation that sorts them (`_order`, the lexicographic index of each
+sorted codeword) and the sorted angles; the cosine and sine tables follow
+on that decode and the channel on its first use, all cached on the basis.
+No point table exists: a decoded point is its codeword's lexicographic
+index, unravelled.  A parameter set is a plain validated record over the
+basis, so every parameter set over one basis shares one copy of each, and
+work that never decodes (binding, concealing) never pays for the tables.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -63,12 +64,11 @@ class AngleBasis:
     angles[i] is sqrt(p_i), p_i the i-th prime, times one common factor
     chosen so sum_i (L+1)*angles[i] = pi/2, which keeps every codebook angle
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
-    angular distance between distinct codebook angles, certified by sorting
-    the full codebook at construction.  The basis holds no table after
-    certification and is the only owner of derived state: the permutation
-    that sorts the codebook (`_order`) and the sorted angles (`_angles`),
-    the decoder's cosines and sines, and the channel `_mu` are built on
-    first use and then cached here.
+    angular distance between distinct codebook angles, certified at
+    construction with no table.  The basis is the only owner of derived
+    state: the permutation that sorts the codebook (`_order`) and the
+    sorted angles (`_angles`), the decoder's cosines and sines, and the
+    channel `_mu` are built on first use and then cached here.
     """
 
     d: int
@@ -125,36 +125,73 @@ def codebook_size(d: int, L: int) -> int:
     return (L + 2) ** d
 
 
-def codebook_points(d: int, L: int, dtype=int) -> np.ndarray:
-    """All decodable lattice points {0..L+1}^d as an (N, d) integer array."""
-    # same lexicographic order as itertools.product(range(L + 2), repeat=d)
-    return np.ascontiguousarray(np.indices((L + 2,) * d, dtype=dtype).reshape(d, -1).T)
-
-
-#: codebook rows per angle product; bounds certification's temporaries
+#: rows per angle product; bounds the temporaries of every pass over codebook points
 ANGLE_CHUNK = 1 << 16
 
 
-def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
-    """`codebook_points(d, L) @ angles` as float64, computed a chunk at a time.
+def _box_chunks(lo, hi, rows: int = ANGLE_CHUNK):
+    """The points lo <= a < hi in lexicographic order, as rewrites of one float64 buffer.
 
     Each chunk fixes the leading coordinates and holds the grid of the
-    trailing ones, at most ANGLE_CHUNK rows (or L+2 when one coordinate
-    alone exceeds it), in the smallest integer dtype holding L+1.  matmul
-    casts a chunk to float64 and computes each row on its own, so every
-    angle is the same float64 product as from one int64 grid.
+    trailing ones: at most `rows` rows, or one coordinate's range if larger.
     """
-    base = L + 2
-    tail = 1
-    while tail < d and base ** (tail + 1) <= ANGLE_CHUNK:
-        tail += 1
-    chunk = np.empty((base**tail, d), dtype=np.min_scalar_type(L + 1))
-    chunk[:, d - tail:] = codebook_points(tail, L, chunk.dtype)
+    d, lead = len(lo), 0
+    while lead < d - 1 and math.prod(hi[j] - lo[j] for j in range(lead, d)) > rows:
+        lead += 1
+    grid = np.empty([hi[j] - lo[j] for j in range(lead, d)] + [d])
+    for j in range(lead, d):  # coordinate j runs along grid axis j - lead
+        grid[..., j] = np.arange(lo[j], hi[j]).reshape((-1,) + (1,) * (d - 1 - j))
+    chunk = grid.reshape(math.prod(grid.shape[:-1]), d)
+    for prefix in itertools.product(*map(range, lo[:lead], hi[:lead])):
+        chunk[:, :lead] = prefix
+        yield chunk
+
+
+def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
+    """The (L+2)^d codebook angles in lexicographic order, one `_box_chunks` chunk at a time.
+
+    matmul computes each row of a product of two or more rows on its own,
+    so every angle is the same float64 product as from one int64 grid, or
+    from any other two or more rows holding that point.
+    """
     out = np.empty(codebook_size(d, L))
-    for k, prefix in enumerate(np.ndindex((base,) * (d - tail))):
-        chunk[:, :d - tail] = prefix
+    for k, chunk in enumerate(_box_chunks((0,) * d, (L + 2,) * d)):
         np.matmul(chunk, angles, out=out[k * len(chunk):(k + 1) * len(chunk)])
     return out
+
+
+def _gap_candidates(d: int, L: int, angles: np.ndarray) -> tuple[float, float, list]:
+    """Estimate min |k . angles| over k != 0 in {-(L+1)..L+1}^d by meet in the middle.
+
+    Returns e_min, a margin and every k (one of each +-k) with e(k) =
+    |fl(q + r)| <= e_min + margin, q summing k's leading d - d//2 terms and r
+    the rest.  With u = 2^-53 and S = (L+1) * sum(angles) < 2, a pair gap lies
+    within (2d + 1) u S of |k . angles| and e(k) within (d + 1) u S, to first
+    order, so min_gap lies within (3d + 2) u S of e_min and a k attaining it
+    has e(k) <= e_min + (6d + 4) u S; (6d + 8) 2u also covers the window.
+    """
+    span, n = L + 1, d - d // 2
+    lo, hi = (0,) + (-span,) * (d - 1), (span + 1,) * d
+    head = ((2 * span + 1) ** (n - 1) + 1) // 2  # the zero query's successor: first q kept
+    queries, sums = (np.concatenate([c @ angles[part] for c in _box_chunks(lo[part], hi[part])])
+                     for part in (slice(n), slice(n, d)))
+    queries = queries[head:]
+    order = np.argsort(sums)
+    ranked = np.concatenate([[-math.inf], sums[order], [math.inf]])  # two neighbours for every q
+    i = np.searchsorted(ranked, -queries)
+    nearest = np.minimum(np.abs(queries + ranked[i]), np.abs(queries + ranked[i - 1]))
+    rest = np.abs(sums[len(sums) // 2 + 1:])  # q = 0: the lexicographically positive r
+    estimate = float(min(nearest.min(), rest.min(initial=math.inf)))
+    margin = (6 * d + 8) * 2.0**-52
+    window = estimate + margin
+    hot = np.flatnonzero(nearest <= window)
+    # the margin's slack exceeds an ulp of either window end, so no needed r lies on one
+    first, stop = np.searchsorted(ranked, np.add.outer((-window, window), -queries[hot])).tolist()
+    flat = [(head + q) * len(sums) + order[j - 1] for q, a, b in zip(hot.tolist(), first, stop)
+            for j in range(a, b)]
+    flat += [head * len(sums) - len(sums) // 2 + j for j in np.flatnonzero(rest <= window)]
+    shape = (span + 1,) + (2 * span + 1,) * (d - 1)
+    return estimate, margin, (np.column_stack(np.unravel_index(flat, shape)) + lo).tolist()
 
 
 def _check_size(d: int, L: int) -> None:
@@ -167,10 +204,11 @@ def _check_size(d: int, L: int) -> None:
 def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> AngleBasis:
     """Construct and certify the angle basis for a (d, L) codebook.
 
-    The certificate computes all (L+2)^d codebook angles with
-    `codebook_angles`, sorts them in place, reads min_gap and drops the
-    table; the decode tables wait for the first decode.  Fails with
-    BudgetExceededError when the codebook is too large to certify.
+    min_gap is the least fl(alpha(a+k) - alpha(a)) over codeword pairs, which
+    equals the sorted codebook's least neighbour gap because float
+    subtraction rounds monotonically; each k `_gap_candidates` names is
+    re-scored over all its pairs.  Fails with BudgetExceededError when the
+    codebook, which the first decode tabulates, exceeds the budget.
     """
     _check_size(d, L)
     n_points = codebook_size(d, L)
@@ -181,14 +219,14 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
         )
     roots = np.sqrt(np.array(first_primes(d), dtype=float))
     angles = (math.pi / 2.0) / ((L + 1) * float(roots.sum())) * roots
-    alphas = codebook_angles(d, L, angles)
-    alphas.sort()
-    # neighbouring gaps a chunk at a time, so no temporary spans the table;
-    # a codebook holds at least (2+2)^1 angles
-    min_gap = min(
-        float(np.diff(alphas[i:i + ANGLE_CHUNK + 1]).min())
-        for i in range(0, len(alphas) - 1, ANGLE_CHUNK)
-    )
+    min_gap = math.inf
+    for k in _gap_candidates(d, L, angles)[2]:
+        box = [max(-x, 0) for x in k], [min(L + 2 - x, L + 2) for x in k]
+        # both ends of a pair in one product of two or more rows, as in
+        # codebook_angles; a quarter chunk keeps the stack within one chunk
+        for chunk in _box_chunks(*box, ANGLE_CHUNK // 4):
+            pair = np.concatenate([chunk, chunk + k]) @ angles
+            min_gap = min(min_gap, float(np.abs(pair[len(chunk):] - pair[:len(chunk)]).min()))
     if min_gap <= 0.0:
         raise ValueError("degenerate basis: duplicate codebook angles")
     return AngleBasis(d=d, L=L, angles=tuple(float(a) for a in angles), min_gap=min_gap)

@@ -8,6 +8,26 @@ import numpy as np
 from framebc import lattice, so3
 
 
+def codebook_points(d: int, L: int) -> np.ndarray:
+    """All decodable lattice points {0..L+1}^d as an (N, d) int64 array, in
+    the lexicographic order of itertools.product(range(L + 2), repeat=d)."""
+    return np.ascontiguousarray(np.indices((L + 2,) * d).reshape(d, -1).T)
+
+
+def sorted_min_gap(d: int, L: int, angles) -> float:
+    """The sorted-table certificate: the least neighbour gap of all codebook angles.
+
+    Computes every (L+2)^d angle with `lattice.codebook_angles`, sorts them
+    in place and takes the least `np.diff` an angle chunk at a time.
+    """
+    alphas = lattice.codebook_angles(d, L, np.asarray(angles))
+    alphas.sort()
+    return min(
+        float(np.diff(alphas[i:i + lattice.ANGLE_CHUNK + 1]).min())
+        for i in range(0, len(alphas) - 1, lattice.ANGLE_CHUNK)
+    )
+
+
 def parity_class(d: int, L: int, b: int):
     """Iterate the points of {0..L-1}^d with parity b."""
     for point in itertools.product(range(L), repeat=d):

@@ -176,6 +176,15 @@ def test_mingap_budget_exceeded(capsys):
     assert "budget exceeded" in err
 
 
+def test_mingap_codebook_past_default_budget_exits_two(capsys, monkeypatch):
+    # (8, 8) certifies without a table, but its decode table would hold 10^8 angles
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    assert run_cli(capsys, "mingap", "--d", "8", "--L", "8") == (
+        2, "", "framebc: budget exceeded: codebook too large to certify: (L+2)^d = 100000000 "
+        "exceeds the enumeration budget 10000000\n",
+    )
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "10")
     code, _, err = run_cli(capsys, "mingap", "--d", "2", "--L", "4")
@@ -678,6 +687,22 @@ threshold = 0.02
 verdict = pass
 """
 
+# the largest codebook certified within the default budget
+GOLDEN_MINGAP_D7_L8 = """\
+# framebc codebook certification report
+schema = 1
+[config]
+d = 7
+L = 8
+budget = 10000000
+[results]
+codebook_points = 10000000
+min_gap = 1.603763788438073e-10
+separation = 1.603763788438073e-10
+max_safe_eps = 8.018818942190364e-11
+verdict = pass
+"""
+
 SIM_2000 = ("--trials", "2000", "--seed", "7")
 
 
@@ -692,6 +717,7 @@ SIM_2000 = ("--trials", "2000", "--seed", "7")
         (("mingap", "--d", "3", "--L", "8"), 0, GOLDEN_MINGAP),
         (("mingap", "--d", "3", "--L", "8", "--eps", "0.0001"), 0, GOLDEN_MINGAP_EPS_PASS),
         (("mingap", "--d", "3", "--L", "8", "--eps", "0.001"), 3, GOLDEN_MINGAP_EPS_FAIL),
+        (("mingap", "--d", "7", "--L", "8"), 0, GOLDEN_MINGAP_D7_L8),
         (("analyze", "--protocol", "lattice", "--d", "3", "--L", "8"), 0, GOLDEN_ANALYZE_LATTICE),
         (("analyze", "--protocol", "four-symbol"), 0, GOLDEN_ANALYZE_FOUR_SYMBOL),
         (("analyze", "--protocol", "continuous"), 0, GOLDEN_ANALYZE_CONTINUOUS),
@@ -709,6 +735,7 @@ SIM_2000 = ("--trials", "2000", "--seed", "7")
          GOLDEN_SWEEP_LATTICE_D4_L9),
     ],
     ids=["twirl-z8", "twirl-haar", "twirl-haar-12345", "mingap", "mingap-eps-pass", "mingap-eps-fail",
+         "mingap-d7-L8",
          "analyze-lattice", "analyze-four-symbol", "analyze-continuous",
          "simulate-lattice", "simulate-four-symbol", "simulate-continuous",
          "sweep-lattice", "sweep-continuous",

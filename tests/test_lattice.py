@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framebc import analysis, engine, lattice, so3
-from oracles import parity_class
+from oracles import codebook_points, parity_class, sorted_min_gap
 
 TOL = 1e-9
 
@@ -42,7 +43,7 @@ def test_basis_d1_l2_closed_form():
 def test_min_gap_matches_pairwise_oracle(params_d2_l4):
     # oracle: exhaustive O(N^2) pairwise minimum over the full codebook
     basis = params_d2_l4.basis
-    points = lattice.codebook_points(2, 4)
+    points = codebook_points(2, 4)
     assert len(points) == 36
     alphas = points @ np.asarray(basis.angles)
     pairwise = min(
@@ -90,7 +91,7 @@ def test_codebook_angles_match_single_product(d, L):
     # the chunked products equal one int64 grid @ angles product, bit for bit
     assert 9**5 < lattice.ANGLE_CHUNK < min(7**6, 70000 + 2)
     angles = np.asarray(lattice.build_angle_basis(d, L).angles)
-    points = lattice.codebook_points(d, L)
+    points = codebook_points(d, L)
     assert points.dtype == np.int64
     chunked = lattice.codebook_angles(d, L, angles)
     assert np.array_equal(chunked.view(np.int64), (points @ angles).view(np.int64))
@@ -111,7 +112,7 @@ BASIS_TABLES = {"_order", "_angles", "_cos", "_sin"}
 def test_decode_tables_match_int64_reference(d, L):
     # reference: the int64 codebook times the basis angles, sorted
     params = lattice.make_params(d, L)
-    points = lattice.codebook_points(d, L)
+    points = codebook_points(d, L)
     assert points.dtype == np.int64
     alphas = points @ np.asarray(params.angles)
     order = np.argsort(alphas)
@@ -134,7 +135,7 @@ def test_decoded_points_are_int64_codebook_rows(d, L):
         np.concatenate([[0, 1, n - 2, n - 1], np.random.default_rng(d * L).integers(n, size=3000)])
     )
     xyz = np.column_stack([basis._cos[positions], basis._sin[positions], np.zeros(len(positions))])
-    expected = lattice.codebook_points(d, L)[basis._order[positions]]
+    expected = codebook_points(d, L)[basis._order[positions]]
     decoded, ok = lattice.decode_batch(params, xyz)
     assert ok.all()
     assert decoded.dtype == np.int64
@@ -202,19 +203,74 @@ def test_lattice_mu_shared_by_params_over_one_basis():
 
 
 def test_make_params_holds_no_table():
-    # 10^6 codebook points: certification sorts 8e6 bytes of angles and
-    # drops them.  The peak leaves room for that table and chunk temporaries
-    # only: a second full-length array (argsort, np.diff) would pass 15 MiB,
-    # the (N, d) float64 grid 45
-    tracemalloc.start()
-    try:
-        params = lattice.make_params(6, 8)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert not {"_order", "_angles"} & set(vars(params.basis))
-    assert held < 2**20
-    assert peak < 12 * 2**20
+    # certification builds no codebook-sized array: the 8 MB angle table of
+    # the 10^6 codewords of (6, 8), or the 80 MB of the 10^7 of (7, 8), would
+    # break these peaks, which leave room for bounded chunks only
+    for d, L, peak_bound in ((6, 8, 6 * 2**20), (7, 8, 12 * 2**20)):
+        tracemalloc.start()
+        try:
+            params = lattice.make_params(d, L)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not {"_order", "_angles"} & set(vars(params.basis))
+        assert held < 2**20
+        assert peak < peak_bound
+
+
+# every d from 1 to 6 against L in {2, 3, 4, 5, 6, 8, 16} within the default
+# budget, one coordinate wider than an angle chunk, and larger L and d
+CERTIFIED_SIZES = [
+    (d, L) for d in range(1, 7) for L in (2, 3, 4, 5, 6, 8, 16)
+    if lattice.codebook_size(d, L) <= engine.DEFAULT_ENUM_BUDGET
+] + [(1, 70000), (2, 100), (3, 50), (4, 30), (7, 8)]
+
+
+@functools.cache
+def _sorted_min_gap(d, L):
+    return sorted_min_gap(d, L, lattice.build_angle_basis(d, L).angles)
+
+
+@pytest.mark.parametrize("d,L", CERTIFIED_SIZES)
+def test_min_gap_bit_identical_to_sorted_certificate(d, L):
+    min_gap = np.float64(lattice.build_angle_basis(d, L).min_gap)
+    assert min_gap.view(np.int64) == np.float64(_sorted_min_gap(d, L)).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "d,L,min_gap",
+    [(5, 16, 4.819926224808313e-08), (6, 8, 6.940039209979432e-09),
+     (7, 8, 1.603763788438073e-10), (1, 70000, 2.243962695946955e-05)],
+)
+def test_min_gap_pinned(d, L, min_gap):
+    # the values the sorted-table certificate gave
+    assert lattice.build_angle_basis(d, L).min_gap.hex() == min_gap.hex()
+
+
+@pytest.mark.parametrize("d,L", CERTIFIED_SIZES)
+def test_gap_margin_covers_half_sum_estimate(d, L):
+    """The certificate's margin against the observed estimate error.
+
+    With u = 2^-53, every codebook angle and half sum is a float64 dot
+    product of at most d terms |k_i| * angles[i] whose sum is at most
+    S = (L+1) * sum(angles) < 2 (it is pi/2 up to rounding), so it errs by
+    at most gamma_d * S, gamma_d = d u / (1 - d u), in any summation order,
+    with or without fma.  A pair gap fl(alpha(a+k) - alpha(a)) therefore
+    lies within E1 = 2 gamma_d S + u S of |k . angles| (two angles and the
+    subtraction), and the estimate e(k) = |fl(q + r)| within
+    E2 = gamma_d S + u S (two half sums and the addition).  The estimate
+    e_min is e(k0) for some k0, and min over k of e(k): so min_gap lies
+    within E1 + E2 = (3d + 2) u S of e_min, to first order, and a k attaining
+    min_gap has e(k) <= e_min + 2 (E1 + E2).  The margin (6d + 8) 2u exceeds
+    2 (E1 + E2) = (6d + 4) u S by more than the roundings of the window ends
+    (u S for -q +- window and 3 u e_min for the window itself).  Checked
+    here: the observed |min_gap - e_min| stays within half the margin.
+    """
+    basis = lattice.build_angle_basis(d, L)
+    estimate, margin, candidates = lattice._gap_candidates(d, L, np.asarray(basis.angles))
+    assert margin == (6 * d + 8) * 2.0**-52
+    assert abs(_sorted_min_gap(d, L) - estimate) <= margin / 2
+    assert candidates and all(next(x for x in k if x) > 0 for k in candidates)
 
 
 def test_params_reject_coarse_eps():
@@ -386,7 +442,7 @@ def test_decode_roundtrip_sampled_large_codebook():
 def test_decode_perturbed_within_half_eps(params_d3_l8):
     # oracle: linear scan over the full codebook for the true nearest codeword
     rng = np.random.default_rng(21)
-    points = lattice.codebook_points(3, 8)
+    points = codebook_points(3, 8)
     vectors = np.stack([lattice.encode(params_d3_l8, p) for p in points])
     for _ in range(50):
         point = points[rng.integers(len(points))]
@@ -467,7 +523,7 @@ def test_decode_batch_matches_decode_commit(d, L):
 
 def test_decode_batch_rotated_codewords(params_d3_l8):
     # the soundness path: every codeword under every channel rotation
-    points = lattice.codebook_points(3, 8)
+    points = codebook_points(3, 8)
     payloads = lattice.encode_batch(params_d3_l8, points)
     for j, m in lattice.noise_support(params_d3_l8):
         received = (so3.rot_z(m * params_d3_l8.angles[j]) @ payloads[:, :, None])[:, :, 0]
@@ -479,7 +535,7 @@ def test_decode_batch_rotated_codewords(params_d3_l8):
 
 
 def test_encode_batch_matches_encode(params_d3_l8):
-    points = lattice.codebook_points(3, 8)
+    points = codebook_points(3, 8)
     batch = lattice.encode_batch(params_d3_l8, points)
     scalar = np.stack([lattice.encode(params_d3_l8, p) for p in points])
     assert np.array_equal(batch, scalar)
@@ -519,7 +575,7 @@ def test_encode_batch_bit_identical_on_random_points(d, L):
 @pytest.mark.parametrize("d,L", [(4, 16), (6, 8)])
 def test_encode_batch_bit_identical_on_full_codebook(d, L):
     params = _uncertified_params(d, L)
-    points = lattice.codebook_points(d, L)
+    points = codebook_points(d, L)
     batch = lattice.encode_batch(params, points).view(np.int64)
     assert np.array_equal(batch, _encode_reference(params, points).view(np.int64))
 
@@ -534,6 +590,48 @@ def test_numpy_trig_matches_math_on_codebook_range():
     for vectorised, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
         reference = np.array(list(map(scalar, listed)))
         assert np.array_equal(vectorised(alphas).view(np.int64), reference.view(np.int64))
+
+
+def _kernel_named() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
+def test_matmul_rounding_model():
+    # the pinned eps = 0 soundness Fractions and min_gap rest on two
+    # properties of numpy's matmul on this platform, which no standard fixes
+    # (a) exact soundness's stacked 3x3 @ 3x1 product rounds each row as
+    # fma(r0, x, r1 * y) + r2 * z; checked with Fractions on every 16th
+    # honest point of (4, 16) under all eight channel rotations
+    params = lattice.make_params(4, 16)
+    rotations = lattice.lattice_mu(params).rotations
+    points = np.indices((16,) * 4).reshape(4, -1).T[::16]
+    payloads = lattice.encode_batch(params, points)
+    received = (rotations[:, None] @ payloads[None, :, :, None])[..., 0]
+    model = np.empty_like(received)
+    for m, rotation in enumerate(rotations.tolist()):
+        for n, (x, y, z) in enumerate(payloads.tolist()):
+            for i, (r0, r1, r2) in enumerate(rotation):
+                fused = float(Fraction(r0) * Fraction(x) + Fraction(r1 * y))
+                model[m, n, i] = fused + r2 * z
+    assert np.array_equal(received.view(np.int64), model.view(np.int64)), (
+        f"stacked rotation product is not fma(r0, x, r1 * y) + r2 * z under {_kernel_named()}"
+    )
+    # (b) an integer chunk @ angles product of two or more rows computes each
+    # row on its own: gathered rows equal the full codebook's, which the
+    # certificate's re-scoring relies on (a one-row product may take
+    # another kernel, so the certificate never forms one)
+    rng = np.random.default_rng(5)
+    for d, L in ((2, 100), (4, 16), (6, 8), (7, 3)):
+        angles = np.asarray(lattice.build_angle_basis(d, L).angles)
+        full = lattice.codebook_angles(d, L, angles)
+        grid = codebook_points(d, L)
+        for rows in (2, 3, 5, 8, 33, 1000):
+            index = rng.integers(len(full), size=rows)
+            for chunk in (grid[index], grid[index].astype(np.int8), grid[index].astype(float)):
+                assert np.array_equal((chunk @ angles).view(np.int64), full[index].view(np.int64)), (
+                    f"matmul rows depend on their neighbours under {_kernel_named()}"
+                )
 
 
 @pytest.mark.parametrize("predicate", lattice.PREDICATES)
