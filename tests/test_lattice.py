@@ -102,8 +102,7 @@ BASIS_FIELDS = {"d", "L", "angles", "min_gap"}
 BASIS_TABLES = {"_order", "_angles", "_cos", "_sin"}
 
 
-# sizes on both sides of the uint8/uint16 switch of the certification grid,
-# and codebooks of several angle chunks
+# small sizes, L + 1 on both sides of 255 and codebooks of several angle chunks
 @pytest.mark.parametrize(
     "d,L",
     [(1, 2), (2, 4), (2, 5), (3, 8), (4, 3), (5, 4), (1, 253), (1, 254), (1, 255),
@@ -124,7 +123,7 @@ def test_decode_tables_match_int64_reference(d, L):
     assert set(vars(params.basis)) == BASIS_FIELDS | BASIS_TABLES
 
 
-# d = 1, the uint8/uint16 boundary, several angle chunks and 10^6 codewords
+# d = 1, both sides of L + 1 = 255, several angle chunks and 10^6 codewords
 @pytest.mark.parametrize("d,L", [(1, 2), (2, 5), (3, 8), (1, 254), (4, 16), (6, 8)])
 def test_decoded_points_are_int64_codebook_rows(d, L):
     # decoding the k-th sorted codeword gives codebook_points(d, L)[_order[k]]
