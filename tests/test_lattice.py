@@ -627,8 +627,10 @@ def test_matmul_rounding_model():
         grid = codebook_points(d, L)
         for rows in (2, 3, 5, 8, 33, 1000):
             index = rng.integers(len(full), size=rows)
-            for chunk in (grid[index], grid[index].astype(np.int8), grid[index].astype(float)):
-                assert np.array_equal((chunk @ angles).view(np.int64), full[index].view(np.int64)), (
+            expected = full[index].view(np.int64)
+            for dtype in (np.int64, np.int8, float):
+                product = grid[index].astype(dtype) @ angles
+                assert np.array_equal(product.view(np.int64), expected), (
                     f"matmul rows depend on their neighbours under {_kernel_named()}"
                 )
 
