@@ -6,8 +6,10 @@ actual channel geometry and must agree with the exact values.  Concealing
 uses the distance sum_x |P(x|b=0) - P(x|b=1)|, i.e. twice the total
 variation distance; reports carry both to prevent misreading.  The lattice
 concealing distance is a closed-form O(d^2) sum that depends on (d, L)
-alone, while lattice soundness enumerates every honest point through the
-channel geometry and is capped by the enumeration budget.
+alone, and the codeword binding figures are closed forms in d and the
+reveal predicate, proved in `binding_search`; lattice soundness enumerates
+every honest point through the channel geometry and is capped by the
+enumeration budget.
 
 Binding is formalized as the best acceptance probability over non-adaptive
 cheating strategies (commit action fixed up front, reveal pair fixed before
@@ -21,7 +23,6 @@ reported, never silently resolved.
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -36,13 +37,13 @@ from .lattice import (
     LatticeParams,
     _check_size,
     _decode_positions,
+    _resolve_predicate,
     accepting_reveals,
     decode_batch,
     decode_commit,
     encode_batch,
     honest_points,
     lattice_mu,
-    noise_support,
     parity,
     parity_class_size,
 )
@@ -164,12 +165,6 @@ class BindingSearchResult:
     reveal_bit: int
 
 
-#: commit classes scored per binding chunk; bounds the scorer's temporaries
-BINDING_CHUNK = 128
-
-_BindingTable = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def _first_best(scores: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The best score of each reveal bit per row, and the first candidate reaching it.
 
@@ -184,74 +179,10 @@ def _first_best(scores: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.take_along_axis(per_bit, pick[..., None], axis=-1)[..., 0].clip(0), pick
 
 
-def _binding_scan(params: LatticeParams, predicate: str | None) -> _BindingTable:
-    """Commit class representatives (m, d) with the best reveal of each bit under `predicate`.
-
-    The representatives come in `combinations_with_replacement` order and are
-    scored BINDING_CHUNK at a time.  The noise event (j, m) moves a commit c
-    to c + m*e_j, which decodes iff it stays in the codebook {0..L+1}^d.
-    Every reveal an event accepts is then c + offset, for an offset from one
-    fixed table, the `accepting_reveals` of the displacements m*e_j in
-    lexicographic order.  A reveal scores the number of decodable events
-    that accept its offset (one matrix product per chunk) if it lies in
-    {0..L-1}^d.  Returns the commits, the best count per commit and reveal
-    bit, shape (m, 2), and the first reveal reaching it, shape (m, 2, d), so
-    ties go to the lexicographically smallest; a count of 0 has the reveal 0.
-    A `predicate` of None reads the one params carries.
-    """
-    d, L = params.d, params.L
-    # the smallest value of each coordinate class (min(v, 2), min(L+1-v, 4)):
-    # a reveal lies at most 2 below the decoded point, so the distance to the
-    # low edge saturates at 2; noise adds at most 2 and a reveal stays <= L-1,
-    # so the distance to the decodable top L+1 saturates at 4
-    values = sorted({0, 1, 2, L - 2, L - 1, L, L + 1} & set(range(L + 2)))
-    commits = np.array(list(itertools.combinations_with_replacement(values, d)), dtype=np.int64)
-    displacements = np.stack([m * np.eye(d, dtype=np.int64)[j] for j, m in noise_support(params)])
-    event_offsets, _ = accepting_reveals(params, displacements, predicate)
-    offsets, index = np.unique(event_offsets.reshape(-1, d), axis=0, return_inverse=True)
-    # accepts[e, k] = 1 when event e accepts offset k; an event lists each offset once
-    accepts = np.zeros((len(displacements), len(offsets)), dtype=np.int64)
-    np.put_along_axis(accepts, index.reshape(len(displacements), -1), 1, axis=1)
-    # an offset m*e_j - s*e_k moves at most two coordinates; list them, padded
-    # with a dummy coordinate d that every commit holds at 0 and no offset moves
-    moved = np.sort(np.where(offsets != 0, np.arange(d), d), axis=1)[:, :2]
-    steps = np.take_along_axis(np.pad(offsets, ((0, 0), (0, 1))), moved, axis=1)
-    counts, reveals = [], []
-    for start in range(0, len(commits), BINDING_CHUNK):
-        chunk = commits[start:start + BINDING_CHUNK]
-        decodes = (chunk[:, None, :] + displacements <= L + 1).all(axis=-1)
-        # c + offset lies in {0..L-1}^d iff its moved coordinates do and no
-        # other coordinate of c is above L-1 (none is below 0)
-        padded = np.pad(chunk, ((0, 0), (0, 1)))
-        high = padded > L - 1
-        shifted = padded[:, moved] + steps
-        in_range = ((shifted >= 0) & (shifted <= L - 1)).all(axis=-1) & (
-            high[:, moved].sum(axis=-1) == high.sum(axis=-1, keepdims=True)
-        )
-        bits = (chunk.sum(axis=-1, keepdims=True) + offsets.sum(axis=-1)) % 2
-        best, pick = _first_best(np.where(in_range, decodes @ accepts, -1), bits)
-        counts.append(best)
-        reveals.append((chunk[:, None, :] + offsets[pick]) * (best[..., None] > 0))
-    return commits, np.concatenate(counts), np.concatenate(reveals)
-
-
-def _best_flip(table: _BindingTable) -> BindingSearchResult:
-    """The first commit class whose best opposite-parity reveal scores highest."""
-    commits, counts, reveals = table
-    flip = 1 - commits.sum(axis=1) % 2
-    i = int(np.argmax(counts[np.arange(len(commits)), flip]))
-    reveal = tuple(reveals[i, flip[i]].tolist())
-    # some flip always scores: from the origin, the event 2e_1 accepts the reveal e_1
-    probability = Fraction(int(counts[i, flip[i]]), 2 * commits.shape[1])
-    return BindingSearchResult(probability, tuple(commits[i].tolist()), reveal, parity(reveal))
-
-
-def _best_sum(table: _BindingTable) -> tuple[Fraction, tuple[int, ...]]:
-    """The first commit class whose best reveal-0 plus best reveal-1 scores highest."""
-    commits, counts, _ = table
-    totals = counts.sum(axis=1)
-    i = int(np.argmax(totals))
-    return Fraction(int(totals[i]), 2 * commits.shape[1]), tuple(commits[i].tolist())
+def _flip_share(params: LatticeParams, predicate: str | None) -> Fraction:
+    """The best flip's share of the 2d noise events: 2 under lenient, 1 under strict."""
+    _check_size(params.d, params.L)
+    return Fraction(2 if _resolve_predicate(params, predicate) == "lenient" else 1, 2 * params.d)
 
 
 def binding_search(
@@ -259,27 +190,44 @@ def binding_search(
 ) -> BindingSearchResult:
     """Best flip cheat over all codebook commit points and opposite-parity reveals.
 
-    Each of the 2d equally likely noise events moves the commit point c to
-    c + m*e_j, and Bob accepts only reveals that differ from that decoded
-    point by e_k or 2e_k (or not at all, under lenient).  So only the
-    `accepting_reveals` of the decodable events can score, O(d^2) of them
-    per commit, and the success probability of a reveal is exactly the
-    share of events that accept it.
+    Model: Alice commits a codeword c in {0..L+1}^d.  Each of the 2d equally
+    likely noise events (j, m), m in {1, 2}, decodes to c + m*e_j when that
+    stays in the codebook and aborts otherwise.  Bob accepts (b, a) when a
+    is in {0..L-1}^d, parity(a) = b and c + m*e_j - a is in S = {e_k, 2e_k}
+    (strict), plus 0 (lenient).  A reveal wins the share of events accepting it.
 
-    Commit points are exhausted up to two symmetries that provably preserve
-    the acceptance law: coordinate permutation (the noise picks its
-    coordinate uniformly) and the per-coordinate class (min(v, 2),
-    min(L+1-v, 4)) of distances to the low edge and to the decodable top.
-    Each class is scored once, by its smallest member: C(d+6, 6) of them for L >= 5.
+    Proof of the closed form, with delta = c - a, so that a decodable event
+    (j, m) accepts exactly when delta + m*e_j is in S:
+    - delta = 0 (c's own parity): every decodable event accepts, at most 2d.
+    - delta = delta_p*e_p: only j = p can accept, so at most 2 events; under
+      strict, m = 1 and m = 2 both accepting needs delta_p = 0, so at most 1.
+    - delta on {p, q}: (j, m) needs m = -delta_j and the other entry in
+      {1, 2}, so j = p and j = q need opposite signs of delta_q: at most 1.
+    - wider support: no event accepts.
+    So a flip (delta != 0) wins at most 2 events under lenient, 1 under
+    strict.  From c = 0 all 2d events decode (2 <= L+1), and the reveal e_p
+    (valid as L >= 2) is accepted by (p, 1) and (p, 2) under lenient, by
+    (p, 2) under strict; any other odd reveal leaves delta an entry below 0
+    that no event clears, so exactly the e_p reach the maximum.
+
+    Ties go to the first commit in lexicographic order, then its smallest
+    reveal: commit 0, reveal e_{d-1} = (0, ..., 0, 1), bit 1.  Only d and
+    the predicate are read; L is checked to be at least 2.
     """
-    return _best_flip(_binding_scan(params, predicate))
+    reveal = (0,) * (params.d - 1) + (1,)
+    return BindingSearchResult(_flip_share(params, predicate), (0,) * params.d, reveal, 1)
 
 
 def binding_sum_max(
     params: LatticeParams, predicate: str | None = None
 ) -> tuple[Fraction, tuple[int, ...]]:
-    """Max over commit points of best-reveal-0 plus best-reveal-1 acceptance."""
-    return _best_sum(_binding_scan(params, predicate))
+    """Max over commit points of best-reveal-0 plus best-reveal-1 acceptance.
+
+    By `binding_search`'s proof, c's own parity wins at most all 2d events
+    and the other at most the best flip; from commit 0, the first maximum,
+    the reveal 0 wins all 2d.  So the sum is 1 plus the flip share.
+    """
+    return 1 + _flip_share(params, predicate), (0,) * params.d
 
 
 @dataclass
@@ -643,9 +591,8 @@ def lattice_report(
 
     mode "exact" computes the exact figures, "monte-carlo" simulates
     soundness only.  Exact soundness enumerates honest
-    points within `budget`; concealing and its bound are closed forms in
-    (d, L), and both binding figures read one scan of the commit classes
-    per reveal predicate.
+    points within `budget`; concealing, its bound and both binding figures
+    are closed forms in (d, L) and the predicate.
     """
     config = (
         ("protocol", "lattice"),
@@ -663,10 +610,9 @@ def lattice_report(
         soundness = lattice_soundness_exact(params, budget=budget)
         eps = concealing_exact(params.d, params.L)
         bound = concealing_bound_exact(params.d, params.L)
-        tables = {p: _binding_scan(params, p) for p in ("strict", "lenient")}
-        flip_strict = _best_flip(tables["strict"]).probability
-        flip_lenient = _best_flip(tables["lenient"]).probability
-        sum_max, _ = _best_sum(tables[params.predicate])
+        flip_strict = binding_search(params, "strict").probability
+        flip_lenient = binding_search(params, "lenient").probability
+        sum_max, _ = binding_sum_max(params)
         results += [
             ("soundness", soundness),
             ("concealing_exact", eps),

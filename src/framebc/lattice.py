@@ -373,7 +373,7 @@ def commit(
     params: LatticeParams, b: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the secret lattice point for bit b with `honest_points`, and its encoded payload."""
-    if b not in (0, 1):
+    if operator.index(b) not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
     a = honest_points(params, np.array([b]), rng)[0]
     return a, encode(params, a)
@@ -482,17 +482,21 @@ def verify_reveal(
     parity, then that decoded - revealed is a single-coordinate bump of 1
     or 2 (strict) or additionally the zero vector (lenient).  `predicate`
     overrides the one carried by params, and one outside PREDICATES raises
-    ValueError, as in every function taking it.  A revealed point that is not a
-    sequence of integers raises TypeError; it is never truncated.
+    ValueError, as in every function taking it.  A revealed bit or point that
+    is not integral raises TypeError and a bit other than 0 or 1 ValueError:
+    neither is ever truncated or reduced modulo 2.
     """
     predicate = _resolve_predicate(params, predicate)
+    b = operator.index(revealed_b)
+    if b not in (0, 1):
+        raise ValueError(f"revealed bit must be 0 or 1, got {b}")
     a = [operator.index(x) for x in revealed_a]
     if len(a) != params.d:
         return False
     top = params.L - 1
     if any(x < 0 or x > top for x in a):
         return False
-    if sum(a) % 2 != revealed_b % 2:
+    if sum(a) % 2 != b:
         return False
     bumps = 0
     bump_value = 0

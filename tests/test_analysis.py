@@ -273,37 +273,22 @@ def _brute_force_binding(params, predicate):
     return best
 
 
-def _commit_class(point, L):
-    # a coordinate v matters only through which of v-2..v+2 lie in the honest
-    # range 0..L-1 and whether v+1, v+2 still decode (<= L+1); the noise
-    # treats coordinates alike, so order does not matter
-    return tuple(sorted((min(v, 2), min(L + 1 - v, 4)) for v in point))
-
-
 @pytest.mark.parametrize("predicate", ["strict", "lenient"])
 @pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3) for L in range(2, 8)])
 def test_binding_reductions_match_brute_force(d, L, predicate):
     params = lattice.make_params(d, L)
     brute = _brute_force_binding(params, predicate)
-    # every commit point scores what its scanned class representative scores,
-    # for the reveal of its own parity and for the flipped one
-    reduced = {}
-    commits, counts, _ = analysis._binding_scan(params, predicate)
-    for commit, per_bit in zip(commits.tolist(), counts.tolist()):
-        b = sum(commit) % 2
-        reduced.setdefault(_commit_class(commit, L), (per_bit[b], per_bit[1 - b]))
-    # one scanned commit per class, its lexicographically first member, in order
-    first = {}
-    for commit in sorted(brute):
-        first.setdefault(_commit_class(commit, L), commit)
-    assert [tuple(c) for c in commits.tolist()] == sorted(first.values())
-    for commit, per_bit in brute.items():
-        b = sum(commit) % 2
-        assert reduced.get(_commit_class(commit, L)) == (per_bit[b], per_bit[1 - b]), commit
-    flip = max(per_bit[1 - sum(c) % 2] for c, per_bit in brute.items())
-    total = max(sum(per_bit) for per_bit in brute.values())
-    assert analysis.binding_search(params, predicate).probability == Fraction(flip, 2 * d)
-    assert analysis.binding_sum_max(params, predicate)[0] == Fraction(total, 2 * d)
+    flips = {c: per_bit[1 - sum(c) % 2] for c, per_bit in brute.items()}
+    totals = {c: sum(per_bit) for c, per_bit in brute.items()}
+    flip, total = max(flips.values()), max(totals.values())
+    result = analysis.binding_search(params, predicate)
+    assert result.probability == Fraction(flip, 2 * d)
+    assert analysis.binding_sum_max(params, predicate) == (
+        Fraction(total, 2 * d), result.commit_point
+    )
+    # the witness commit is the lexicographically first commit reaching each maximum
+    assert result.commit_point == min(c for c in brute if flips[c] == flip)
+    assert result.commit_point == min(c for c in brute if totals[c] == total)
 
 
 def _reference_accepting_reveals(params, decoded, predicate):
@@ -361,25 +346,26 @@ def _reference_binding(params, predicate):
     return search, (Fraction(total[0], 2 * d), total[1])
 
 
+# sizes scored from the shape alone, past what the tests certify
+SHAPE_ONLY_SIZES = [(7, 2), (10, 3), (3, 100), (2, 1000)]
+
+
 @pytest.mark.parametrize("predicate", ["strict", "lenient"])
 @pytest.mark.parametrize(
     "d,L",
     [(d, L) for d in (1, 2, 3) for L in range(2, 10)]
-    + [(4, 8), (4, 16), (5, 8), (6, 8), (9, 2)],
+    + [(4, 8), (4, 16), (5, 8), (6, 8), (9, 2)]
+    + SHAPE_ONLY_SIZES,
 )
 def test_batched_binding_matches_scalar_reference(d, L, predicate):
     # figures and witnesses, with the first maximum winning every tie
-    params = lattice.make_params(d, L)
+    if (d, L) in SHAPE_ONLY_SIZES:
+        params = SimpleNamespace(d=d, L=L, predicate=predicate)
+    else:
+        params = lattice.make_params(d, L)
     search, sum_max = _reference_binding(params, predicate)
     assert analysis.binding_search(params, predicate) == search
     assert analysis.binding_sum_max(params, predicate) == sum_max
-
-
-@pytest.mark.parametrize("d,L", [(6, 8), (4, 16), (2, 5), (3, 6), (1, 40)])
-def test_binding_scan_visits_one_commit_per_class(d, L):
-    commits, counts, reveals = analysis._binding_scan(lattice.make_params(d, L), "lenient")
-    assert len(commits) == len(counts) == len(reveals) == math.comb(d + 6, 6)
-    assert len({_commit_class(c, L) for c in commits.tolist()}) == len(commits)
 
 
 def _replayed_flip(shape, result, predicate):
@@ -394,7 +380,7 @@ def _replayed_flip(shape, result, predicate):
     return Fraction(accepted, 2 * shape.d)
 
 
-@pytest.mark.parametrize("d, L", [(6, 1000), (9, 100)])
+@pytest.mark.parametrize("d, L", [(6, 1000), (9, 100), (40, 10**6)])
 def test_binding_past_the_old_int64_key_limit(d, L):
     # L**d is not a power of two and 256 * L**d >= 2**63: sizes whose packed
     # (row, parity, rank) reveal key wrapped or overflowed int64
@@ -407,14 +393,6 @@ def test_binding_past_the_old_int64_key_limit(d, L):
         assert _replayed_flip(shape, result, predicate) == flip
     assert analysis.binding_sum_max(shape)[0] == 1 + Fraction(1, d)
     assert analysis.binding_sum_max(shape, "strict")[0] == 1 + Fraction(1, 2 * d)
-
-
-@pytest.mark.parametrize("predicate", ["strict", "lenient"])
-def test_binding_class_counts_do_not_depend_on_large_l(predicate):
-    # for L >= 5 the commit classes, in scan order, score alike at every L
-    _, small, _ = analysis._binding_scan(SimpleNamespace(d=6, L=8, predicate=predicate), None)
-    _, large, _ = analysis._binding_scan(SimpleNamespace(d=6, L=1000, predicate=predicate), None)
-    assert np.array_equal(small, large)
 
 
 @pytest.mark.parametrize("bad", ["bogus", "Lenient", ""])
@@ -440,6 +418,15 @@ def test_binding_scan_runs_below_the_key_limit():
     # binding reads only (d, L, predicate): no certified codebook exists at (7, 8)
     shape = SimpleNamespace(d=7, L=8, predicate="lenient")
     assert analysis.binding_search(shape).probability == Fraction(1, 7)
+
+
+def test_binding_rejects_bad_sizes():
+    # the proof needs L >= 2, so that the witness reveal e_{d-1} is in range
+    for d, L in ((0, 4), (2, 1)):
+        shape = SimpleNamespace(d=d, L=L, predicate="lenient")
+        for call in (analysis.binding_search, analysis.binding_sum_max):
+            with pytest.raises(ValueError, match="need"):
+                call(shape)
 
 
 # witnesses of the unreduced 11-value scan, frozen before it shrank to one commit per class

@@ -159,7 +159,7 @@ def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
     analysis.binding_sum_max(params, "lenient")
     analysis.concealing_exact(params.d, params.L)
     with monkeypatch.context() as patch:
-        # lattice_report's binding scans, without its decoding soundness enumeration
+        # lattice_report's binding figures, without its decoding soundness enumeration
         patch.setattr(analysis, "lattice_soundness_exact", lambda p, budget: Fraction(1))
         analysis.lattice_report(params)
     assert not BASIS_TABLES & set(vars(params.basis))
@@ -327,6 +327,17 @@ def test_commit_d1_l2_deterministic_classes():
     for _ in range(20):
         assert tuple(lattice.commit(params, 0, rng)[0]) == (0,)
         assert tuple(lattice.commit(params, 1, rng)[0]) == (1,)
+
+
+def test_commit_rejects_bits_outside_zero_one():
+    # a float bit once committed, and the honest session then ended malformed-reveal
+    params = lattice.make_params(2, 4)
+    for bad in [2, -1]:
+        with pytest.raises(ValueError, match="committed bit"):
+            lattice.commit(params, bad, np.random.default_rng(0))
+    for bad in [1.0, 0.0, "1"]:
+        with pytest.raises(TypeError):
+            lattice.commit(params, bad, np.random.default_rng(0))
 
 
 def test_commit_d2_l2_uniform_over_class():
@@ -696,6 +707,13 @@ def test_verify_rejects(params_d2_l4):
     for bad in [(1.0, 2), (1.9, 2), ("1", 2), None]:  # not integers: raise, never truncate
         with pytest.raises(TypeError):
             lattice.verify_reveal(params_d2_l4, np.array([2, 2]), 1, bad)
+    # the bit is checked as the point is: 3 and 1.0 once passed as 1 modulo 2
+    for bad_bit in [3, -1, 2]:
+        with pytest.raises(ValueError, match="revealed bit"):
+            lattice.verify_reveal(params_d2_l4, np.array([2, 2]), bad_bit, a)
+    for bad_bit in [1.0, 0.0, "1", None]:
+        with pytest.raises(TypeError):
+            lattice.verify_reveal(params_d2_l4, np.array([2, 2]), bad_bit, a)
 
 
 @pytest.mark.parametrize("predicate", lattice.PREDICATES)
