@@ -165,20 +165,6 @@ class BindingSearchResult:
     reveal_bit: int
 
 
-def _first_best(scores: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The best score of each reveal bit per row, and the first candidate reaching it.
-
-    scores and bits, shape (n, k), give each row's k candidate reveals in
-    lexicographic order, a score of -1 marking one that cannot be revealed.
-    Returns the best score per row and bit, shape (n, 2), clipped at 0, and
-    the index of the first candidate reaching it, so ties go to the
-    smallest reveal.
-    """
-    per_bit = np.where(bits[:, None, :] == np.arange(2)[:, None], scores[:, None, :], -1)
-    pick = per_bit.argmax(axis=-1)
-    return np.take_along_axis(per_bit, pick[..., None], axis=-1)[..., 0].clip(0), pick
-
-
 def _flip_share(params: LatticeParams, predicate: str | None) -> Fraction:
     """The best flip's share of the 2d noise events: 2 under lenient, 1 under strict."""
     _check_size(params.d, params.L)
@@ -266,20 +252,19 @@ def binding_search_finite_precision(
     tolerance ball whose rotated copies still decode can read above the caps.
     """
     w = np.asarray(w, dtype=float)
-    if abs(float(np.linalg.norm(w)) - 1.0) > 1e-9:
+    if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-9:
         raise ValueError("committed payload must be a unit vector")
-    received = np.stack([r @ w for r in lattice_mu(params).rotations])
-    points, ok = decode_batch(params, received)
+    points, ok = decode_batch(params, lattice_mu(params).rotations @ w)
     reveals, in_range = accepting_reveals(params, points, predicate)
+    # np.unique sorts the reveals, so the first maximum is the smallest reveal reaching it
     reveals, counts = np.unique(reveals[in_range & ok[:, None]], axis=0, return_counts=True)
     best = dict.fromkeys((0, 1), (Fraction(0), None))
-    # no candidate at all when no event decodes to a point with an in-range reveal
-    if len(reveals):
-        (top,), (pick,) = _first_best(counts[None], reveals.sum(axis=1)[None] % 2)
-        for bit in (0, 1):
-            if top[bit]:
-                reveal = tuple(reveals[pick[bit]].tolist())
-                best[bit] = (Fraction(int(top[bit]), 2 * params.d), reveal)
+    bits = reveals.sum(axis=1) % 2
+    for bit in (0, 1):
+        rows = np.flatnonzero(bits == bit)
+        if len(rows):
+            k = rows[counts[rows].argmax()]
+            best[bit] = (Fraction(int(counts[k]), 2 * params.d), tuple(reveals[k].tolist()))
 
     anchor_arr = decode_commit(params, w)
     anchor = None if anchor_arr is None else tuple(int(x) for x in anchor_arr)
@@ -322,13 +307,22 @@ def _reveal_steps(params: LatticeParams) -> np.ndarray:
     return -(reveals @ _lex_weights(params.d, params.L))
 
 
-def _honest_accepts(params: LatticeParams, received: np.ndarray, lex: np.ndarray) -> np.ndarray:
-    """Bob's verdict on each row of `received`, shape (..., n, 3), against n honest reveals.
+def _honest_accepts(
+    params: LatticeParams, points: np.ndarray, lex: np.ndarray, rotations: np.ndarray
+) -> np.ndarray:
+    """Bob's verdict on the honest reveals of `points`, shape (n, d), sent through `rotations`.
 
-    `lex` holds the lexicographic indices of the n honest points; each row
-    is decoded to its position in the sorted codebook, whose lexicographic
-    index `_order` gives, and tested with `_reveal_steps`.
+    Encodes the points, rotates the payloads by one stacked product, decodes
+    each received vector to its position in the sorted codebook, whose
+    lexicographic index `_order` gives, and tests it with `_reveal_steps`
+    against `lex`, the points' lexicographic indices.  `rotations`
+    broadcasts against the n payloads: shape (k, 1, 3, 3) sends every point
+    through each of k rotations, with a verdict of shape (k, n), and shape
+    (n, 3, 3) sends point i through rotation i.
     """
+    payloads = encode_batch(params, points)
+    # the stacked matmul computes each row exactly as rotation @ payload does
+    received = (rotations @ payloads[:, :, None])[..., 0]
     positions, ok = _decode_positions(params, received)
     return ok & np.isin(params.basis._order[positions] - lex, _reveal_steps(params))
 
@@ -338,9 +332,9 @@ def lattice_soundness_exact(
 ) -> Fraction:
     """Exact honest acceptance through the channel geometry.
 
-    Enumerates {0..L-1}^d in chunks against the full noise support: encodes
-    each point, rotates it by every rot_z(m*theta_j), decodes, and verifies
-    the honest reveal (its own parity and point) by `_honest_accepts`.
+    Enumerates {0..L-1}^d in chunks against the full noise support: each
+    chunk goes through `_honest_accepts` under all 2d rotations rot_z(m*theta_j)
+    at once, which verifies the honest reveal (its own parity and point).
     Counts acceptances per parity class and returns the exact acceptance
     probability with b uniform (1 whenever the parameters certify).  The
     points are the lexicographic indices of the sorted codebook (`_order`)
@@ -363,10 +357,7 @@ def lattice_soundness_exact(
     for start in range(0, len(honest), SOUNDNESS_CHUNK):
         lex = honest[start:start + SOUNDNESS_CHUNK]
         points = np.stack(np.unravel_index(lex, (L + 2,) * d), axis=1)
-        payloads = encode_batch(params, points)
-        # the stacked matmul computes each row exactly as rotation @ payload does
-        received = (rotations[:, None] @ payloads[None, :, :, None])[..., 0]
-        ok = _honest_accepts(params, received, lex)
+        ok = _honest_accepts(params, points, lex, rotations[:, None])
         bits = points.sum(axis=1) % 2
         for b in (0, 1):
             accepted[b] += int(np.count_nonzero(ok & (bits == b)))
@@ -383,10 +374,10 @@ def lattice_soundness_mc(
     Trials run SOUNDNESS_CHUNK at a time.  Each chunk of n draws, from one
     generator seeded with `seed`, in this order: the n committed bits, the
     honest points (by `honest_points`, as a session's `commit` draws them),
-    and the n noise events.  A noise event is an index into the channel's 2d
-    rotations in `noise_support` order.  Each trial is then encoded,
-    rotated, decoded and verified as a session does it, row by row in
-    arrays, the reveal test by `_honest_accepts`.
+    and the n noise events.  A noise event is a row of the channel's 2d
+    `rotations`, row 2j + m - 1 for the event (j, m).  `_honest_accepts` then
+    encodes, rotates, decodes and verifies every trial as a session does it,
+    row by row in arrays.
     """
     rng = _sampler(trials, seed)
     rotations = lattice_mu(params).rotations
@@ -397,10 +388,8 @@ def lattice_soundness_mc(
         bits = rng.integers(2, size=n)
         points = honest_points(params, bits, rng)
         events = rng.integers(len(rotations), size=n)
-        payloads = encode_batch(params, points)
-        # the stacked matmul computes each row exactly as rotation @ payload does
-        received = (rotations[events] @ payloads[:, :, None])[:, :, 0]
-        successes += int(np.count_nonzero(_honest_accepts(params, received, points @ weights)))
+        ok = _honest_accepts(params, points, points @ weights, rotations[events])
+        successes += int(np.count_nonzero(ok))
     return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
 
 

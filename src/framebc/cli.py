@@ -8,11 +8,11 @@ least 12 significant digits); exactly computed values additionally carry a
 
 Exit codes: 0 success, 1 invalid configuration, 2 enumeration budget
 exceeded, 3 certification or equivalence check failure.  The enumeration
-budget defaults to 10^7 points and can be overridden with --budget or the
-FRAMEBC_ENUM_BUDGET environment variable (a budget below 1 is invalid); it
-caps the decode table's (L+2)^d codewords, exact lattice soundness and
-twirl-check's z<N> enumeration of N^2 compiled sessions; each is refused
-before it runs.
+budget defaults to 10^7 points and can be overridden with --budget, which
+every subcommand takes, or the FRAMEBC_ENUM_BUDGET environment variable (a
+budget below 1 is invalid); it caps the decode table's (L+2)^d codewords,
+exact lattice soundness and twirl-check's z<N> enumeration of N^2 compiled
+sessions; each is refused before it runs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_budget(args) -> int:
-    budget = getattr(args, "budget", None)
+    budget = args.budget
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
         try:
@@ -83,12 +83,6 @@ def _parse_values(text: str, cast) -> list:
     return [cast(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _lattice_params(args, budget: int) -> lattice.LatticeParams:
-    return lattice.make_params(
-        args.d, args.L, eps_meas=args.eps, predicate=args.predicate, budget=budget
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -96,7 +90,9 @@ def _lattice_params(args, budget: int) -> lattice.LatticeParams:
 def _protocol_report(args, mode: str, **sampling) -> analysis.SecurityReport:
     budget = _resolve_budget(args)
     if args.protocol == "lattice":
-        params = _lattice_params(args, budget)
+        params = lattice.make_params(
+            args.d, args.L, eps_meas=args.eps, predicate=args.predicate, budget=budget
+        )
         return analysis.lattice_report(params, mode=mode, budget=budget, **sampling)
     if args.protocol == "four-symbol":
         return analysis.four_symbol_report(mode=mode, **sampling)
@@ -128,10 +124,10 @@ def cmd_twirl_check(args) -> int:
         raise ValueError(
             f"--threshold must be finite and positive, got {args.threshold!r}"
         )
+    budget = _resolve_budget(args)
     group = _parse_group(args.group)
     config = (("group", args.group), ("samples", args.samples), ("seed", args.seed))
     if isinstance(group, so3.CyclicZ):
-        budget = _resolve_budget(args)
         probe = engine.probe_protocol(group)
         # the |G|^2 compiled enumeration first, so an over-budget group runs nothing
         compiled = engine.compiled_transcript_distribution(probe, group, budget=budget)
@@ -166,6 +162,8 @@ def cmd_twirl_check(args) -> int:
 
 
 def cmd_mingap(args) -> int:
+    if args.eps is not None and not (math.isfinite(args.eps) and args.eps >= 0):
+        raise ValueError(f"--eps must be finite and nonnegative, got {args.eps!r}")
     budget = _resolve_budget(args)
     basis = lattice.build_angle_basis(args.d, args.L, budget=budget)
     results = [
@@ -246,11 +244,13 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes these two
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", default=None, help="write the report to this file")
+    shared.add_argument("--budget", type=int, default=None,
+                        help="enumeration budget override")
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=None, help="write the report to this file")
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget override")
         p.add_argument("--d", type=int, default=3, help="lattice dimensions")
         p.add_argument("--L", type=int, default=8, help="values per coordinate")
         p.add_argument("--eps", type=float, default=None,
@@ -260,38 +260,35 @@ def build_parser() -> _Parser:
         p.add_argument("--alpha", type=float, default=0.5,
                        help="interpolation parameter (continuous protocol)")
 
-    p_analyze = sub.add_parser("analyze", help="exact security analysis")
+    p_analyze = sub.add_parser("analyze", parents=[shared], help="exact security analysis")
     p_analyze.add_argument("--protocol", choices=PROTOCOLS, required=True)
     add_common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimates")
+    p_sim = sub.add_parser("simulate", parents=[shared], help="Monte Carlo estimates")
     p_sim.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p_sim.add_argument("--trials", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, default=42)
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_twirl = sub.add_parser("twirl-check",
+    p_twirl = sub.add_parser("twirl-check", parents=[shared],
                              help="channel-vs-compiled equivalence check")
     p_twirl.add_argument("--group", required=True,
                          help="z<N>, haar, or twopoint:<a,b,...>")
     p_twirl.add_argument("--samples", type=int, default=100_000)
     p_twirl.add_argument("--seed", type=int, default=42)
     p_twirl.add_argument("--threshold", type=float, default=0.02)
-    p_twirl.add_argument("--out", default=None)
     p_twirl.set_defaults(func=cmd_twirl_check)
 
-    p_gap = sub.add_parser("mingap", help="codebook separation certificate")
+    p_gap = sub.add_parser("mingap", parents=[shared], help="codebook separation certificate")
     p_gap.add_argument("--d", type=int, required=True)
     p_gap.add_argument("--L", type=int, required=True)
     p_gap.add_argument("--eps", type=float, default=None,
                        help="certify this measurement tolerance")
-    p_gap.add_argument("--budget", type=int, default=None)
-    p_gap.add_argument("--out", default=None)
     p_gap.set_defaults(func=cmd_mingap)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweeps as TSV tables")
+    p_sweep = sub.add_parser("sweep", parents=[shared], help="grid sweeps as TSV tables")
     p_sweep.add_argument("--protocol", choices=("lattice", "continuous"),
                          required=True)
     p_sweep.add_argument("--d-values", default="1,2,3")
@@ -300,8 +297,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--trials", type=int, default=0,
                          help="add Monte Carlo columns when > 0")
     p_sweep.add_argument("--seed", type=int, default=42)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--budget", type=int, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

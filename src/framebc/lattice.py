@@ -385,7 +385,9 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     Binary search in the sorted codebook-angle table proposes the two
     angular neighbours of the received direction (plus the table endpoints
     to cover wraparound), then the true Euclidean distance in R^3 decides.
-    Out-of-plane or shrunken vectors fail the distance test on their own.
+    The candidates are scored in `_decode_positions`'s order, so both keep
+    the same first of equal minima.  Out-of-plane or shrunken vectors fail
+    the distance test on their own.
     The winner's entry of `_order` is its lexicographic index, which
     unravels to the decoded int64 point.  `decode_batch` applies the same
     rule to many vectors at once; this scalar form stays for the
@@ -397,15 +399,11 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     basis = params.basis
     angles = basis._angles
     i = int(np.searchsorted(angles, phi))
-    candidates = {0, len(angles) - 1}
-    if i < len(angles):
-        candidates.add(i)
-    if i > 0:
-        candidates.add(i - 1)
+    last = len(angles) - 1
     best_idx = -1
     best_sq = math.inf
     cos_table, sin_table = basis._cos, basis._sin
-    for idx in candidates:
+    for idx in (0, last, min(i, last), max(i - 1, 0)):
         dx = rx - cos_table[idx]
         dy = ry - sin_table[idx]
         sq = dx * dx + dy * dy + rz * rz
@@ -460,13 +458,6 @@ def _decode_positions(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarra
         best = np.where(closer, candidate, best)
         best_sq = np.where(closer, sq, best_sq)
     return best, best_sq <= params.eps_meas * params.eps_meas
-
-
-def noise_support(params: LatticeParams):
-    """The 2d equally likely (j, multiplier) noise outcomes, in `lattice_mu`'s rotation order."""
-    for j in range(params.d):
-        for multiplier in (1, 2):
-            yield j, multiplier
 
 
 def verify_reveal(

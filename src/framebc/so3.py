@@ -42,8 +42,8 @@ def unit3(x: float, y: float, z: float) -> np.ndarray:
     """Unit vector in the direction of (x, y, z)."""
     v = np.array([float(x), float(y), float(z)])
     norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise ValueError("cannot normalize a near-zero vector")
+    if not (math.isfinite(norm) and norm >= 1e-12):
+        raise ValueError("cannot normalize a near-zero or non-finite vector")
     return v / norm
 
 
@@ -148,7 +148,7 @@ class TwoPointAngleMixture:
     1/2 the rotation advances the encoded angle by theta_j, otherwise by
     2*theta_j.  The 2d rotations rot_z(m * theta_j) are built once as one
     read-only (2d, 3, 3) array `rotations`, row 2j + m - 1 for event (j, m),
-    which is `lattice.noise_support` order; `sample` and `enumerate_support`
+    the one order of the noise events; `sample` and `enumerate_support`
     both hand out its rows.
     """
 
@@ -194,12 +194,12 @@ class FiniteSupport:
             raise ValueError("support must be nonempty")
         total = 0.0
         for rotation, prob in self.elements:
-            if float(prob) < 0.0:
-                raise ValueError("probabilities must be nonnegative")
+            if not float(prob) >= 0.0:
+                raise ValueError(f"probabilities must be nonnegative, got {prob!r}")
             if not is_rotation(np.asarray(rotation, dtype=float)):
                 raise ValueError("support element is not a rotation")
             total += float(prob)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 

@@ -28,6 +28,12 @@ def sorted_min_gap(d: int, L: int, angles) -> float:
     )
 
 
+def noise_events(d: int) -> list[tuple[int, int]]:
+    """The 2d noise events (j, m) of the lattice channel, event (j, m) being its
+    rotation row 2j + m - 1, rot_z(m * theta_j)."""
+    return [(j, m) for j in range(d) for m in (1, 2)]
+
+
 def parity_class(d: int, L: int, b: int):
     """Iterate the points of {0..L-1}^d with parity b."""
     for point in itertools.product(range(L), repeat=d):

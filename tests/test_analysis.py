@@ -12,6 +12,7 @@ from framebc import analysis, engine, lattice, simple, so3
 from oracles import (
     concealing_by_enumeration,
     histogram_laws,
+    noise_events,
     parity_class,
     soundness_by_point_decoding,
 )
@@ -331,7 +332,7 @@ def _reference_binding(params, predicate):
     total = (-1, None)
     for commit in itertools.combinations_with_replacement(values, d):
         events = []
-        for j, m in lattice.noise_support(params):
+        for j, m in noise_events(params.d):
             decoded = commit[:j] + (commit[j] + m,) + commit[j + 1:]
             events.append(decoded if decoded[j] <= L + 1 else None)
         best = _reference_best_reveals(params, events, predicate)
@@ -371,7 +372,7 @@ def test_batched_binding_matches_scalar_reference(d, L, predicate):
 def _replayed_flip(shape, result, predicate):
     # the share of the 2d noise events whose decodable point accepts the witness reveal
     accepted = 0
-    for j, m in lattice.noise_support(shape):
+    for j, m in noise_events(shape.d):
         decoded = list(result.commit_point)
         decoded[j] += m
         accepted += decoded[j] <= shape.L + 1 and lattice.verify_reveal(
@@ -547,14 +548,16 @@ def test_finite_precision_extended_codebook_separable():
 
 
 def test_finite_precision_requires_unit_vector(fp_params):
-    with pytest.raises(ValueError):
-        analysis.binding_search_finite_precision(fp_params, np.array([2.0, 0.0, 0.0]))
+    for bad in ([2.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
+                [1.0, math.nan, 0.0]):
+        with pytest.raises(ValueError, match="unit vector"):
+            analysis.binding_search_finite_precision(fp_params, np.array(bad))
 
 
 def _reference_finite_precision(params, w, predicate):
     # each rotated event through the scalar decoder, scored by the scalar reference
     events = []
-    for j, m in lattice.noise_support(params):
+    for j, m in noise_events(params.d):
         decoded = lattice.decode_commit(params, so3.rot_z(m * params.angles[j]) @ w)
         events.append(None if decoded is None else tuple(int(x) for x in decoded))
     best = _reference_best_reveals(params, events, predicate)
@@ -605,7 +608,7 @@ def test_lattice_soundness_exact_counts_rejections():
     for b in (0, 1):
         size = lattice.parity_class_size(2, 5, b)
         for a in parity_class(2, 5, b):
-            for j, m in lattice.noise_support(params):
+            for j, m in noise_events(params.d):
                 received = so3.rot_z(m * params.angles[j]) @ lattice.encode(params, a)
                 decoded = lattice.decode_commit(params, received)
                 if decoded is not None and lattice.verify_reveal(params, decoded, b, a):
@@ -733,7 +736,7 @@ def test_lattice_soundness_mc_replays_scalar_path(d, L):
         points[redraw] = rng.integers(L, size=(len(redraw), d))
         redraw = redraw[points[redraw].sum(axis=1) % 2 != bits[redraw]]
     events = rng.integers(2 * d, size=n)
-    rotations = [so3.rot_z(m * params.angles[j]) for j, m in lattice.noise_support(params)]
+    rotations = [so3.rot_z(m * params.angles[j]) for j, m in noise_events(params.d)]
     accepted = 0
     for b, a, k in zip(bits.tolist(), points.tolist(), events.tolist()):
         assert sum(a) % 2 == b and all(0 <= x < L for x in a)

@@ -169,6 +169,18 @@ def test_mingap_rejects_unsafe_eps(capsys):
     assert "verdict = fail" in out
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1"])
+def test_mingap_rejects_invalid_eps(capsys, monkeypatch, eps):
+    # a tolerance that no basis could certify is bad input (1), not a failed certificate (3)
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(cli.lattice, "build_angle_basis", unbuilt)
+    code, out, err = run_cli(capsys, "mingap", "--d", "3", "--L", "8", f"--eps={eps}")
+    assert (code, out) == (1, "")
+    assert f"--eps must be finite and nonnegative, got {float(eps)!r}" in err
+
+
 def test_mingap_budget_exceeded(capsys):
     code, _, err = run_cli(capsys, "mingap", "--d", "8", "--L", "30",
                            "--budget", "1000000")
@@ -199,6 +211,13 @@ def test_budget_env_override(capsys, monkeypatch):
     assert "budget exceeded" in err
     monkeypatch.setenv(cli.BUDGET_ENV, "64")
     code, out, _ = run_cli(capsys, "twirl-check", "--group", "z8")
+    assert code == 0
+    # --budget caps the same enumeration, as on every other subcommand
+    monkeypatch.delenv(cli.BUDGET_ENV)
+    code, out, err = run_cli(capsys, "twirl-check", "--group", "z8", "--budget", "63")
+    assert code == 2 and out == ""
+    assert "budget exceeded" in err
+    code, out, _ = run_cli(capsys, "twirl-check", "--group", "z8", "--budget", "64")
     assert code == 0
     monkeypatch.setenv(cli.BUDGET_ENV, "0")
     for argv in (("mingap", "--d", "2", "--L", "4"), ("twirl-check", "--group", "z8")):
@@ -297,6 +316,8 @@ def test_bad_lattice_parameters_exit_one(capsys):
         ["analyze", "--protocol", "lattice", "--budget", "-1"],
         ["mingap", "--d", "2", "--L", "4", "--budget", "0"],
         ["sweep", "--protocol", "lattice", "--budget", "-1"],
+        ["twirl-check", "--group", "z8", "--budget", "0"],
+        ["twirl-check", "--group", "haar", "--samples", "10", "--budget", "0"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "", argv

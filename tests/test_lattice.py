@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framebc import analysis, engine, lattice, so3
-from oracles import codebook_points, parity_class, sorted_min_gap
+from oracles import codebook_points, noise_events, parity_class, sorted_min_gap
 
 TOL = 1e-9
 
@@ -401,11 +401,11 @@ def test_commit_draws_as_honest_points():
 
 def test_channel_support_lists_the_sampled_rotations(params_d3_l8):
     # enumerate_support and sample hand out the same read-only rotation rows,
-    # row k being the k-th noise_support event (j, m)
+    # row k being the k-th noise event (j, m)
     params = params_d3_l8
     mu = lattice.lattice_mu(params)
     support = so3.enumerate_support(mu)
-    events = list(lattice.noise_support(params))
+    events = noise_events(params.d)
     assert len(support) == len(events) == 2 * params.d
     for (rotation, prob), (j, m) in zip(support, events):
         assert prob == Fraction(1, 2 * params.d)
@@ -535,7 +535,7 @@ def test_decode_batch_rotated_codewords(params_d3_l8):
     # the soundness path: every codeword under every channel rotation
     points = codebook_points(3, 8)
     payloads = lattice.encode_batch(params_d3_l8, points)
-    for j, m in lattice.noise_support(params_d3_l8):
+    for j, m in noise_events(params_d3_l8.d):
         received = (so3.rot_z(m * params_d3_l8.angles[j]) @ payloads[:, :, None])[:, :, 0]
         decoded, ok = lattice.decode_batch(params_d3_l8, received)
         for row, point, good in zip(received, decoded, ok):
@@ -764,7 +764,7 @@ def _geometric_noise_law(params, a):
 
 def _abstract_noise_law(params, a):
     law = {}
-    for j, multiplier in lattice.noise_support(params):
+    for j, multiplier in noise_events(params.d):
         moved = list(a)
         moved[j] += multiplier
         key = tuple(moved) if max(moved) <= params.L + 1 else None

@@ -65,6 +65,10 @@ def test_unit3_normalizes():
     assert abs(np.linalg.norm(v) - 1.0) <= TOL
     with pytest.raises(ValueError):
         so3.unit3(0.0, 0.0, 0.0)
+    # NaN fails every comparison, so the guard must accept, not reject, by comparison
+    for bad in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, -math.inf, 1.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            so3.unit3(*bad)
 
 
 # --- sampling laws ---------------------------------------------------------
@@ -189,6 +193,12 @@ def test_finite_support_validation():
         so3.FiniteSupport(((np.eye(3), 1.5), (so3.rot_z(1.0), -0.5)))
     with pytest.raises(ValueError, match="not a rotation"):
         so3.FiniteSupport(((np.eye(3) * 2.0, 1.0),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        so3.FiniteSupport(((np.eye(3), math.nan),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        so3.FiniteSupport(((np.eye(3), 1.0), (so3.rot_z(1.0), math.nan)))
+    with pytest.raises(ValueError, match="sum"):
+        so3.FiniteSupport(((np.eye(3), math.inf),))
 
 
 def test_two_point_validation():
