@@ -244,7 +244,6 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # every subcommand takes these two
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", default=None, help="write the report to this file")
     shared.add_argument("--budget", type=int, default=None,
