@@ -7,9 +7,10 @@ uses the distance sum_x |P(x|b=0) - P(x|b=1)|, i.e. twice the total
 variation distance; reports carry both to prevent misreading.  The lattice
 concealing distance is a closed-form O(d^2) sum that depends on (d, L)
 alone, and the codeword binding figures are closed forms in d and the
-reveal predicate, proved in `binding_search`; lattice soundness enumerates
-every honest point through the channel geometry and is capped by the
-enumeration budget.
+reveal predicate, proved in `binding_search`.  Lattice soundness is 1 by
+proof from `lattice.soundness_floor(d)` up; below it, eps = 0 included, it
+enumerates every honest point through the channel geometry.  Either way it
+is capped by the enumeration budget.
 
 Binding is formalized as the best acceptance probability over non-adaptive
 cheating strategies (commit action fixed up front, reveal pair fixed before
@@ -46,6 +47,7 @@ from .lattice import (
     lattice_mu,
     parity,
     parity_class_size,
+    soundness_floor,
 )
 from .simple import (
     FourSymbolCodeword,
@@ -330,17 +332,16 @@ def _honest_accepts(
 def lattice_soundness_exact(
     params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Fraction:
-    """Exact honest acceptance through the channel geometry.
+    """Exact honest acceptance through the channel geometry, b uniform.
 
-    Enumerates {0..L-1}^d in chunks against the full noise support: each
-    chunk goes through `_honest_accepts` under all 2d rotations rot_z(m*theta_j)
-    at once, which verifies the honest reveal (its own parity and point).
-    Counts acceptances per parity class and returns the exact acceptance
-    probability with b uniform (1 whenever the parameters certify).  The
-    points are the lexicographic indices of the sorted codebook (`_order`)
-    that keep every coordinate below L, so they are walked in
-    codebook-angle order and each rotated batch reaches the decoder's
-    binary search already sorted; no point table is built.
+    From `lattice.soundness_floor(d)` up, it is 1 by proof: the floor's
+    docstring shows that every honest point, under every noise event,
+    decodes to itself plus the event's bump, whatever the summation order
+    of the rotation and the table, so no decode table is touched.  Below
+    the floor, eps = 0 included, rounding decides, and
+    `_soundness_enumerated` counts every honest decode.  The budget is
+    checked first either way, so a size the enumeration could not run is
+    refused at every eps.
     """
     d, L = params.d, params.L
     cost = (L**d) * 2 * d
@@ -348,6 +349,24 @@ def lattice_soundness_exact(
         raise BudgetExceededError(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
+    if params.eps_meas >= soundness_floor(d):
+        return Fraction(1)
+    return _soundness_enumerated(params)
+
+
+def _soundness_enumerated(params: LatticeParams) -> Fraction:
+    """`lattice_soundness_exact` by enumerating {0..L-1}^d against the full noise support.
+
+    Each chunk goes through `_honest_accepts` under all 2d rotations
+    rot_z(m*theta_j) at once, which verifies the honest reveal (its own
+    parity and point).  Counts acceptances per parity class and returns the
+    exact acceptance probability with b uniform.  The points are the
+    lexicographic indices of the sorted codebook (`_order`) that keep every
+    coordinate below L, so they are walked in codebook-angle order and each
+    rotated batch reaches the decoder's binary search already sorted; no
+    point table is built.
+    """
+    d, L = params.d, params.L
     rotations = lattice_mu(params).rotations
     # drop the codewords with a coordinate above L-1, one coordinate at a time
     honest = params.basis._order
@@ -579,9 +598,11 @@ def lattice_report(
     """Full security report for a lattice parameter set.
 
     mode "exact" computes the exact figures, "monte-carlo" simulates
-    soundness only.  Exact soundness enumerates honest
-    points within `budget`; concealing, its bound and both binding figures
-    are closed forms in (d, L) and the predicate.
+    soundness only.  Exact soundness is refused past `budget`; within it,
+    it is 1 by proof from `lattice.soundness_floor(d)` up and enumerates
+    the honest points below the floor (see `lattice_soundness_exact`).
+    Concealing, its bound and both binding figures are closed forms in
+    (d, L) and the predicate.
     """
     config = (
         ("protocol", "lattice"),

@@ -15,7 +15,9 @@ Construction certifies the codebook numerically: the minimum pairwise
 angular gap (min_gap) is computed up front, and parameters are rejected
 unless the induced Euclidean separation 2*sin(min_gap/2) exceeds
 2*eps_meas, which is exactly the condition for the tolerance ball around a
-received vector to contain at most one codeword.
+received vector to contain at most one codeword.  From `soundness_floor(d)`
+up, a few dozen ulps, a certified tolerance also provably decodes every
+honest commitment, under every noise event, to its own bumped point.
 
 The certified basis owns all derived state.  Certification keeps no table: a
 meet-in-the-middle search names the few pair differences k that can attain
@@ -230,6 +232,87 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     if min_gap <= 0.0:
         raise ValueError("degenerate basis: duplicate codebook angles")
     return AngleBasis(d=d, L=L, angles=tuple(float(a) for a in angles), min_gap=min_gap)
+
+
+#: ulps within which cos, sin and atan2, numpy's and math's, return; `soundness_floor` assumes it
+LIBM_ULPS = 4
+
+
+def soundness_floor(d: int) -> float:
+    """Least eps_meas from which every honest decode of a certified basis is proved to accept.
+
+    An honest reveal of a in {0..L-1}^d sent through the noise event (j, m)
+    is accepted when the received vector decodes to c = a + m*e_j.  This
+    holds at every eps >= 2*delta that the basis certifies (2*eps <
+    separation), delta bounding how far a received vector and a decode-table
+    entry each lie from their exact codeword.
+
+    Assumed: IEEE-754 binary64 with round to nearest, u = 2^-53; cos, sin
+    and atan2 within K = LIBM_ULPS ulps, so a result v is off by at most
+    2*K*u*|v| (the tests check each function); the angles of
+    `build_angle_basis`, whose (L+1)*sum(theta) is pi/2 up to a few
+    roundings, so every codebook angle and received direction lies in
+    [0, A), A = 2.  A matmul may sum in any order, with or without fma: an
+    n-term dot product is then within gamma_n = n*u/(1 - n*u) times the sum
+    of its absolute products.  Write alpha(c) = sum_i c_i*theta_i exactly,
+    and P(c) for the planar unit vector at alpha(c).
+
+    The received vector y lies within delta_rx of P(c), the sum of:
+    - the encoder angle: `encode` rounds the rounded products a_i*theta_i
+      once (`encode_batch` is bit-identical), so it is within (2u + u^2)*A
+      of alpha(a), and the unit vector moves no further;
+    - the payload x: its cos and sin lie within 2Ku of that unit vector,
+      and |x| <= 1 + 2Ku;
+    - the rotation rot_z(m*theta_j): m*theta_j is exact for m in {1, 2},
+      so its error is [[p, -q], [q, p]] with p, q the cos and sin errors, of
+      norm sqrt(p^2 + q^2) <= 2Ku, and it moves x by at most 2Ku(1 + 2Ku);
+      the exact rotation takes P(a) to P(c) and moves the rest no further;
+    - the 3x3 product: each of y's first two coordinates is within
+      gamma_3*(1 + 2Ku)^2 (Cauchy-Schwarz over |row|*|x|), and the third
+      row (0, 0, 1) meets x's exact zero, so y moves at most
+      sqrt(2)*gamma_3*(1 + 2Ku)^2.
+    The table angle t_c is the d-term dot product c . theta, whose terms
+    sum to below A, so it is within gamma_d*A of alpha(c), and its table
+    cos and sin put the entry T_c within delta_t = gamma_d*A + 2Ku of P(c).
+    The floor is 2*delta, delta = delta_rx + delta_t, times 1 + 2^-20,
+    which covers the rounding of this formula, the second-order terms
+    dropped below and the absolute error of subnormal results.
+
+    Let eps >= 2*delta with 2*eps < separation.  Every two table entries
+    differ by at least g = min_gap/(1 + u), min_gap being the least rounded
+    neighbour difference, and separation = fl(2*sin(min_gap/2)) gives
+    2*sin(min_gap/2) >= separation/(1 + 2Ku) > 4*delta/(1 + 2Ku).
+    1. The true codeword's position p is a candidate: 0, last, i or i-1.
+       y's exact direction lies within asin(delta_rx) of alpha(c), atan2
+       adds at most 2Ku*A and t_c lies within gamma_d*A, so
+       |phi - t_c| <= delta + 3Ku < 1.5*delta < g/2 (delta > 6Ku).  No other
+       entry lies between phi and t_c, so the insertion point i is p or p+1.
+    2. It is the strict minimum.  |y - T_c| <= delta.  Another candidate c'
+       has |alpha(c') - alpha(c)| >= g - 2*gamma_d*A, so the chord
+       |P(c') - P(c)| >= 2*sin(min_gap/2) - u*A - 2*gamma_d*A, and
+       |y - T_c'| >= chord - delta >= 3*delta - u*A - 2*gamma_d*A - 8Ku*delta
+       >= delta + 11Ku, since delta - gamma_d*A >= 2u*A + 6Ku.  A float
+       squared distance is within a factor (1 + u)^5 of the exact one,
+       which cannot close that gap, so every other candidate scores more.
+    3. Its float squared distance is at most delta^2*(1 + u)^5 <=
+       eps^2*(1 + 6u)/4 < fl(eps^2), since eps^2 >= 4*delta^2 is a normal
+       number and fl(eps^2) >= eps^2*(1 - u): it is within the tolerance.
+    4. The decoded point, `_order[p]` unravelled, is c: decoded minus a is
+       m*e_j, which both predicates accept, and the reveal (parity(a), a) is
+       in range with its own parity.
+    Only d enters; L and the angles enter through A and the certificate.
+    """
+    u, k, top = 2.0**-53, LIBM_ULPS, 2.0
+
+    def gamma(n: int) -> float:
+        return n * u / (1.0 - n * u)
+
+    trig = 2 * k * u
+    received = (2 * u + u * u) * top + trig + trig * (1 + trig) + math.sqrt(2) * gamma(3) * (
+        1 + trig
+    ) ** 2
+    table = gamma(d) * top + trig
+    return 2.0 * (received + table) * (1.0 + 2.0**-20)
 
 
 @dataclass(frozen=True)

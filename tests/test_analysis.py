@@ -624,10 +624,35 @@ def test_lattice_soundness_exact_matches_point_decoding(d, L):
     # the index-space enumeration against decoding every rotated honest
     # codeword to its point and testing the reveal coordinate by coordinate
     basis = lattice.build_angle_basis(d, L)
-    for eps in (0.0, basis.max_safe_eps / 4, 0.9999 * basis.max_safe_eps):
+    floor = lattice.soundness_floor(d)
+    for eps in (0.0, floor, basis.max_safe_eps / 4, 0.9999 * basis.max_safe_eps):
         for predicate in lattice.PREDICATES:
             params = lattice.LatticeParams(basis, eps, predicate)
             assert analysis.lattice_soundness_exact(params) == soundness_by_point_decoding(params)
+
+
+@pytest.mark.parametrize(
+    "d,L",
+    [(1, 2), (2, 4), (2, 5), (3, 4), (3, 8), (4, 3), (3, 16), (4, 16), (5, 4), (6, 5), (1, 4),
+     (5, 8)],
+)
+def test_soundness_enumeration_reads_one_where_certified(d, L):
+    # the enumeration the certificate skips, at the floor and at every
+    # certified eps the soundness tests use (max_safe_eps / 4 is the default)
+    basis = lattice.build_angle_basis(d, L)
+    assert (L + 1) * sum(basis.angles) < 2  # the floor's bound A on every codebook angle
+    for eps in (lattice.soundness_floor(d), basis.max_safe_eps / 4, 0.9999 * basis.max_safe_eps):
+        for predicate in lattice.PREDICATES:
+            params = lattice.LatticeParams(basis, eps, predicate)
+            assert analysis.lattice_soundness_exact(params) == 1
+            assert analysis._soundness_enumerated(params) == 1
+
+
+def test_certified_soundness_builds_no_decode_table():
+    params = lattice.make_params(3, 8)
+    assert params.eps_meas >= lattice.soundness_floor(3)
+    assert analysis.lattice_soundness_exact(params) == 1
+    assert not {"_order", "_angles", "_cos", "_sin"} & set(vars(params.basis))
 
 
 @pytest.mark.parametrize(
@@ -648,7 +673,8 @@ def test_lattice_soundness_exact_pinned_at_zero_eps(d, L, predicate, expected):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda p: analysis.lattice_soundness_exact(p),
+        # eps = 0 lies below the certificate's floor, so this enumerates
+        lambda p: analysis.lattice_soundness_exact(lattice.LatticeParams(p.basis, 0.0)),
         lambda p: analysis.lattice_soundness_mc(p, 5000, seed=2),
     ],
     ids=["exact", "mc"],
@@ -664,8 +690,9 @@ def test_soundness_builds_no_point_table(run):
 def test_lattice_soundness_exact_memory_bound():
     # 10^6 codewords: the decode tables (_order, _angles, _cos, _sin) take
     # 32 MB; the int64 point table (48 MB), or any other full-length (N, d)
-    # int64 array, would pass the bound
-    params = lattice.make_params(6, 8)
+    # int64 array, would pass the bound.  It runs at the largest eps below
+    # the certificate's floor, which the enumeration decides; soundness is 1
+    params = lattice.make_params(6, 8, eps_meas=math.nextafter(lattice.soundness_floor(6), 0.0))
     tracemalloc.start()
     try:
         assert analysis.lattice_soundness_exact(params) == 1

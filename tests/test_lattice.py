@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -602,6 +603,70 @@ def test_numpy_trig_matches_math_on_codebook_range():
         assert np.array_equal(vectorised(alphas).view(np.int64), reference.view(np.int64))
 
 
+def _sin_cos_reference(x: float) -> tuple[Decimal, Decimal]:
+    # the Taylor series of sin and cos at the double x, summed to 40 digits
+    with localcontext() as context:
+        context.prec = 40
+        x = Decimal(x)
+        term, n, sums = Decimal(1), 0, [Decimal(0), Decimal(0)]  # term = x^n / n!
+        while n <= 3 * x + 3 or abs(term) > Decimal(10) ** -45:
+            sums[n % 2] += -term if n % 4 >= 2 else term
+            n += 1
+            term = term * x / n
+        return sums[1], sums[0]
+
+
+def _worst_ulps(values, reference) -> float:
+    # the largest error in units of 2^-52 * |reference|, the relative bound
+    # K ulps imply and `lattice.soundness_floor` uses; a zero must be exact
+    worst = 0.0
+    unit = Decimal(2) ** -52
+    for value, ref in zip(values, reference):
+        error = abs(Decimal(float(value)) - ref)
+        if ref == 0:
+            worst = max(worst, math.inf if error else 0.0)
+        else:
+            worst = max(worst, float(error / (unit * abs(ref))))
+    return worst
+
+
+def test_libm_within_soundness_floor_ulps():
+    # soundness_floor assumes cos, sin and atan2, numpy's and math's, within
+    # LIBM_ULPS ulps; checked at two codebooks' table and rotation angles
+    # and at random angles over [0, pi], the directions a decoder meets
+    angles = [0.0, math.pi / 2, math.pi]
+    for d, L in ((2, 5), (3, 4)):
+        params = lattice.make_params(d, L)
+        angles += params.basis._angles.tolist() + [m * t for t in params.angles for m in (1, 2)]
+    angles += np.random.default_rng(23).uniform(0.0, math.pi, size=10_000).tolist()
+    sines, cosines = zip(*map(_sin_cos_reference, angles))
+    t = np.array(angles)
+    worst = {
+        "np.cos": _worst_ulps(np.cos(t), cosines),
+        "np.sin": _worst_ulps(np.sin(t), sines),
+        "math.cos": _worst_ulps(map(math.cos, angles), cosines),
+        "math.sin": _worst_ulps(map(math.sin, angles), sines),
+    }
+    # atan2 at (sin t, cos t) rounded: with psi_hat = atan2(y, x), the exact
+    # angle of (x, y) is psi_hat + atan(r), r = (y cos psi_hat - x sin
+    # psi_hat) / (x cos psi_hat + y sin psi_hat), and r^3 is below 40 digits
+    ys, xs = np.sin(t), np.cos(t)
+    psi_hat = list(map(math.atan2, ys.tolist(), xs.tolist()))
+    exact = []
+    for x, y, psi in zip(xs.tolist(), ys.tolist(), psi_hat):
+        sin_psi, cos_psi = _sin_cos_reference(psi)
+        x, y = Decimal(x), Decimal(y)
+        with localcontext() as context:
+            context.prec = 40
+            exact.append(Decimal(psi) + (y * cos_psi - x * sin_psi) / (x * cos_psi + y * sin_psi))
+    worst["math.atan2"] = _worst_ulps(psi_hat, exact)
+    worst["np.arctan2"] = _worst_ulps(np.arctan2(ys, xs), exact)
+    assert max(worst.values()) <= lattice.LIBM_ULPS, (
+        f"numpy {np.__version__}: worst errors in ulps {worst} exceed "
+        f"LIBM_ULPS = {lattice.LIBM_ULPS}, which soundness_floor assumes"
+    )
+
+
 def _kernel_named() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
@@ -817,6 +882,18 @@ def test_honest_completeness_monte_carlo(params_d3_l8):
     rng = np.random.default_rng(29)
     specs = [lattice.lattice_protocol(params_d3_l8, b) for b in (0, 1)]
     for _ in range(10_000):
+        b = int(rng.integers(2))
+        assert engine.run_session(specs[b], rng).outcome == engine.Accepted(b)
+
+
+@pytest.mark.parametrize("d,L", [(3, 8), (4, 16)])
+def test_honest_sessions_accept_at_soundness_floor(d, L):
+    # a session rotates its payload by rotation @ payload, not the exact
+    # enumeration's stacked product: the floor holds for either kernel
+    params = lattice.make_params(d, L, eps_meas=lattice.soundness_floor(d))
+    specs = [lattice.lattice_protocol(params, b) for b in (0, 1)]
+    rng = np.random.default_rng(d * L)
+    for _ in range(2000):
         b = int(rng.integers(2))
         assert engine.run_session(specs[b], rng).outcome == engine.Accepted(b)
 
