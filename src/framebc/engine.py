@@ -397,7 +397,7 @@ def transcript_key(transcript: Transcript) -> tuple:
     """
     def key_message(m: Message) -> tuple:
         if m.is_vec():
-            values = tuple(round(float(x), 9) + 0.0 for x in m.payload)
+            values = tuple(round(x, 9) + 0.0 for x in m.payload.tolist())
             return (m.sender, m.kind, values)
         return (m.sender, m.kind, m.payload)
 
@@ -439,10 +439,11 @@ def _session_law(
     size = math.prod(_support_size(mu) for mu in laws)
     if size > budget:
         raise BudgetExceededError(f"session enumeration size {size} exceeds budget {budget}")
-    channel, alice_law, bob_law = (
-        [(None, Fraction(1))] if mu is None else enumerate_support(mu) for mu in laws
+    (channel, d_c), (alice_law, d_a), (bob_law, d_b) = (
+        _integer_weights([(None, Fraction(1))] if mu is None else enumerate_support(mu))
+        for mu in laws
     )
-    dist: dict[tuple, Fraction] = {}
+    tally: dict[tuple, int] = {}
     for rotation, prob in channel:
         for u_a, p_a in alice_law:
             weight = prob * p_a
@@ -450,8 +451,18 @@ def _session_law(
                 alice = None if u_a is None else TwirledParty(spec.make_alice(), alice_twirl, u_a)
                 bob = None if u_b is None else TwirledParty(spec.make_bob(), bob_twirl, u_b)
                 k = key(run_session(spec, rotation=rotation, alice=alice, bob=bob))
-                dist[k] = dist.get(k, Fraction(0)) + weight * p_b
-    return dist
+                tally[k] = tally.get(k, 0) + weight * p_b
+    return {k: Fraction(count, d_c * d_a * d_b) for k, count in tally.items()}
+
+
+def _integer_weights(support: list[tuple[object, Fraction]]) -> tuple[list, int]:
+    """A law's (element, probability) pairs as (element, integer weight) over one denominator.
+
+    The denominator is the lcm of the probabilities' denominators, so every
+    weight is its probability times it, exactly.
+    """
+    denominator = math.lcm(*(p.denominator for _, p in support))
+    return [(x, p.numerator * (denominator // p.denominator)) for x, p in support], denominator
 
 
 def transcript_distribution(
