@@ -39,9 +39,17 @@ class ContinuousSupportError(ValueError):
 # ---------------------------------------------------------------------------
 
 def unit3(x: float, y: float, z: float) -> np.ndarray:
-    """Unit vector in the direction of (x, y, z)."""
+    """Unit vector in the direction of (x, y, z).
+
+    A finite vector whose norm overflows is first divided by its largest
+    absolute component; every other vector is divided by its norm directly.
+    """
     v = np.array([float(x), float(y), float(z)])
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm) and np.isfinite(v).all():
+        v = v / np.abs(v).max()
+        norm = float(np.linalg.norm(v))
     if not (math.isfinite(norm) and norm >= 1e-12):
         raise ValueError("cannot normalize a near-zero or non-finite vector")
     return v / norm

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -63,6 +64,11 @@ def test_rotation_preserves_dot_products(seed):
 def test_unit3_normalizes():
     v = so3.unit3(3.0, 4.0, 0.0)
     assert abs(np.linalg.norm(v) - 1.0) <= TOL
+    # finite components whose norm overflows still normalize, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = so3.unit3(1e308, 1e308, 0.0)
+    assert np.allclose(v, [math.sqrt(0.5), math.sqrt(0.5), 0.0], rtol=0.0, atol=TOL)
     with pytest.raises(ValueError):
         so3.unit3(0.0, 0.0, 0.0)
     # NaN fails every comparison, so the guard must accept, not reject, by comparison
