@@ -307,11 +307,11 @@ def soundness_floor(d: int) -> float:
     def gamma(n: int) -> float:
         return n * u / (1.0 - n * u)
 
-    trig = 2 * k * u
-    received = (2 * u + u * u) * top + trig + trig * (1 + trig) + math.sqrt(2) * gamma(3) * (
-        1 + trig
-    ) ** 2
-    table = gamma(d) * top + trig
+    trig = 2 * k * u  # the relative error of a cos, sin or atan2 result
+    # delta_rx: encoder angle, payload, rotation entries, 3x3 product
+    received = (2 * u + u * u) * top + trig + trig * (1 + trig)
+    received += math.sqrt(2) * gamma(3) * (1 + trig) ** 2
+    table = gamma(d) * top + trig  # delta_t
     return 2.0 * (received + table) * (1.0 + 2.0**-20)
 
 
