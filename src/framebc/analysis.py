@@ -9,8 +9,8 @@ concealing distance is a closed-form O(d^2) sum that depends on (d, L)
 alone, and the codeword binding figures are closed forms in d and the
 reveal predicate, proved in `binding_search`.  Lattice soundness is 1 by
 proof from `lattice.soundness_floor(d)` up; below it, eps = 0 included, it
-enumerates every honest point through the channel geometry.  Either way it
-is capped by the enumeration budget.
+enumerates every honest point through the channel geometry, and only that
+enumeration is capped by the enumeration budget.
 
 Binding is formalized as the best acceptance probability over non-adaptive
 cheating strategies (commit action fixed up front, reveal pair fixed before
@@ -339,18 +339,17 @@ def lattice_soundness_exact(
     decodes to itself plus the event's bump, whatever the summation order
     of the rotation and the table, so no decode table is touched.  Below
     the floor, eps = 0 included, rounding decides, and
-    `_soundness_enumerated` counts every honest decode.  The budget is
-    checked first either way, so a size the enumeration could not run is
-    refused at every eps.
+    `_soundness_enumerated` counts every honest decode; a size it could not
+    run within the budget is refused before it starts.
     """
     d, L = params.d, params.L
+    if params.eps_meas >= soundness_floor(d):
+        return Fraction(1)
     cost = (L**d) * 2 * d
     if cost > budget:
         raise BudgetExceededError(
             f"soundness enumeration size {cost} exceeds budget {budget}"
         )
-    if params.eps_meas >= soundness_floor(d):
-        return Fraction(1)
     return _soundness_enumerated(params)
 
 
@@ -598,11 +597,11 @@ def lattice_report(
     """Full security report for a lattice parameter set.
 
     mode "exact" computes the exact figures, "monte-carlo" simulates
-    soundness only.  Exact soundness is refused past `budget`; within it,
-    it is 1 by proof from `lattice.soundness_floor(d)` up and enumerates
-    the honest points below the floor (see `lattice_soundness_exact`).
-    Concealing, its bound and both binding figures are closed forms in
-    (d, L) and the predicate.
+    soundness only.  Exact soundness is 1 by proof from
+    `lattice.soundness_floor(d)` up, and below the floor enumerates the
+    honest points, refused past `budget` (see `lattice_soundness_exact`);
+    the method row says which.  Concealing, its bound and both binding
+    figures are closed forms in (d, L) and the predicate.
     """
     config = (
         ("protocol", "lattice"),
@@ -618,6 +617,7 @@ def lattice_report(
     if mode == "exact":
         # the budgeted enumeration first, so an over-budget size does nothing else
         soundness = lattice_soundness_exact(params, budget=budget)
+        enumerated = params.eps_meas < soundness_floor(params.d)
         eps = concealing_exact(params.d, params.L)
         bound = concealing_bound_exact(params.d, params.L)
         flip_strict = binding_search(params, "strict").probability
@@ -631,7 +631,7 @@ def lattice_report(
             ("binding_flip_strict", flip_strict),
             ("binding_flip_lenient", flip_lenient),
             ("binding_sum_max", sum_max),
-            ("method", "exact-enumeration"),
+            ("method", "exact-enumeration" if enumerated else "closed-form"),
         ]
         if params.L >= 4 and eps > bound:
             results.append(("concealing_bound_violated", True))

@@ -11,8 +11,8 @@ parity-b class and sending the encoded vector; revealing means sending
 
 Decoding is nearest-codeword search in a sorted table of all (L+2)^d
 codebook angles, accepting only within the measurement tolerance eps_meas.
-Construction certifies the codebook numerically: the minimum pairwise
-angular gap (min_gap) is computed up front, and parameters are rejected
+Construction certifies the codebook: the minimum angular gap between exact
+codeword angles (min_gap) is computed up front, and parameters are rejected
 unless the induced Euclidean separation 2*sin(min_gap/2) exceeds
 2*eps_meas, which is exactly the condition for the tolerance ball around a
 received vector to contain at most one codeword.  From `soundness_floor(d)`
@@ -21,11 +21,12 @@ honest commitment, under every noise event, to its own bumped point.
 
 The certified basis owns all derived state.  Certification keeps no table: a
 meet-in-the-middle search names the few pair differences k that can attain
-min_gap, re-scored over their pairs a chunk at a time (`build_angle_basis`).
-The first decode computes the codebook angles (`codebook_angles`) and keeps
-the permutation that sorts them (`_order`, the lexicographic index of each
-sorted codeword) and the sorted angles; the cosine and sine tables follow
-on that decode and the channel on its first use, all cached on the basis.
+the gap, and min_gap is their least |k . theta|, exactly
+(`build_angle_basis`).  The first decode computes the codebook angles
+(`codebook_angles`) and keeps the permutation that sorts them (`_order`,
+the lexicographic index of each sorted codeword) and the sorted angles;
+the cosine and sine tables follow on that decode and the channel on its
+first use, all cached on the basis.
 No point table exists: a decoded point is its codeword's lexicographic
 index, unravelled.  A parameter set is a plain validated record over the
 basis, so every parameter set over one basis shares one copy of each, and
@@ -39,6 +40,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,11 +68,12 @@ class AngleBasis:
     angles[i] is sqrt(p_i), p_i the i-th prime, times one common factor
     chosen so sum_i (L+1)*angles[i] = pi/2, which keeps every codebook angle
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
-    angular distance between distinct codebook angles, certified at
-    construction with no table.  The basis is the only owner of derived
-    state: the permutation that sorts the codebook (`_order`) and the
-    sorted angles (`_angles`), the decoder's cosines and sines, and the
-    channel `_mu` are built on first use and then cached here.
+    distance between exact codeword angles over these float angles,
+    exactly, certified at construction with no table.  The basis
+    is the only owner of derived state: the permutation that sorts the
+    codebook (`_order`) and the sorted angles (`_angles`), the decoder's
+    cosines and sines, and the channel `_mu` are built on first use and
+    then cached here.
     """
 
     d: int
@@ -78,22 +81,19 @@ class AngleBasis:
     angles: tuple[float, ...]
     min_gap: float
 
-    def _sort_codebook(self) -> None:
-        # one pass keeps both; the angles are distinct, so alphas[order]
-        # equals the in-place sort that certification read min_gap from
-        alphas = codebook_angles(self.d, self.L, np.asarray(self.angles))
-        order = np.argsort(alphas)
-        vars(self).update(_order=order, _angles=alphas[order])
-
     @functools.cached_property
     def _order(self) -> np.ndarray:
-        # entry k is the lexicographic index of the codeword with the k-th smallest angle
-        self._sort_codebook()
-        return vars(self)["_order"]
+        # entry k is the lexicographic index of the codeword with the k-th smallest angle;
+        # the certificate keeps the table angles distinct, so the order is unique, and
+        # this one pass also keeps the sorted angles
+        alphas = codebook_angles(self.d, self.L, np.asarray(self.angles))
+        order = np.argsort(alphas)
+        vars(self)["_angles"] = alphas[order]
+        return order
 
     @functools.cached_property
     def _angles(self) -> np.ndarray:
-        self._sort_codebook()
+        self._order  # the sort that builds the order keeps the sorted angles
         return vars(self)["_angles"]
 
     @functools.cached_property
@@ -131,14 +131,14 @@ def codebook_size(d: int, L: int) -> int:
 ANGLE_CHUNK = 1 << 16
 
 
-def _box_chunks(lo, hi, rows: int = ANGLE_CHUNK):
+def _box_chunks(lo, hi):
     """The points lo <= a < hi in lexicographic order, as rewrites of one float64 buffer.
 
     Each chunk fixes the leading coordinates and holds the grid of the
-    trailing ones: at most `rows` rows, or one coordinate's range if larger.
+    trailing ones: at most ANGLE_CHUNK rows, or one coordinate's range if larger.
     """
     d, lead = len(lo), 0
-    while lead < d - 1 and math.prod(hi[j] - lo[j] for j in range(lead, d)) > rows:
+    while lead < d - 1 and math.prod(hi[j] - lo[j] for j in range(lead, d)) > ANGLE_CHUNK:
         lead += 1
     grid = np.empty([hi[j] - lo[j] for j in range(lead, d)] + [d])
     for j in range(lead, d):  # coordinate j runs along grid axis j - lead
@@ -152,9 +152,10 @@ def _box_chunks(lo, hi, rows: int = ANGLE_CHUNK):
 def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
     """The (L+2)^d codebook angles in lexicographic order, one `_box_chunks` chunk at a time.
 
-    matmul computes each row of a product of two or more rows on its own,
-    so every angle is the same float64 product as from one int64 grid, or
-    from any other two or more rows holding that point.
+    The decode table's angles: each a d-term dot product, within gamma_d*A
+    of its exact angle in any summation order (see `soundness_floor`), and
+    independent of the chunking, since matmul computes each row of a
+    product of two or more rows on its own.
     """
     out = np.empty(codebook_size(d, L))
     for k, chunk in enumerate(_box_chunks((0,) * d, (L + 2,) * d)):
@@ -167,10 +168,10 @@ def _gap_candidates(d: int, L: int, angles: np.ndarray) -> tuple[float, float, l
 
     Returns e_min, a margin and every k (one of each +-k) with e(k) =
     |fl(q + r)| <= e_min + margin, q summing k's leading d - d//2 terms and r
-    the rest.  With u = 2^-53 and S = (L+1) * sum(angles) < 2, a pair gap lies
-    within (2d + 1) u S of |k . angles| and e(k) within (d + 1) u S, to first
-    order, so min_gap lies within (3d + 2) u S of e_min and a k attaining it
-    has e(k) <= e_min + (6d + 4) u S; (6d + 8) 2u also covers the window.
+    the rest.  With u = 2^-53 and S = (L+1) * sum(angles) < 2, e(k) lies
+    within (d + 1) u S of |k . angles|, to first order, so a k attaining the
+    exact minimum has e(k) <= e_min + (2d + 2) u S; the margin (6d + 8) 2u
+    exceeds that by more than the roundings of the window ends.
     """
     span, n = L + 1, d - d // 2
     lo, hi = (0,) + (-span,) * (d - 1), (span + 1,) * d
@@ -206,10 +207,12 @@ def _check_size(d: int, L: int) -> None:
 def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> AngleBasis:
     """Construct and certify the angle basis for a (d, L) codebook.
 
-    min_gap is the least fl(alpha(a+k) - alpha(a)) over codeword pairs, which
-    equals the sorted codebook's least neighbour gap because float
-    subtraction rounds monotonically; each k `_gap_candidates` names is
-    re-scored over all its pairs.  Fails with BudgetExceededError when the
+    min_gap is G, the exact least |k . angles| over the k `_gap_candidates`
+    names, in Fractions over the float angles.  G is a multiple of the ulp
+    of the angle with the least exponent and at most that angle, so it is
+    a double and float(G) is exact.  A G at most 2*gamma_d*A, the table's
+    rounding (see `soundness_floor`), no longer keeps the table entries
+    apart and raises ValueError.  Fails with BudgetExceededError when the
     codebook, which the first decode tabulates, exceeds the budget.
     """
     _check_size(d, L)
@@ -221,17 +224,11 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
         )
     roots = np.sqrt(np.array(first_primes(d), dtype=float))
     angles = (math.pi / 2.0) / ((L + 1) * float(roots.sum())) * roots
-    min_gap = math.inf
-    for k in _gap_candidates(d, L, angles)[2]:
-        box = [max(-x, 0) for x in k], [min(L + 2 - x, L + 2) for x in k]
-        # both ends of a pair in one product of two or more rows, as in
-        # codebook_angles; a quarter chunk keeps the stack within one chunk
-        for chunk in _box_chunks(*box, ANGLE_CHUNK // 4):
-            pair = np.concatenate([chunk, chunk + k]) @ angles
-            min_gap = min(min_gap, float(np.abs(pair[len(chunk):] - pair[:len(chunk)]).min()))
-    if min_gap <= 0.0:
-        raise ValueError("degenerate basis: duplicate codebook angles")
-    return AngleBasis(d=d, L=L, angles=tuple(float(a) for a in angles), min_gap=min_gap)
+    exact = [Fraction(a) for a in angles.tolist()]
+    gap = min(abs(sum(map(operator.mul, k, exact))) for k in _gap_candidates(d, L, angles)[2])
+    if gap <= Fraction(4 * d, 2**53 - d):  # 2 * gamma_d * A, as in `soundness_floor`
+        raise ValueError("degenerate basis: codebook angles closer than the table's rounding")
+    return AngleBasis(d=d, L=L, angles=tuple(angles.tolist()), min_gap=float(gap))
 
 
 #: ulps within which cos, sin and atan2, numpy's and math's, return; `soundness_floor` assumes it
@@ -278,22 +275,23 @@ def soundness_floor(d: int) -> float:
     which covers the rounding of this formula, the second-order terms
     dropped below and the absolute error of subnormal results.
 
-    Let eps >= 2*delta with 2*eps < separation.  Every two table entries
-    differ by at least g = min_gap/(1 + u), min_gap being the least rounded
-    neighbour difference, and separation = fl(2*sin(min_gap/2)) gives
-    2*sin(min_gap/2) >= separation/(1 + 2Ku) > 4*delta/(1 + 2Ku).
+    Let eps >= 2*delta with 2*eps < separation.  Distinct codewords have
+    |alpha(c') - alpha(c)| >= G = min_gap, the exact gap of
+    `build_angle_basis`, so separation = fl(2*sin(G/2)) gives
+    G >= 2*sin(G/2) >= separation/(1 + 2Ku) > 4*delta/(1 + 2Ku).  As
+    gamma_d*A < delta, two table entries differ by at least
+    G - 2*gamma_d*A > 4*delta/(1 + 2Ku) - 2*delta > 1.5*delta.
     1. The true codeword's position p is a candidate: 0, last, i or i-1.
        y's exact direction lies within asin(delta_rx) of alpha(c), atan2
        adds at most 2Ku*A and t_c lies within gamma_d*A, so
-       |phi - t_c| <= delta + 3Ku < 1.5*delta < g/2 (delta > 6Ku).  No other
-       entry lies between phi and t_c, so the insertion point i is p or p+1.
+       |phi - t_c| <= delta + 3Ku < 1.5*delta (delta > 6Ku).  No other entry
+       lies between phi and t_c, so the insertion point i is p or p+1.
     2. It is the strict minimum.  |y - T_c| <= delta.  Another candidate c'
-       has |alpha(c') - alpha(c)| >= g - 2*gamma_d*A, so the chord
-       |P(c') - P(c)| >= 2*sin(min_gap/2) - u*A - 2*gamma_d*A, and
-       |y - T_c'| >= chord - delta >= 3*delta - u*A - 2*gamma_d*A - 8Ku*delta
-       >= delta + 11Ku, since delta - gamma_d*A >= 2u*A + 6Ku.  A float
-       squared distance is within a factor (1 + u)^5 of the exact one,
-       which cannot close that gap, so every other candidate scores more.
+       has |alpha(c') - alpha(c)| >= G, so the chord |P(c') - P(c)| >=
+       2*sin(G/2), and |y - T_c'| >= chord - delta >= 3*delta - 8Ku*delta
+       >= delta + 11Ku, since delta > 6Ku.  A float squared distance is
+       within a factor (1 + u)^5 of the exact one, which cannot close that
+       gap, so every other candidate scores more.
     3. Its float squared distance is at most delta^2*(1 + u)^5 <=
        eps^2*(1 + 6u)/4 < fl(eps^2), since eps^2 >= 4*delta^2 is a normal
        number and fl(eps^2) >= eps^2*(1 - u): it is within the tolerance.

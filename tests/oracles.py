@@ -1,6 +1,7 @@
 """Brute-force references shared by the test modules."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,60 @@ def sorted_min_gap(d: int, L: int, angles) -> float:
         float(np.diff(alphas[i:i + lattice.ANGLE_CHUNK + 1]).min())
         for i in range(0, len(alphas) - 1, lattice.ANGLE_CHUNK)
     )
+
+
+def sorted_exact_gap(d: int, L: int, angles) -> Fraction:
+    """The sorted certificate taken exactly: the least exact gap over near-least neighbours.
+
+    Sorts the `lattice.codebook_angles` table and keeps every neighbour pair
+    whose float gap lies within 4 (2d + 1) u S of the least, u = 2^-53 and
+    S = (L+1) * sum(angles); returns the least exact |(c' - c) . angles|
+    over those pairs (c, c').  A float gap lies within (2d + 1) u S of its
+    exact gap, to first order, and two codewords at the exact least gap G are
+    neighbours in the table when G exceeds twice the table's rounding, so
+    the result is G.
+    """
+    angles = np.asarray(angles)
+    alphas = lattice.codebook_angles(d, L, angles)
+    alphas.sort()
+    starts = range(0, len(alphas) - 1, lattice.ANGLE_CHUNK)
+    least = min(float(np.diff(alphas[i:i + lattice.ANGLE_CHUNK + 1]).min()) for i in starts)
+    window = least + 4 * (2 * d + 1) * 2.0**-53 * (L + 1) * float(angles.sum())
+    near = np.concatenate([
+        i + np.flatnonzero(np.diff(alphas[i:i + lattice.ANGLE_CHUNK + 1]) <= window)
+        for i in starts
+    ])
+    pairs = alphas[near], alphas[near + 1]
+    del alphas
+    # the lexicographic index of each pair end; the table's angles are distinct
+    wanted, index = np.unique(np.concatenate(pairs)), {}
+    table = lattice.codebook_angles(d, L, angles)
+    for i in range(0, len(table), lattice.ANGLE_CHUNK):
+        part = table[i:i + lattice.ANGLE_CHUNK]
+        hit = wanted[np.minimum(np.searchsorted(wanted, part), len(wanted) - 1)] == part
+        index.update(zip(part[hit].tolist(), (i + np.flatnonzero(hit)).tolist()))
+    lo, hi = ([index[v] for v in values.tolist()] for values in pairs)
+    shape = (L + 2,) * d
+    steps = np.stack(np.unravel_index(hi, shape), 1) - np.stack(np.unravel_index(lo, shape), 1)
+    exact = [Fraction(t) for t in angles.tolist()]
+    return min(abs(sum(map(operator.mul, k, exact))) for k in set(map(tuple, steps.tolist())))
+
+
+def exhaustive_min_gap(d: int, L: int, angles) -> Fraction:
+    """The exact least |k . angles| over every lexicographically positive k in {-(L+1)..L+1}^d.
+
+    Scales the angles to integers over their common power-of-two
+    denominator and tries every k: (2L + 3)^d / 2 of them.
+    """
+    exact = [Fraction(t) for t in np.asarray(angles).tolist()]
+    scale = max(t.denominator for t in exact)
+    ints = [t.numerator * (scale // t.denominator) for t in exact]
+    span = range(-(L + 1), L + 2)
+    zero = (0,) * d
+    return Fraction(min(
+        abs(sum(map(operator.mul, k, ints)))
+        for k in itertools.product(span, repeat=d) if k > zero
+    ), scale)
 
 
 def noise_events(d: int) -> list[tuple[int, int]]:

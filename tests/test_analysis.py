@@ -703,9 +703,14 @@ def test_lattice_soundness_exact_memory_bound():
 
 
 def test_soundness_budget_guard():
+    # the budget caps the enumeration below the floor; from the floor up the
+    # figure is proved, at any budget and with no decode table
     params = lattice.make_params(2, 4)
-    with pytest.raises(lattice.BudgetExceededError):
-        analysis.lattice_soundness_exact(params, budget=10)
+    below = lattice.LatticeParams(params.basis, eps_meas=0.0)
+    with pytest.raises(lattice.BudgetExceededError, match="size 64 exceeds budget 10"):
+        analysis.lattice_soundness_exact(below, budget=10)
+    assert analysis.lattice_soundness_exact(params, budget=10) == 1
+    assert not {"_order", "_angles"} & set(vars(params.basis))
 
 
 def test_lattice_soundness_monte_carlo():

@@ -227,12 +227,34 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_analyze_soundness_over_budget_exits_two(capsys, monkeypatch):
-    # the 36-point codebook certifies, but soundness enumerates 4^2 * 4 = 64 pairs
+    # the 36-point codebook certifies; below the soundness floor soundness
+    # enumerates 4^2 * 4 = 64 pairs, and from the floor up it is proved
     monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
-    code, out, err = run_cli(capsys, "analyze", "--protocol", "lattice",
-                             "--d", "2", "--L", "4", "--budget", "40")
+    argv = ("analyze", "--protocol", "lattice", "--d", "2", "--L", "4", "--budget", "40")
+    code, out, err = run_cli(capsys, *argv, "--eps", "0")
     assert code == 2 and out == ""
     assert "soundness enumeration size 64 exceeds budget 40" in err
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "soundness.exact = 1\n" in out and "method = closed-form\n" in out
+
+
+@pytest.mark.parametrize("d, L, size", [("5", "16", 10485760), ("7", "8", 29360128)])
+def test_analyze_proved_soundness_past_enumeration_budget(capsys, monkeypatch, d, L, size):
+    # past the default budget only the enumeration below the floor is refused,
+    # and the proved figure builds no decode table
+    def unbuilt(*args):
+        raise AssertionError("a decode table was built")
+
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    monkeypatch.setattr(cli.lattice, "codebook_angles", unbuilt)
+    argv = ("analyze", "--protocol", "lattice", "--d", d, "--L", L)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "soundness.exact = 1\n" in out and "method = closed-form\n" in out
+    code, out, err = run_cli(capsys, *argv, "--eps", "0")
+    assert (code, out) == (2, "")
+    assert f"soundness enumeration size {size} exceeds budget 10000000" in err
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -371,9 +393,9 @@ L = 8
 budget = 10000000
 [results]
 codebook_points = 1000
-min_gap = 0.0003079258828508902
-separation = 0.0003079258816343475
-max_safe_eps = 0.00015396294081717376
+min_gap = 0.0003079258828512024
+separation = 0.00030792588163465977
+max_safe_eps = 0.00015396294081732989
 verdict = pass
 """
 
@@ -386,9 +408,9 @@ L = 8
 budget = 10000000
 [results]
 codebook_points = 1000
-min_gap = 0.0003079258828508902
-separation = 0.0003079258816343475
-max_safe_eps = 0.00015396294081717376
+min_gap = 0.0003079258828512024
+separation = 0.00030792588163465977
+max_safe_eps = 0.00015396294081732989
 eps = 0.0001
 eps_certified = true
 verdict = pass
@@ -403,9 +425,9 @@ L = 8
 budget = 10000000
 [results]
 codebook_points = 1000
-min_gap = 0.0003079258828508902
-separation = 0.0003079258816343475
-max_safe_eps = 0.00015396294081717376
+min_gap = 0.0003079258828512024
+separation = 0.00030792588163465977
+max_safe_eps = 0.00015396294081732989
 eps = 0.001
 eps_certified = false
 verdict = fail
@@ -419,10 +441,10 @@ schema = 1
 protocol = lattice
 d = 3
 L = 8
-eps_meas = 3.849073520429344e-05
+eps_meas = 3.849073520433247e-05
 predicate = lenient
-min_gap = 0.0003079258828508902
-separation = 0.0003079258816343475
+min_gap = 0.0003079258828512024
+separation = 0.00030792588163465977
 mode = exact
 trials = 0
 seed = 0
@@ -441,7 +463,7 @@ binding_flip_lenient = 0.3333333333333333
 binding_flip_lenient.exact = 1/3
 binding_sum_max = 1.3333333333333333
 binding_sum_max.exact = 4/3
-method = exact-enumeration
+method = closed-form
 [notes]
 reveal-test readings differ: flip cheat is 1/6 under strict, 1/3 under lenient
 """
@@ -496,10 +518,10 @@ schema = 1
 protocol = lattice
 d = 3
 L = 8
-eps_meas = 3.849073520429344e-05
+eps_meas = 3.849073520433247e-05
 predicate = lenient
-min_gap = 0.0003079258828508902
-separation = 0.0003079258816343475
+min_gap = 0.0003079258828512024
+separation = 0.00030792588163465977
 mode = monte-carlo
 trials = 2000
 seed = 7
@@ -559,9 +581,9 @@ GOLDEN_SWEEP_LATTICE = """\
 # framebc sweep protocol=lattice d-values=1,2 L-values=4,8 budget=10000000
 d\tL\teps_meas\tsoundness\tconcealing_exact\tconcealing_bound\tbinding_flip_strict\tbinding_flip_lenient
 1\t4\t0.03910861626005772\t1.0\t0.5\t0.5\t0.5\t1.0
-1\t8\t0.02178893568691453\t1.0\t0.25\t0.3\t0.5\t1.0
-2\t4\t0.0017831405026368405\t1.0\t0.5\t0.75\t0.25\t0.5
-2\t8\t0.0009906394197592692\t1.0\t0.25\t0.51\t0.25\t0.5
+1\t8\t0.02178893568691454\t1.0\t0.25\t0.3\t0.5\t1.0
+2\t4\t0.0017831405026368474\t1.0\t0.5\t0.75\t0.25\t0.5
+2\t8\t0.0009906394197592865\t1.0\t0.25\t0.51\t0.25\t0.5
 """
 
 GOLDEN_SWEEP_CONTINUOUS = """\
@@ -587,10 +609,10 @@ schema = 1
 protocol = lattice
 d = 5
 L = 8
-eps_meas = 3.840231144192059e-08
+eps_meas = 3.8402311453196295e-08
 predicate = lenient
-min_gap = 3.0721849153536596e-07
-separation = 3.0721849153536474e-07
+min_gap = 3.072184916255716e-07
+separation = 3.0721849162557036e-07
 mode = exact
 trials = 0
 seed = 0
@@ -609,7 +631,7 @@ binding_flip_lenient = 0.2
 binding_flip_lenient.exact = 1/5
 binding_sum_max = 1.2
 binding_sum_max.exact = 6/5
-method = exact-enumeration
+method = closed-form
 [notes]
 reveal-test readings differ: flip cheat is 1/10 under strict, 1/5 under lenient
 """
@@ -621,10 +643,10 @@ schema = 1
 protocol = lattice
 d = 4
 L = 16
-eps_meas = 1.921908087953816e-07
+eps_meas = 1.9219080881229514e-07
 predicate = strict
-min_gap = 1.5375264703632041e-06
-separation = 1.5375264703630527e-06
+min_gap = 1.5375264704985125e-06
+separation = 1.5375264704983611e-06
 mode = exact
 trials = 0
 seed = 0
@@ -643,7 +665,7 @@ binding_flip_lenient = 0.25
 binding_flip_lenient.exact = 1/4
 binding_sum_max = 1.125
 binding_sum_max.exact = 9/8
-method = exact-enumeration
+method = closed-form
 [notes]
 reveal-test readings differ: flip cheat is 1/8 under strict, 1/4 under lenient
 """
@@ -652,21 +674,21 @@ GOLDEN_SWEEP_LATTICE_D4_L9 = """\
 # framebc sweep protocol=lattice d-values=1,2,3,4 L-values=2,3,5,9 budget=10000000
 d\tL\teps_meas\tsoundness\tconcealing_exact\tconcealing_bound\tbinding_flip_strict\tbinding_flip_lenient
 1\t2\t0.06470476127563018\t1.0\t1.0\t0.75\t0.5\t1.0
-1\t3\t0.04877258050403206\t1.0\t1.0\t0.6\t0.5\t1.0
-1\t5\t0.032631548055012886\t1.0\t0.6666666666666666\t0.42857142857142855\t0.5\t1.0
+1\t3\t0.04877258050403207\t1.0\t1.0\t0.6\t0.5\t1.0
+1\t5\t0.03263154805501289\t1.0\t0.6666666666666666\t0.42857142857142855\t0.5\t1.0
 1\t9\t0.019614773931961236\t1.0\t0.4\t0.2727272727272727\t0.5\t1.0
-2\t2\t0.006611006467976489\t1.0\t1.0\t0.9375\t0.25\t0.5
-2\t3\t0.004958507745231972\t1.0\t0.75\t0.84\t0.25\t0.5
-2\t5\t0.0014859542687116621\t1.0\t0.44871794871794873\t0.673469387755102\t0.25\t0.5
-2\t9\t0.0008915759211004111\t1.0\t0.24146341463414633\t0.47107438016528924\t0.25\t0.5
-3\t2\t0.0010742463913562975\t1.0\t1.0\t0.984375\t0.16666666666666666\t0.3333333333333333
-3\t3\t0.00039503990323938544\t1.0\t0.6923076923076923\t0.936\t0.16666666666666666\t0.3333333333333333
-3\t5\t5.773610252136848e-05\t1.0\t0.40885816692268306\t0.8134110787172012\t0.16666666666666666\t0.3333333333333333
-3\t9\t6.242855054700683e-06\t1.0\t0.22419840433539065\t0.6153268219383922\t0.16666666666666666\t0.3333333333333333
-4\t2\t8.286013114293161e-06\t1.0\t1.0\t0.99609375\t0.125\t0.25
-4\t3\t6.214509836203782e-06\t1.0\t0.675\t0.9744\t0.125\t0.25
-4\t5\t4.143006557687726e-06\t1.0\t0.4015831080527566\t0.893377759266972\t0.125\t0.25
-4\t9\t7.861606152724054e-07\t1.0\t0.22242224262382826\t0.7202376886824671\t0.125\t0.25
+2\t2\t0.006611006467976503\t1.0\t1.0\t0.9375\t0.25\t0.5
+2\t3\t0.004958507745231975\t1.0\t0.75\t0.84\t0.25\t0.5
+2\t5\t0.001485954268711669\t1.0\t0.44871794871794873\t0.673469387755102\t0.25\t0.5
+2\t9\t0.0008915759211004215\t1.0\t0.24146341463414633\t0.47107438016528924\t0.25\t0.5
+3\t2\t0.0010742463913563183\t1.0\t1.0\t0.984375\t0.16666666666666666\t0.3333333333333333
+3\t3\t0.00039503990323939584\t1.0\t0.6923076923076923\t0.936\t0.16666666666666666\t0.3333333333333333
+3\t5\t5.7736102521370216e-05\t1.0\t0.40885816692268306\t0.8134110787172012\t0.16666666666666666\t0.3333333333333333
+3\t9\t6.242855054736245e-06\t1.0\t0.22419840433539065\t0.6153268219383922\t0.16666666666666666\t0.3333333333333333
+4\t2\t8.28601311430357e-06\t1.0\t1.0\t0.99609375\t0.125\t0.25
+4\t3\t6.2145098362245985e-06\t1.0\t0.675\t0.9744\t0.125\t0.25
+4\t5\t4.143006557720686e-06\t1.0\t0.4015831080527566\t0.893377759266972\t0.125\t0.25
+4\t9\t7.861606152871506e-07\t1.0\t0.22242224262382826\t0.7202376886824671\t0.125\t0.25
 """
 
 GOLDEN_TWIRL_HAAR = """\
@@ -718,9 +740,9 @@ L = 8
 budget = 10000000
 [results]
 codebook_points = 10000000
-min_gap = 1.603763788438073e-10
-separation = 1.603763788438073e-10
-max_safe_eps = 8.018818942190364e-11
+min_gap = 1.6037656098977227e-10
+separation = 1.6037656098977227e-10
+max_safe_eps = 8.018828049488613e-11
 verdict = pass
 """
 

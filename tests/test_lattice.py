@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framebc import analysis, engine, lattice, so3
-from oracles import codebook_points, noise_events, parity_class, sorted_min_gap
+from oracles import (
+    codebook_points,
+    exhaustive_min_gap,
+    noise_events,
+    parity_class,
+    sorted_exact_gap,
+    sorted_min_gap,
+)
 
 TOL = 1e-9
 
@@ -73,6 +80,13 @@ def test_basis_angle_sum_fills_quarter_circle():
 def test_budget_exceeded():
     with pytest.raises(lattice.BudgetExceededError, match="too large to certify"):
         lattice.build_angle_basis(8, 30, budget=10**6)
+
+
+def test_degenerate_basis_refused(monkeypatch):
+    # two equal angles put distinct codewords at one angle: the exact gap is 0
+    monkeypatch.setattr(lattice, "first_primes", lambda k: [2] * k)
+    with pytest.raises(ValueError, match="degenerate basis"):
+        lattice.build_angle_basis(2, 4)
 
 
 def test_basis_validation():
@@ -233,17 +247,29 @@ def _sorted_min_gap(d, L):
 
 @pytest.mark.parametrize("d,L", CERTIFIED_SIZES)
 def test_min_gap_bit_identical_to_sorted_certificate(d, L):
-    min_gap = np.float64(lattice.build_angle_basis(d, L).min_gap)
-    assert min_gap.view(np.int64) == np.float64(_sorted_min_gap(d, L)).view(np.int64)
+    # the sorted table's near-least neighbour gaps, taken exactly; its float
+    # least neighbour gap lies within (2d + 1) u S of that
+    basis = lattice.build_angle_basis(d, L)
+    assert basis.min_gap == sorted_exact_gap(d, L, basis.angles)
+    bound = (2 * d + 1) * 2.0**-53 * (L + 1) * sum(basis.angles)
+    assert abs(basis.min_gap - _sorted_min_gap(d, L)) <= bound
+
+
+@pytest.mark.parametrize("d,L", [(d, L) for d, L in CERTIFIED_SIZES if (2 * L + 3)**d <= 10**5])
+def test_min_gap_is_exhaustive_gap(d, L):
+    # every pair difference k tried, with no half-sum search; the exact gap
+    # is a double, so min_gap is the gap itself
+    basis = lattice.build_angle_basis(d, L)
+    assert basis.min_gap == exhaustive_min_gap(d, L, basis.angles)
 
 
 @pytest.mark.parametrize(
     "d,L,min_gap",
-    [(5, 16, 4.819926224808313e-08), (6, 8, 6.940039209979432e-09),
-     (7, 8, 1.603763788438073e-10), (1, 70000, 2.243962695946955e-05)],
+    [(5, 16, 4.819926246318884e-08), (6, 8, 6.940039525699104e-09),
+     (7, 8, 1.6037656098977227e-10), (1, 70000, 2.2439626959541957e-05)],
 )
 def test_min_gap_pinned(d, L, min_gap):
-    # the values the sorted-table certificate gave
+    # the exact gap of the float angles
     assert lattice.build_angle_basis(d, L).min_gap.hex() == min_gap.hex()
 
 
@@ -251,25 +277,23 @@ def test_min_gap_pinned(d, L, min_gap):
 def test_gap_margin_covers_half_sum_estimate(d, L):
     """The certificate's margin against the observed estimate error.
 
-    With u = 2^-53, every codebook angle and half sum is a float64 dot
-    product of at most d terms |k_i| * angles[i] whose sum is at most
-    S = (L+1) * sum(angles) < 2 (it is pi/2 up to rounding), so it errs by
-    at most gamma_d * S, gamma_d = d u / (1 - d u), in any summation order,
-    with or without fma.  A pair gap fl(alpha(a+k) - alpha(a)) therefore
-    lies within E1 = 2 gamma_d S + u S of |k . angles| (two angles and the
-    subtraction), and the estimate e(k) = |fl(q + r)| within
-    E2 = gamma_d S + u S (two half sums and the addition).  The estimate
-    e_min is e(k0) for some k0, and min over k of e(k): so min_gap lies
-    within E1 + E2 = (3d + 2) u S of e_min, to first order, and a k attaining
-    min_gap has e(k) <= e_min + 2 (E1 + E2).  The margin (6d + 8) 2u exceeds
-    2 (E1 + E2) = (6d + 4) u S by more than the roundings of the window ends
-    (u S for -q +- window and 3 u e_min for the window itself).  Checked
-    here: the observed |min_gap - e_min| stays within half the margin.
+    With u = 2^-53, every half sum is a float64 dot product of at most d
+    terms |k_i| * angles[i] whose sum is at most S = (L+1) * sum(angles) < 2
+    (it is pi/2 up to rounding), so it errs by at most gamma_d * S,
+    gamma_d = d u / (1 - d u), in any summation order, with or without fma.
+    The estimate e(k) = |fl(q + r)| therefore lies within
+    E = gamma_d S + u S of |k . angles| (two half sums and the addition).
+    The estimate e_min is e(k0) for some k0, and min over k of e(k): so the
+    exact gap lies within E = (d + 1) u S of e_min, to first order, and a k
+    attaining it has e(k) <= e_min + 2E.  The margin (6d + 8) 2u exceeds
+    2E = (2d + 2) u S by more than the roundings of the window ends (u S for
+    -q +- window and 3 u e_min for the window itself).  Checked here: the
+    observed |min_gap - e_min| stays within half the margin.
     """
     basis = lattice.build_angle_basis(d, L)
     estimate, margin, candidates = lattice._gap_candidates(d, L, np.asarray(basis.angles))
     assert margin == (6 * d + 8) * 2.0**-52
-    assert abs(_sorted_min_gap(d, L) - estimate) <= margin / 2
+    assert abs(basis.min_gap - estimate) <= margin / 2
     assert candidates and all(next(x for x in k if x) > 0 for k in candidates)
 
 
@@ -673,8 +697,8 @@ def _kernel_named() -> str:
 
 
 def test_matmul_rounding_model():
-    # the pinned eps = 0 soundness Fractions and min_gap rest on two
-    # properties of numpy's matmul on this platform, which no standard fixes
+    # the pinned eps = 0 soundness Fractions rest on two properties of
+    # numpy's matmul on this platform, which no standard fixes
     # (a) exact soundness's stacked 3x3 @ 3x1 product rounds each row as
     # fma(r0, x, r1 * y) + r2 * z; checked with Fractions on every 16th
     # honest point of (4, 16) under all eight channel rotations
@@ -693,9 +717,9 @@ def test_matmul_rounding_model():
         f"stacked rotation product is not fma(r0, x, r1 * y) + r2 * z under {_kernel_named()}"
     )
     # (b) an integer chunk @ angles product of two or more rows computes each
-    # row on its own: gathered rows equal the full codebook's, which the
-    # certificate's re-scoring relies on (a one-row product may take
-    # another kernel, so the certificate never forms one)
+    # row on its own: gathered rows equal the full codebook's, so the decode
+    # table does not depend on how `codebook_angles` chunks the codebook (a
+    # one-row product may take another kernel, and no chunk holds one row)
     rng = np.random.default_rng(5)
     for d, L in ((2, 100), (4, 16), (6, 8), (7, 3)):
         angles = np.asarray(lattice.build_angle_basis(d, L).angles)
