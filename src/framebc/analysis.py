@@ -25,10 +25,8 @@ reported, never silently resolved.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,9 +58,10 @@ from .simple import (
     four_symbol_verify,
     interpolation_acceptance,
 )
+from .so3 import Record
 
-#: two-sided 99% normal quantile, for Wilson intervals
-Z_99 = statistics.NormalDist().inv_cdf(0.995)
+#: two-sided 99% normal quantile, for Wilson intervals: statistics.NormalDist().inv_cdf(0.995)
+Z_99 = 2.5758293035489
 
 
 def _check_trials(trials: int) -> None:
@@ -81,11 +80,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    successes: int
-    trials: int
-    seed: int
+class MonteCarloEstimate(Record, NamedTuple("MonteCarloEstimate", [
+    ("successes", int), ("trials", int), ("seed", int)
+])):
+    """A seeded Monte Carlo count: `successes` of `trials` draws from `seed`."""
 
     @property
     def rate(self) -> float:
@@ -159,12 +157,11 @@ def concealing_bound_exact(d: int, L: int) -> Fraction:
 # lattice scheme: binding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BindingSearchResult:
-    probability: Fraction
-    commit_point: tuple[int, ...]
-    reveal_point: tuple[int, ...]
-    reveal_bit: int
+class BindingSearchResult(Record, NamedTuple("BindingSearchResult", [
+    ("probability", Fraction), ("commit_point", tuple[int, ...]),
+    ("reveal_point", tuple[int, ...]), ("reveal_bit", int),
+])):
+    """The best flip cheat's acceptance probability and its witness."""
 
 
 def _flip_share(params: LatticeParams, predicate: str | None) -> Fraction:
@@ -218,8 +215,11 @@ def binding_sum_max(
     return 1 + _flip_share(params, predicate), (0,) * params.d
 
 
-@dataclass
-class FinitePrecisionBinding:
+class FinitePrecisionBinding(Record, NamedTuple("FinitePrecisionBinding", [
+    ("anchor", tuple[int, ...] | None),
+    ("best_reveal", dict[int, tuple[Fraction, tuple[int, ...] | None]]),
+    ("flip_probability", Fraction), ("overall", Fraction),
+])):
     """Binding figures for an arbitrary committed vector.
 
     anchor is the codeword the vector decodes to directly (None when it is
@@ -228,11 +228,6 @@ class FinitePrecisionBinding:
     flip_probability is the best reveal of the bit opposite the anchor's
     parity, or the overall best when there is no anchor.
     """
-
-    anchor: tuple[int, ...] | None
-    best_reveal: dict[int, tuple[Fraction, tuple[int, ...] | None]]
-    flip_probability: Fraction
-    overall: Fraction
 
 
 def binding_search_finite_precision(
@@ -465,13 +460,14 @@ def four_symbol_soundness_mc(trials: int = 10_000, seed: int = 42) -> MonteCarlo
 # continuous scheme figures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuousCurveRow:
-    alpha: float
-    p0_exact: float
-    p1_exact: float
-    p0_mc: MonteCarloEstimate | None = None
-    p1_mc: MonteCarloEstimate | None = None
+class ContinuousCurveRow(Record, NamedTuple("ContinuousCurveRow", [
+    ("alpha", float), ("p0_exact", float), ("p1_exact", float),
+    ("p0_mc", MonteCarloEstimate | None), ("p1_mc", MonteCarloEstimate | None),
+])):
+    """One alpha of the interpolation curve: exact acceptance, optional Monte Carlo."""
+
+    def __new__(cls, alpha, p0_exact, p1_exact, p0_mc=None, p1_mc=None) -> ContinuousCurveRow:
+        return super().__new__(cls, alpha, p0_exact, p1_exact, p0_mc, p1_mc)
 
 
 def continuous_acceptance_mc(
@@ -543,8 +539,10 @@ def _mode_config(mode: str, trials: int, seed: int) -> tuple[tuple[str, object],
     )
 
 
-@dataclass(frozen=True)
-class SecurityReport:
+class SecurityReport(Record, NamedTuple("SecurityReport", [
+    ("title", str), ("config", tuple[tuple[str, object], ...]),
+    ("results", tuple[tuple[str, object], ...]), ("notes", tuple[str, ...]),
+])):
     """Self-describing, byte-deterministic `key = value` report.
 
     Every `framebc` report but the sweep tables is one of these; `title`
@@ -555,10 +553,8 @@ class SecurityReport:
     identical inputs serialize to identical bytes.
     """
 
-    title: str
-    config: tuple[tuple[str, object], ...]
-    results: tuple[tuple[str, object], ...]
-    notes: tuple[str, ...] = ()
+    def __new__(cls, title, config, results, notes=()) -> SecurityReport:
+        return super().__new__(cls, title, config, results, notes)
 
     def to_text(self) -> str:
         lines = [f"# framebc {self.title} report", "schema = 1", "[config]"]

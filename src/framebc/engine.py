@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .so3 import (
     FiniteSupport,
     HaarSO3,
     MisalignmentDistribution,
+    Record,
     enumerate_support,
     haar_rotations,
     identity_rotation,
@@ -52,18 +52,15 @@ VEC = "vec"
 DATA = "data"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(Record, NamedTuple("Message", [
+    ("sender", str), ("kind", str), ("payload", object)
+])):
     """One protocol message as seen by one party.
 
     kind "vec" payloads are 3-vectors and are frame-sensitive: the channel
     rotates them in transit.  kind "data" payloads are classical values
     (nested tuples of ints/floats/strings) and are never rotated.
     """
-
-    sender: str
-    kind: str
-    payload: object
 
     def is_vec(self) -> bool:
         return self.kind == VEC
@@ -77,14 +74,12 @@ def data_message(sender: str, value: object) -> Message:
     return Message(sender, DATA, value)
 
 
-@dataclass(frozen=True)
-class Accepted:
-    value: object  # the revealed bit
+class Accepted(Record, NamedTuple("Accepted", [("value", object)])):
+    """A session that ends in acceptance; `value` is the revealed bit."""
 
 
-@dataclass(frozen=True)
-class Aborted:
-    reason: str
+class Aborted(Record, NamedTuple("Aborted", [("reason", str)])):
+    """A session that ends in rejection, and why."""
 
 
 ProtocolOutcome = Accepted | Aborted
@@ -200,18 +195,16 @@ def commit_reveal_decider(
     return decide
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(Record, NamedTuple("ProtocolSpec", [
+    ("schedule", tuple[tuple[str, str], ...]), ("mu", MisalignmentDistribution),
+    # bare: typing caches Callable[[], Party], and this module with it, past a re-import
+    ("make_alice", Callable), ("make_bob", Callable),
+])):
     """A runnable protocol: schedule, channel law, and honest party factories.
 
     The schedule is a tuple of (role, action) pairs, action "send" or
     "decide"; all implemented protocols end with a single decide step.
     """
-
-    schedule: tuple[tuple[str, str], ...]
-    mu: MisalignmentDistribution
-    make_alice: Callable[[], Party]
-    make_bob: Callable[[], Party]
 
 
 def commit_reveal_protocol(
@@ -234,11 +227,11 @@ def commit_reveal_protocol(
     )
 
 
-@dataclass(frozen=True)
-class Transcript:
-    alice_view: tuple[Message, ...]
-    bob_view: tuple[Message, ...]
-    outcome: ProtocolOutcome
+class Transcript(Record, NamedTuple("Transcript", [
+    ("alice_view", tuple[Message, ...]), ("bob_view", tuple[Message, ...]),
+    ("outcome", ProtocolOutcome),
+])):
+    """Both parties' views of one session, and its outcome."""
 
 
 def run_session(

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import engine
 from .so3 import (
     TAU,
     FiniteSupport,
+    Record,
     UniformSegment,
     enumerate_support,
     identity_rotation,
@@ -48,16 +49,13 @@ PLANE_TOL = 1e-6
 # four-symbol scheme
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FourSymbolCodeword:
+class FourSymbolCodeword(Record, NamedTuple("FourSymbolCodeword", [("a", int), ("b", int)])):
     """Codeword indexed by (a, b); the wire symbol is 2a + b."""
 
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a not in (0, 1) or self.b not in (0, 1):
+    def __new__(cls, a: int, b: int) -> FourSymbolCodeword:
+        if a not in (0, 1) or b not in (0, 1):
             raise ValueError("codeword bits must be 0 or 1")
+        return super().__new__(cls, a, b)
 
     @property
     def symbol(self) -> int:
@@ -169,15 +167,13 @@ def four_symbol_protocol(codeword: FourSymbolCodeword) -> engine.ProtocolSpec:
 # continuous-angle scheme
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InterpolationStrategy:
+class InterpolationStrategy(Record, NamedTuple("InterpolationStrategy", [("alpha", float)])):
     """Cheating commit between the b=0 and b=1 codewords, at angle alpha*pi/2."""
 
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
+    def __new__(cls, alpha: float) -> InterpolationStrategy:
+        if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        return super().__new__(cls, alpha)
 
     @property
     def angle(self) -> float:

@@ -13,14 +13,15 @@ convention; the lattice decoder in particular needs channel rotations to
 *add* to the encoded angle.
 
 Vectors are plain numpy arrays of shape (3,); rotations are orthogonal 3x3
-numpy arrays with determinant +1.  Both are treated as immutable.
+numpy arrays with determinant +1.  Both are treated as immutable.  The
+package's records are NamedTuple classes with the `Record` base.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,41 @@ ANGLE_TOL = 1e-9
 
 class ContinuousSupportError(ValueError):
     """Exact support enumeration was requested for a continuous distribution."""
+
+
+class Record:
+    """Base of the package's records, listed before a NamedTuple base.
+
+    A record behaves as a frozen dataclass, but its class gets no generated
+    method beyond the NamedTuple's constructor.  Equality also compares the
+    type, so a record never equals a plain tuple or a record of another
+    class; hashing is the tuple's.  No attribute can be set or deleted, so
+    a record's `__dict__` holds only what its class caches there.
+    `_replace` validates through the constructor, and every record is true.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __bool__(self) -> bool:
+        return True
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +167,22 @@ def haar_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
 # misalignment distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HaarSO3:
+class HaarSO3(Record, NamedTuple("HaarSO3", [])):
     """Completely unknown relative frame: Haar-uniform over SO(3)."""
 
 
-@dataclass(frozen=True)
-class CyclicZ:
+class CyclicZ(Record, NamedTuple("CyclicZ", [("n", int)])):
     """Uniform over the n rotations by 2*pi*k/n about +z."""
 
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int) -> CyclicZ:
+        if n < 1:
             raise ValueError("cyclic group order must be >= 1")
+        return super().__new__(cls, n)
 
 
-@dataclass(frozen=True)
-class TwoPointAngleMixture:
+class TwoPointAngleMixture(
+    Record, NamedTuple("TwoPointAngleMixture", [("angles", tuple[float, ...])])
+):
     """Pick one of d base angles uniformly, then rotate about +z by it or twice it.
 
     Each noise event (angle index j, multiplier m) has probability 1/(2d).
@@ -157,51 +191,52 @@ class TwoPointAngleMixture:
     2*theta_j.  The 2d rotations rot_z(m * theta_j) are built once as one
     read-only (2d, 3, 3) array `rotations`, row 2j + m - 1 for event (j, m),
     the one order of the noise events; `sample` and `enumerate_support`
-    both hand out its rows.
+    both hand out its rows.  `rotations` is kept in the instance's
+    `__dict__`, outside the fields, so it enters no repr, equality or hash.
     """
 
-    angles: tuple[float, ...]
-    rotations: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.angles) < 1:
+    def __new__(cls, angles: tuple[float, ...]) -> TwoPointAngleMixture:
+        if len(angles) < 1:
             raise ValueError("need at least one angle")
-        if not all(math.isfinite(a) and a > 0 for a in self.angles):
-            raise ValueError(f"angles must be finite and positive, got {self.angles!r}")
-        if len(set(self.angles)) != len(self.angles):
+        if not all(math.isfinite(a) and a > 0 for a in angles):
+            raise ValueError(f"angles must be finite and positive, got {angles!r}")
+        if len(set(angles)) != len(angles):
             raise ValueError("angles must be distinct")
-        rotations = np.array([rot_z(m * angle) for angle in self.angles for m in (1, 2)])
+        self = super().__new__(cls, angles)
+        rotations = np.array([rot_z(m * angle) for angle in angles for m in (1, 2)])
         rotations.flags.writeable = False
-        object.__setattr__(self, "rotations", rotations)
+        vars(self)["rotations"] = rotations
+        return self
 
 
-@dataclass(frozen=True)
-class UniformSegment:
+class UniformSegment(Record, NamedTuple("UniformSegment", [("phi_max", float)])):
     """Rotation about +z by an angle uniform on [0, phi_max]."""
 
-    phi_max: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.phi_max <= TAU:
+    def __new__(cls, phi_max: float) -> UniformSegment:
+        if not 0.0 < phi_max <= TAU:
             raise ValueError("phi_max must lie in (0, 2*pi]")
+        return super().__new__(cls, phi_max)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSupport:
+class FiniteSupport(Record, NamedTuple("FiniteSupport", [("elements", tuple)])):
     """Generic finite distribution given as (rotation, probability) pairs.
 
     Probabilities must be nonnegative and sum to 1 within 1e-12.  Exact
     analyses convert them through Fraction, so dyadic floats (1/2, 1/4, ...)
-    or Fraction instances keep everything rational.
+    or Fraction instances keep everything rational.  Equality and hashing
+    are by identity.
     """
 
-    elements: tuple[tuple[np.ndarray, Fraction | float], ...]
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if not self.elements:
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __new__(cls, elements: tuple[tuple[np.ndarray, Fraction | float], ...]) -> FiniteSupport:
+        if not elements:
             raise ValueError("support must be nonempty")
         total = 0.0
-        for rotation, prob in self.elements:
+        for rotation, prob in elements:
             if not float(prob) >= 0.0:
                 raise ValueError(f"probabilities must be nonnegative, got {prob!r}")
             if not is_rotation(np.asarray(rotation, dtype=float)):
@@ -209,6 +244,7 @@ class FiniteSupport:
             total += float(prob)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        return super().__new__(cls, elements)
 
 
 MisalignmentDistribution = (

@@ -9,6 +9,11 @@ import numpy as np
 from framebc import lattice, so3
 
 
+def record_state(record) -> set[str]:
+    """The names of all a record holds: its fields and what its __dict__ caches."""
+    return set(record._fields) | set(vars(record))
+
+
 def codebook_points(d: int, L: int) -> np.ndarray:
     """All decodable lattice points {0..L+1}^d as an (N, d) int64 array, in
     the lexicographic order of itertools.product(range(L + 2), repeat=d)."""

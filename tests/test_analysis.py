@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from oracles import (
     histogram_laws,
     noise_events,
     parity_class,
+    record_state,
     soundness_by_point_decoding,
 )
 
@@ -652,7 +654,7 @@ def test_certified_soundness_builds_no_decode_table():
     params = lattice.make_params(3, 8)
     assert params.eps_meas >= lattice.soundness_floor(3)
     assert analysis.lattice_soundness_exact(params) == 1
-    assert not {"_order", "_angles", "_cos", "_sin"} & set(vars(params.basis))
+    assert not {"_order", "_angles", "_cos", "_sin"} & record_state(params.basis)
 
 
 @pytest.mark.parametrize(
@@ -682,7 +684,7 @@ def test_lattice_soundness_exact_pinned_at_zero_eps(d, L, predicate, expected):
 def test_soundness_builds_no_point_table(run):
     params = lattice.make_params(3, 8)
     run(params)
-    assert set(vars(params.basis)) == {
+    assert record_state(params.basis) == {
         "d", "L", "angles", "min_gap", "_order", "_angles", "_cos", "_sin", "_mu",
     }
 
@@ -710,7 +712,7 @@ def test_soundness_budget_guard():
     with pytest.raises(lattice.BudgetExceededError, match="size 64 exceeds budget 10"):
         analysis.lattice_soundness_exact(below, budget=10)
     assert analysis.lattice_soundness_exact(params, budget=10) == 1
-    assert not {"_order", "_angles"} & set(vars(params.basis))
+    assert not {"_order", "_angles"} & record_state(params.basis)
 
 
 def test_lattice_soundness_monte_carlo():
@@ -880,6 +882,11 @@ def test_cheat_curve_peak_at_half():
 
 
 # --- estimators and reports -----------------------------------------------------------
+
+def test_z99_literal_is_the_normal_quantile():
+    # written as a literal so that importing analysis loads no statistics module
+    assert analysis.Z_99 == statistics.NormalDist().inv_cdf(0.995)
+
 
 def test_wilson_interval_sanity():
     lo, hi = analysis.wilson_interval(5_000, 10_000)

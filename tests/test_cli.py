@@ -123,9 +123,13 @@ def test_twirl_check_haar(capsys):
 
 
 def test_twirl_check_rejects_mixture(capsys):
-    code, _, err = run_cli(capsys, "twirl-check", "--group", "twopoint:0.2,0.5")
-    assert code == 1
-    assert "not a uniform group distribution" in err
+    code, out, err = run_cli(capsys, "twirl-check", "--group", "twopoint:0.2,0.5")
+    assert code == 1 and out == ""
+    assert err == (
+        "framebc: invalid configuration: not a uniform group distribution: twirling "
+        "requires the uniform distribution over a rotation group, got "
+        "TwoPointAngleMixture(angles=(0.2, 0.5))\n"
+    )
 
 
 def test_twirl_check_rejects_non_finite_angle(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -146,8 +145,7 @@ def test_strategy_exception_propagates():
 
 
 def test_unknown_schedule_action_raises():
-    spec = dataclasses.replace(
-        echo_protocol(so3.HaarSO3(), so3.planar_unit(0.1)),
+    spec = echo_protocol(so3.HaarSO3(), so3.planar_unit(0.1))._replace(
         schedule=((engine.ALICE, "sned"), (engine.ALICE, "decide")),
     )
     with pytest.raises(ValueError, match="unknown schedule action: sned"):
@@ -386,8 +384,7 @@ def _lattice_spec():
     # exact laws need an Alice that draws nothing: the honest messages for (0, 1)
     params = lattice.make_params(2, 4)
     script = engine.commit_reveal_script(lattice.encode(params, (0, 1)), 1, (0, 1))
-    return dataclasses.replace(
-        lattice.lattice_protocol(params, 1),
+    return lattice.lattice_protocol(params, 1)._replace(
         make_alice=lambda: engine.ScriptedParty(engine.ALICE, script),
     )
 

@@ -19,6 +19,7 @@ from oracles import (
     exhaustive_min_gap,
     noise_events,
     parity_class,
+    record_state,
     sorted_exact_gap,
     sorted_min_gap,
 )
@@ -135,7 +136,7 @@ def test_decode_tables_match_int64_reference(d, L):
     assert np.array_equal(params.basis._order, order)
     assert np.array_equal(params.basis._cos.view(np.int64), np.cos(reference).view(np.int64))
     assert np.array_equal(params.basis._sin.view(np.int64), np.sin(reference).view(np.int64))
-    assert set(vars(params.basis)) == BASIS_FIELDS | BASIS_TABLES
+    assert record_state(params.basis) == BASIS_FIELDS | BASIS_TABLES
 
 
 # d = 1, both sides of L + 1 = 255, several angle chunks and 10^6 codewords
@@ -164,7 +165,7 @@ def test_session_at_d6_l8_builds_only_the_decode_tables_and_channel():
     params = lattice.make_params(6, 8)
     spec = lattice.lattice_protocol(params, 1)
     assert engine.run_session(spec, np.random.default_rng(5)).outcome == engine.Accepted(1)
-    assert set(vars(params.basis)) == BASIS_FIELDS | BASIS_TABLES | {"_mu"}
+    assert record_state(params.basis) == BASIS_FIELDS | BASIS_TABLES | {"_mu"}
 
 
 def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
@@ -177,10 +178,10 @@ def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
         # lattice_report's binding figures, without its decoding soundness enumeration
         patch.setattr(analysis, "lattice_soundness_exact", lambda p, budget: Fraction(1))
         analysis.lattice_report(params)
-    assert not BASIS_TABLES & set(vars(params.basis))
+    assert not BASIS_TABLES & record_state(params.basis)
     decoded = lattice.decode_commit(params, lattice.encode(params, (1, 2, 3)))
     assert tuple(decoded) == (1, 2, 3)
-    assert set(vars(params.basis)) - BASIS_FIELDS - {"_mu"} == BASIS_TABLES
+    assert record_state(params.basis) - BASIS_FIELDS - {"_mu"} == BASIS_TABLES
     built = {name: getattr(params.basis, name) for name in BASIS_TABLES}
     other = lattice.LatticeParams(params.basis, eps_meas=0.0, predicate="strict")
     lattice.decode_batch(other, lattice.encode_batch(other, [(1, 2, 3), (0, 0, 1)]))
@@ -206,7 +207,7 @@ def test_params_hold_only_their_fields_after_use(use):
     # every derived table and the channel live on the basis, never on params
     params = lattice.make_params(2, 4)
     use(params)
-    assert set(vars(params)) == PARAMS_FIELDS
+    assert record_state(params) == PARAMS_FIELDS
 
 
 def test_lattice_mu_shared_by_params_over_one_basis():
@@ -227,7 +228,7 @@ def test_make_params_holds_no_table():
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not {"_order", "_angles"} & set(vars(params.basis))
+        assert not {"_order", "_angles"} & record_state(params.basis)
         assert held < 2**20
         assert peak < peak_bound
 
