@@ -56,7 +56,7 @@ for predicate in ("lenient", "strict"):
 
 print()
 print("== committing off the codebook is useless ==")
-table = params.basis._angles
+table = np.sort(lattice.codebook_angles(d, L, np.asarray(params.angles)))
 midpoint = so3.planar_unit((table[100] + table[101]) / 2)
 fp = analysis.binding_search_finite_precision(params, midpoint)
 print("midway vector decodes to:", fp.anchor, "best acceptance:", fp.overall)

@@ -35,7 +35,7 @@ from .lattice import (
     BudgetExceededError,
     LatticeParams,
     _check_size,
-    _decode_positions,
+    _decode_lex,
     _resolve_predicate,
     accepting_reveals,
     decode_batch,
@@ -310,18 +310,18 @@ def _honest_accepts(
     """Bob's verdict on the honest reveals of `points`, shape (n, d), sent through `rotations`.
 
     Encodes the points, rotates the payloads by one stacked product, decodes
-    each received vector to its position in the sorted codebook, whose
-    lexicographic index `_order` gives, and tests it with `_reveal_steps`
-    against `lex`, the points' lexicographic indices.  `rotations`
-    broadcasts against the n payloads: shape (k, 1, 3, 3) sends every point
-    through each of k rotations, with a verdict of shape (k, n), and shape
-    (n, 3, 3) sends point i through rotation i.
+    each received vector to the lexicographic index of its codeword
+    (`lattice._decode_lex`) and tests it with `_reveal_steps` against `lex`,
+    the points' own indices.  `rotations` broadcasts against the n
+    payloads: shape (k, 1, 3, 3) sends every point through each of k
+    rotations, with a verdict of shape (k, n), and shape (n, 3, 3) sends
+    point i through rotation i.
     """
     payloads = encode_batch(params, points)
     # the stacked matmul computes each row exactly as rotation @ payload does
     received = (rotations @ payloads[:, :, None])[..., 0]
-    positions, ok = _decode_positions(params, received)
-    return ok & np.isin(params.basis._order[positions] - lex, _reveal_steps(params))
+    decoded, ok = _decode_lex(params, received)
+    return ok & np.isin(decoded - lex, _reveal_steps(params))
 
 
 def lattice_soundness_exact(
@@ -332,7 +332,7 @@ def lattice_soundness_exact(
     From `lattice.soundness_floor(d)` up, it is 1 by proof: the floor's
     docstring shows that every honest point, under every noise event,
     decodes to itself plus the event's bump, whatever the summation order
-    of the rotation and the table, so no decode table is touched.  Below
+    of the rotation and the table angles, so nothing is decoded.  Below
     the floor, eps = 0 included, rounding decides, and
     `_soundness_enumerated` counts every honest decode; a size it could not
     run within the budget is refused before it starts.
@@ -351,26 +351,20 @@ def lattice_soundness_exact(
 def _soundness_enumerated(params: LatticeParams) -> Fraction:
     """`lattice_soundness_exact` by enumerating {0..L-1}^d against the full noise support.
 
-    Each chunk goes through `_honest_accepts` under all 2d rotations
-    rot_z(m*theta_j) at once, which verifies the honest reveal (its own
-    parity and point).  Counts acceptances per parity class and returns the
-    exact acceptance probability with b uniform.  The points are the
-    lexicographic indices of the sorted codebook (`_order`) that keep every
-    coordinate below L, so they are walked in codebook-angle order and each
-    rotated batch reaches the decoder's binary search already sorted; no
-    point table is built.
+    Walks the honest points in lexicographic order, SOUNDNESS_CHUNK at a
+    time, and sends each chunk through `_honest_accepts` under all 2d
+    rotations rot_z(m*theta_j) at once, which verifies the honest reveal
+    (its own parity and point).  Counts acceptances per parity class and
+    returns the exact acceptance probability with b uniform.
     """
     d, L = params.d, params.L
     rotations = lattice_mu(params).rotations
-    # drop the codewords with a coordinate above L-1, one coordinate at a time
-    honest = params.basis._order
-    for weight in _lex_weights(d, L):
-        honest = honest[honest // weight % (L + 2) < L]
+    weights = _lex_weights(d, L)
     accepted = [0, 0]
-    for start in range(0, len(honest), SOUNDNESS_CHUNK):
-        lex = honest[start:start + SOUNDNESS_CHUNK]
-        points = np.stack(np.unravel_index(lex, (L + 2,) * d), axis=1)
-        ok = _honest_accepts(params, points, lex, rotations[:, None])
+    for start in range(0, L**d, SOUNDNESS_CHUNK):
+        flat = np.arange(start, min(start + SOUNDNESS_CHUNK, L**d))
+        points = np.stack(np.unravel_index(flat, (L,) * d), axis=1)
+        ok = _honest_accepts(params, points, points @ weights, rotations[:, None])
         bits = points.sum(axis=1) % 2
         for b in (0, 1):
             accepted[b] += int(np.count_nonzero(ok & (bits == b)))

@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 enumeration budget
 exceeded, 3 certification or equivalence check failure.  The enumeration
 budget defaults to 10^7 points and can be overridden with --budget, which
 every subcommand takes, or the FRAMEBC_ENUM_BUDGET environment variable (a
-budget below 1 is invalid); it caps the decode table's (L+2)^d codewords,
+budget below 1 is invalid); it caps the codebook's (L+2)^d codewords,
 exact lattice soundness below `soundness_floor(d)` and twirl-check's z<N>
 enumeration of N^2 compiled sessions; each is refused before it runs.
 """

@@ -537,28 +537,25 @@ def haar_twirl_moments(samples: int, seed: int) -> dict[str, float]:
     Haar law all of these vanish as the sample count grows.
 
     The draws come HAAR_CHUNK at a time in one stream order: the direct
-    block, then Alice's, then Bob's.  Only the two (samples, 3) probe images
-    and Alice's image of +x, which must outlive Bob's draws, are held whole;
-    each image row is computed on its own, so the moments, taken over the
-    whole arrays, match one draw per block bit for bit.
+    block, then Alice's, then Bob's.  One (samples, 3) buffer holds the
+    probe images: the direct ones until their moments are taken, then
+    Alice's images of +x, to which Bob's frames are applied in place.  Each
+    image row is computed on its own and the moments are taken over the
+    whole buffer, so they match one draw per block bit for bit.
     """
     rng = np.random.default_rng(seed)
-    cuts = list(range(HAAR_CHUNK, samples, HAAR_CHUNK))
-    direct, alice, compiled = (np.empty((samples, 3)) for _ in range(3))
-    # a rotation's image of +x is its first column
-    for block in (direct, alice):
-        for out in np.split(block, cuts):
+    images = np.empty((samples, 3))
+    blocks = np.split(images, range(HAAR_CHUNK, samples, HAAR_CHUNK))
+    moments = []
+    for compiled in (False, True):
+        for out in blocks:  # a rotation's image of +x is its first column
             out[:] = haar_rotations(len(out), rng)[:, :, 0]
-    # the relative frame u_bob^T u_alice takes +x to u_bob^T (u_alice +x)
-    for out, a in zip(np.split(compiled, cuts), np.split(alice, cuts)):
-        u_bob = haar_rotations(len(out), rng)
-        out[:] = np.matmul(u_bob.transpose(0, 2, 1), a[:, :, None])[:, :, 0]
-
-    def moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x.mean(axis=0), (x.T @ x) / len(x)
-
-    mean_d, second_d = moments(direct)
-    mean_c, second_c = moments(compiled)
+        if compiled:  # the relative frame u_bob^T u_alice takes +x to u_bob^T (u_alice +x)
+            for out in blocks:
+                u_bob = haar_rotations(len(out), rng)
+                out[:] = np.matmul(u_bob.transpose(0, 2, 1), out[:, :, None])[:, :, 0]
+        moments.append((images.mean(axis=0), (images.T @ images) / samples))
+    (mean_d, second_d), (mean_c, second_c) = moments
     isotropic = np.eye(3) / 3.0
     return {
         "direct_mean_max": float(np.abs(mean_d).max()),

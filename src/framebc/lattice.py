@@ -9,8 +9,8 @@ a + 2e_j in coordinates.  Committing to a bit b means drawing a uniformly from t
 parity-b class and sending the encoded vector; revealing means sending
 (b, a) in the clear and letting Bob compare against what he decoded.
 
-Decoding is nearest-codeword search in a sorted table of all (L+2)^d
-codebook angles, accepting only within the measurement tolerance eps_meas.
+Decoding is nearest-codeword search among the angular neighbours of the
+received direction, accepting only within the tolerance eps_meas.
 Construction certifies the codebook: the minimum angular gap between exact
 codeword angles (min_gap) is computed up front, and parameters are rejected
 unless the induced Euclidean separation 2*sin(min_gap/2) exceeds
@@ -22,15 +22,18 @@ honest commitment, under every noise event, to its own bumped point.
 The certified basis owns all derived state.  Certification keeps no table: a
 meet-in-the-middle search names the few pair differences k that can attain
 the gap, and min_gap is their least |k . theta|, exactly
-(`build_angle_basis`).  The first decode computes the codebook angles
-(`codebook_angles`) and keeps the permutation that sorts them (`_order`,
-the lexicographic index of each sorted codeword) and the sorted angles;
-the cosine and sine tables follow on that decode and the channel on its
-first use, all cached on the basis.
+(`build_angle_basis`).  Decoding keeps no table of the (L+2)^d codewords
+either.  Its split table (`AngleBasis._split`), built on the first decode,
+holds the sorted angles of the trailing d - 1 coordinates, (L+2)^(d-1) of
+them, with their lexicographic indices.  A decode looks up the received
+direction once per leading value and recomputes the few hits' angles
+exactly, so it reaches the same verdict and point as a search of the
+sorted full table (`decode_commit`, `_decode_window`).  The channel is
+built on its first use, and both are cached on the basis.
 No point table exists: a decoded point is its codeword's lexicographic
 index, unravelled.  A parameter set is a plain validated record over the
 basis, so every parameter set over one basis shares one copy of each, and
-work that never decodes (binding, concealing) never pays for the tables.
+work that never decodes (binding, concealing) never pays for either.
 """
 
 from __future__ import annotations
@@ -71,34 +74,33 @@ class AngleBasis(Record, NamedTuple("AngleBasis", [
     inside [0, pi/2] and rules out wraparound.  min_gap is the smallest
     distance between exact codeword angles over these float angles,
     exactly, certified at construction with no table.  The basis
-    is the only owner of derived state: the permutation that sorts the
-    codebook (`_order`) and the sorted angles (`_angles`), the decoder's
-    cosines and sines, and the channel `_mu` are built on first use and
-    then cached here, in the instance's `__dict__`.
+    is the only owner of derived state: the decoder's split table
+    (`_split`) and the channel `_mu` are built on first use and then
+    cached here, in the instance's `__dict__`.
     """
 
     @functools.cached_property
-    def _order(self) -> np.ndarray:
-        # entry k is the lexicographic index of the codeword with the k-th smallest angle;
-        # the certificate keeps the table angles distinct, so the order is unique, and
-        # this one pass also keeps the sorted angles
-        alphas = codebook_angles(self.d, self.L, np.asarray(self.angles))
-        order = np.argsort(alphas)
-        vars(self)["_angles"] = alphas[order]
-        return order
+    def _split(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+        """The decoder's split table: (angles, shifts, window, tail, tail_lex).
 
-    @functools.cached_property
-    def _angles(self) -> np.ndarray:
-        self._order  # the sort that builds the order keeps the sorted angles
-        return vars(self)["_angles"]
-
-    @functools.cached_property
-    def _cos(self) -> np.ndarray:
-        return np.cos(self._angles)
-
-    @functools.cached_property
-    def _sin(self) -> np.ndarray:
-        return np.sin(self._angles)
+        With h = min(1, d - 1) leading coordinates, tail holds the angles of
+        the trailing d - h coordinates of every codeword, (L+2)^(d-h) of
+        them as `codebook_angles` computes them, sorted, and tail_lex[k] is
+        the lexicographic index, among the trailing points, of the one at
+        tail[k].  For each leading value c, lead = fl(c * angles[0]) (the
+        one lead 0.0 when h = 0): shifts holds every lead + reach, then every
+        lead - reach, so phi - shifts gives a decode's lower lookup bounds,
+        then its upper ones.  window and reach are `_decode_window`'s, and
+        angles is the basis angles as an array.
+        """
+        h = min(1, self.d - 1)
+        angles = np.asarray(self.angles)
+        partial = codebook_angles(self.d - h, self.L, angles[h:])
+        order = np.argsort(partial)
+        leads = np.arange(self.L + 2) * angles[0] if h else np.zeros(1)
+        window, reach = _decode_window(self)
+        shifts = np.concatenate([leads + reach, leads - reach])
+        return angles, shifts, window, partial[order], order
 
     @functools.cached_property
     def _mu(self) -> TwoPointAngleMixture:
@@ -148,10 +150,10 @@ def _box_chunks(lo, hi):
 def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
     """The (L+2)^d codebook angles in lexicographic order, one `_box_chunks` chunk at a time.
 
-    The decode table's angles: each a d-term dot product, within gamma_d*A
-    of its exact angle in any summation order (see `soundness_floor`), and
-    independent of the chunking, since matmul computes each row of a
-    product of two or more rows on its own.
+    The table angles that decoding reads: each a d-term dot product,
+    within gamma_d*A of its exact angle in any summation order (see
+    `soundness_floor`), and independent of the chunking, since matmul
+    computes each row of a product of two or more rows on its own.
     """
     out = np.empty(codebook_size(d, L))
     for k, chunk in enumerate(_box_chunks((0,) * d, (L + 2,) * d)):
@@ -209,7 +211,7 @@ def build_angle_basis(d: int, L: int, budget: int = DEFAULT_ENUM_BUDGET) -> Angl
     a double and float(G) is exact.  A G at most 2*gamma_d*A, the table's
     rounding (see `soundness_floor`), no longer keeps the table entries
     apart and raises ValueError.  Fails with BudgetExceededError when the
-    codebook, which the first decode tabulates, exceeds the budget.
+    codebook has more than `budget` codewords.
     """
     _check_size(d, L)
     n_points = codebook_size(d, L)
@@ -291,10 +293,13 @@ def soundness_floor(d: int) -> float:
     3. Its float squared distance is at most delta^2*(1 + u)^5 <=
        eps^2*(1 + 6u)/4 < fl(eps^2), since eps^2 >= 4*delta^2 is a normal
        number and fl(eps^2) >= eps^2*(1 - u): it is within the tolerance.
-    4. The decoded point, `_order[p]` unravelled, is c: decoded minus a is
-       m*e_j, which both predicates accept, and the reveal (parity(a), a) is
-       in range with its own parity.
-    Only d enters; L and the angles enter through A and the certificate.
+    4. The decoded point, the lexicographic index at p unravelled, is c:
+       decoded minus a is m*e_j, which both predicates accept, and the
+       reveal (parity(a), a) is in range with its own parity.
+    Steps 1 to 3 read the sorted-table rule of `decode_commit`, whose
+    verdicts and accepted points the split-table decode matches bit for
+    bit.  Only d enters; L and the angles enter through A and the
+    certificate.
     """
     u, k, top = 2.0**-53, LIBM_ULPS, 2.0
 
@@ -320,8 +325,9 @@ class LatticeParams(Record, NamedTuple("LatticeParams", [
     reveal test: "strict" requires the decoded point to differ from the
     revealed one by e_j or 2e_j; "lenient" additionally accepts zero
     difference.  Construction only validates, and the record holds nothing
-    beyond these three fields: the decode tables and the channel belong to
-    the basis, so parameter sets over one basis share one copy of each.
+    beyond these three fields: the decoder's split table and the channel
+    belong to the basis, so parameter sets over one basis share one copy
+    of each.
     """
 
     def __new__(cls, basis: AngleBasis, eps_meas: float, predicate: str = "lenient"):
@@ -458,40 +464,109 @@ def commit(
     return a, encode(params, a)
 
 
+def _decode_window(basis: AngleBasis) -> tuple[float, float]:
+    """The decoder's angular window w and the reach of its split-table lookups.
+
+    Claim: let eps be any tolerance the basis certifies.  Suppose a table
+    entry T_c = (cos t_c, sin t_c) lies within eps of the received vector
+    y in float squared distance, t_c being the table angle of codeword c
+    (as `codebook_angles` computes it).  Suppose also that the sorted-table
+    rule of `decode_commit` would score it as neighbour i or i - 1 of phi,
+    and that c is neither codeword 0 nor the last.  Then |phi - t_c| <= w.
+
+    Assumed as in `soundness_floor`: u = 2^-53, K = LIBM_ULPS and every
+    table angle in [0, A), A = 2.  eps < max_safe_eps < sin(pi/12) < 0.26,
+    since min_gap is at most angles[0] <= pi/6.
+    1. The distance.  The float squared distance is fl(fl(dx^2 + dy^2) +
+       fl(rz^2)), with dx = fl(rx - cos t_c) and dy likewise.  So it is at
+       least (1 - u)^5 times the exact one, less a few subnormal units of
+       2^-1074, and the planar distance |(rx, ry) - T_c| is at most
+       eps*(1 + 3.01u) + 2^-500.
+    2. The entry.  T_c lies within 2Ku of P(t_c), the unit vector at the
+       float t_c.  So (rx, ry) lies within rho = max_safe_eps*(1 + 2^-40) +
+       4Ku < 1 of P(t_c), and its exact direction psi lies within asin(rho)
+       <= rho / sqrt(1 - rho^2) of t_c on the circle.
+    3. The direction.  As i or i - 1 with c neither end, 0 < i < N, so
+       t_0 = 0 < phi <= t_last < A.  So atan2 returned phi itself, not phi
+       - 2*pi, within 2Ku*A = 4Ku of psi to first order.  Then psi lies in
+       (-4Ku, A + 4Ku) and t_c in [0, A), so |psi - t_c| < pi is their
+       distance on the circle, and |phi - t_c| <= rho / sqrt(1 - rho^2) +
+       4Ku.
+    w is that bound times 1 + 2^-20, which covers the rounding of its
+    formula and the second-order terms.
+
+    The reach is w + (d + 4)*2^-50, that is (8d + 32)u more than w.  t_c lies
+    within (gamma_d + gamma_(d-h) + u)*A <= (4d + 3)u of lead + tail angle,
+    the float angles of its two parts (see `AngleBasis._split`).  Forming
+    the bounds phi - (lead -+ reach) rounds by at most 17u more.  So every
+    t_c with fl(|phi - t_c|) <= w, which is within w*(1 + u) of phi, has
+    its tail angle strictly inside the bounds for its leading value: the
+    hits a decode keeps are exactly those table angles, an interval about
+    phi that holds every t_c within w of it.
+    """
+    trig = 2 * LIBM_ULPS * 2.0**-53
+    rho = basis.max_safe_eps * (1.0 + 2.0**-40) + 2 * trig
+    window = (rho / math.sqrt(1.0 - rho * rho) + 2 * trig) * (1.0 + 2.0**-20)
+    return window, window + (basis.d + 4) * 2.0**-50
+
+
 def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     """Nearest-codeword decoding within eps_meas; None means abort.
 
-    Binary search in the sorted codebook-angle table proposes the two
-    angular neighbours of the received direction (plus the table endpoints
-    to cover wraparound), then the true Euclidean distance in R^3 decides.
-    The candidates are scored in `_decode_positions`'s order, so both keep
-    the same first of equal minima.  Out-of-plane or shrunken vectors fail
-    the distance test on their own.
-    The winner's entry of `_order` is its lexicographic index, which
-    unravels to the decoded int64 point.  `decode_batch` applies the same
-    rule to many vectors at once; this scalar form stays for the
-    per-session decodes of `engine.run_session`.
+    The rule is the sorted-table rule.  Sort the (L+2)^d table angles t (see
+    `codebook_angles`) and let i be the insertion point of phi, the received
+    direction.  Score the positions 0, last, i and i - 1 in that order by
+    the squared distance in R^3 to (cos t, sin t, 0), keep the first least
+    and accept it within eps.  Out-of-plane or shrunken vectors fail the
+    distance test on their own.
+
+    No table of (L+2)^d entries is built.  One searchsorted in the split
+    table (`AngleBasis._split`) finds, for every leading value, the tail
+    angles within the reach of phi - lead (`_decode_window`).  The hits'
+    table angles are recomputed as `codebook_angles` computes them, in one
+    product with codewords 0 and last, and the hits within w of phi are
+    kept.  The decode then scores codeword 0, the last, the nearest kept
+    angle at or above phi and the nearest below, in that order.  Those are
+    the rule's candidates i and i - 1 when they lie within w of phi, and
+    otherwise neither is within eps (`_decode_window`).  So the decode
+    scores the rule's candidates in the rule's order, less some that fail
+    the tolerance, and every verdict and every accepted point match the
+    rule's bit for bit.  `decode_batch` applies the same rule to many
+    vectors at once; this scalar form stays for the per-session decodes of
+    `engine.run_session`.
     """
-    received = np.asarray(received, dtype=float)
-    rx, ry, rz = float(received[0]), float(received[1]), float(received[2])
+    rx, ry, rz = np.asarray(received, dtype=float).tolist()
     phi = math.atan2(ry, rx) % (2.0 * math.pi)
     basis = params.basis
-    angles = basis._angles
-    i = int(np.searchsorted(angles, phi))
-    last = len(angles) - 1
-    best_idx = -1
-    best_sq = math.inf
-    cos_table, sin_table = basis._cos, basis._sin
-    for idx in (0, last, min(i, last), max(i - 1, 0)):
-        dx = rx - cos_table[idx]
-        dy = ry - sin_table[idx]
-        sq = dx * dx + dy * dy + rz * rz
-        if sq < best_sq:
-            best_sq = sq
-            best_idx = idx
+    angles, shifts, window, tail, tail_lex = basis._split
+    bounds = tail.searchsorted(phi - shifts).tolist()
+    d, base, h, m = basis.d, basis.L + 2, min(1, basis.d - 1), len(bounds) // 2
+    powers = [base**j for j in range(d - h - 1, -1, -1)]  # unravel a tail index
+    flat = [0] * d + [base - 1] * d  # codewords 0 and last, so every product has two rows
+    for lead in [k for k in range(m) if bounds[k] < bounds[m + k]]:
+        for r in tail_lex[bounds[lead]:bounds[m + lead]].tolist():
+            flat += [lead] * h + [r // q % base for q in powers]
+    rows = np.array(flat, dtype=float).reshape(-1, d)  # as in `_decode_lex`
+    t = rows @ angles
+    cos_t, sin_t, t = np.cos(t).tolist(), np.sin(t).tolist(), t.tolist()
+    above = below = None
+    for k in range(2, len(t)):
+        if abs(phi - t[k]) <= window:
+            if t[k] >= phi:
+                if above is None or t[k] < t[above]:
+                    above = k
+            elif below is None or t[k] > t[below]:
+                below = k
+    best, best_sq = -1, math.inf
+    for k in (0, 1, above, below):
+        if k is not None:
+            dx = rx - cos_t[k]
+            dy = ry - sin_t[k]
+            sq = dx * dx + dy * dy + rz * rz
+            if sq < best_sq:
+                best, best_sq = k, sq
     if best_sq <= params.eps_meas * params.eps_meas:
-        point = np.unravel_index(basis._order[best_idx], (basis.L + 2,) * basis.d)
-        return np.array(point, dtype=np.int64)
+        return rows[best].astype(np.int64)
     return None
 
 
@@ -500,43 +575,78 @@ def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the decoded points as an (n, d) int array and a boolean mask of
     the rows that decode; a row whose mask is False means abort, and its
-    point is only the nearest candidate.  Candidates and the distance test
-    are decode_commit's: the table endpoints and the two angular neighbours
-    of each received direction, judged by squared distance in R^3.
+    point is only the nearest of the codewords it scored.
     """
-    positions, ok = _decode_positions(params, np.asarray(xyz, dtype=float).reshape(-1, 3))
-    lex = params.basis._order[positions]
+    lex, ok = _decode_lex(params, np.asarray(xyz, dtype=float).reshape(-1, 3))
     return np.stack(np.unravel_index(lex, (params.L + 2,) * params.d), axis=1), ok
 
 
-def _decode_positions(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`decode_batch`'s rule on an (..., 3) array, as positions in the sorted codebook.
+def _decode_lex(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`decode_commit`'s rule on an (..., 3) array, as lexicographic indices of codewords.
 
-    Scores the candidates 0, last, i and i-1 (i the insertion point of the
-    received direction) in that order, each as one array, and keeps the
-    first of equal minima, as argmin over the four would.  Returns the
-    positions and the within-eps mask, both of shape (...).
+    Looks up ANGLE_CHUNK bounds at a time, a row's 2(L+2) (2 when d = 1)
+    together.  Scores codewords 0 and last, then each row's nearest kept
+    angle at or above its direction, then its nearest below, each as one
+    array, and keeps the first of equal minima, as `decode_commit` does.
+    Returns the indices and the within-eps mask, both of shape (...).
     """
-    rx, ry, rz = xyz[..., 0], xyz[..., 1], xyz[..., 2]
     basis = params.basis
-    angles, cos_table, sin_table = basis._angles, basis._cos, basis._sin
-    last = len(angles) - 1
-    i = np.searchsorted(angles, np.arctan2(ry, rx) % (2.0 * math.pi))
-    rz_sq = rz * rz
+    angles, shifts, window, tail, tail_lex = basis._split
+    m = len(shifts) // 2
+    ends = [0, codebook_size(basis.d, basis.L) - 1]
+    flat = xyz.reshape(-1, 3)
+    best_lex, best_sq = np.empty(len(flat), dtype=np.int64), np.empty(len(flat))
+    step = max(1, ANGLE_CHUNK // len(shifts))
+    for start in range(0, len(flat), step):
+        rx, ry, rz = flat[start:start + step].T
+        phi = np.arctan2(ry, rx) % (2.0 * math.pi)
+        # over the rows in direction order each lead's bounds ascend, which speeds the lookups
+        order = np.argsort(phi)
+        bounds = phi[order] - shifts[:, None]
+        hit = tail.searchsorted(bounds[:m]).ravel()  # the first tail angle in each window
+        upper = bounds[m:].ravel()
+        cell = np.flatnonzero((hit < len(tail)) & (tail.take(hit, mode="clip") < upper))
+        cells, hits = [cell], [hit[cell]]
+        while len(cells[-1]):  # step each window on while its next tail angle is below the bound
+            cell, hit = cells[-1], hits[-1] + 1
+            inside = (hit < len(tail)) & (tail.take(hit, mode="clip") < upper[cell])
+            cells.append(cell[inside])
+            hits.append(hit[inside])
+        lead, row = np.divmod(np.concatenate(cells), len(phi))
+        row = order[row]
+        lex = tail_lex[np.concatenate(hits)] + lead * len(tail)
+        # two or more C-contiguous float64 rows, so each product row is its table angle
+        points = np.unravel_index(np.concatenate([ends, lex]), (basis.L + 2,) * basis.d)
+        t = np.stack(points, axis=1).astype(float) @ angles
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        rz_sq = rz * rz
 
-    def squared_distance(candidate):
-        dx = rx - cos_table[candidate]
-        dy = ry - sin_table[candidate]
-        return dx * dx + dy * dy + rz_sq
+        def squared_distance(k, rows=slice(None)):
+            dx = rx[rows] - cos_t[k]
+            dy = ry[rows] - sin_t[k]
+            return dx * dx + dy * dy + rz_sq[rows]
 
-    best = np.zeros_like(i)
-    best_sq = squared_distance(0)
-    for candidate in (last, np.minimum(i, last), np.maximum(i - 1, 0)):
-        sq = squared_distance(candidate)
-        closer = sq < best_sq
-        best = np.where(closer, candidate, best)
-        best_sq = np.where(closer, sq, best_sq)
-    return best, best_sq <= params.eps_meas * params.eps_meas
+        sq = squared_distance(slice(2, None), row)
+        t, phi_hit = t[2:], phi[row]
+        kept = np.abs(phi_hit - t) <= window
+        above = t >= phi_hit
+        best, least = np.zeros(len(phi), dtype=np.int64), squared_distance(0)
+        scored = [(ends[1], squared_distance(1))]
+        for side, reduce, none in ((kept & above, np.minimum, math.inf),
+                                   (kept & ~above, np.maximum, -math.inf)):
+            nearest = np.full(len(phi), none)
+            reduce.at(nearest, row[side], t[side])
+            side &= t == nearest[row]
+            side_lex, side_sq = np.zeros(len(phi), dtype=np.int64), np.full(len(phi), math.inf)
+            side_lex[row[side]], side_sq[row[side]] = lex[side], sq[side]
+            scored.append((side_lex, side_sq))
+        for candidate, candidate_sq in scored:
+            closer = candidate_sq < least
+            best = np.where(closer, candidate, best)
+            least = np.where(closer, candidate_sq, least)
+        best_lex[start:start + step], best_sq[start:start + step] = best, least
+    eps_sq = params.eps_meas * params.eps_meas
+    return best_lex.reshape(xyz.shape[:-1]), (best_sq <= eps_sq).reshape(xyz.shape[:-1])
 
 
 def verify_reveal(

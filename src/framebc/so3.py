@@ -41,9 +41,11 @@ class Record:
     A record behaves as a frozen dataclass, but its class gets no generated
     method beyond the NamedTuple's constructor.  Equality also compares the
     type, so a record never equals a plain tuple or a record of another
-    class; hashing is the tuple's.  No attribute can be set or deleted, so
-    a record's `__dict__` holds only what its class caches there.
-    `_replace` validates through the constructor, and every record is true.
+    class; hashing is the tuple's.  Records have no order: <, <=, > and >=
+    raise TypeError with a record on either side, as a frozen dataclass's
+    did.  No attribute can be set or deleted, so a record's `__dict__`
+    holds only what its class caches there.  `_replace` validates through
+    the constructor, and every record is true.
     """
 
     __slots__ = ()
@@ -56,6 +58,11 @@ class Record:
 
     def __ne__(self, other):
         return not self == other
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} records have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")

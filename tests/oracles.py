@@ -1,6 +1,8 @@
 """Brute-force references shared by the test modules."""
 
+import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -86,6 +88,50 @@ def exhaustive_min_gap(d: int, L: int, angles) -> Fraction:
         abs(sum(map(operator.mul, k, ints)))
         for k in itertools.product(span, repeat=d) if k > zero
     ), scale)
+
+
+@functools.lru_cache(maxsize=2)
+def sorted_table(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted decode table of a basis: (order, angles, cos, sin).
+
+    angles holds all (L+2)^d `lattice.codebook_angles`, sorted; order[k]
+    is the lexicographic index of the codeword at angles[k]; cos and sin
+    are np.cos and np.sin of the sorted angles.
+    """
+    alphas = lattice.codebook_angles(basis.d, basis.L, np.asarray(basis.angles))
+    order = np.argsort(alphas)
+    alphas = alphas[order]
+    return order, alphas, np.cos(alphas), np.sin(alphas)
+
+
+def sorted_table_decode(params, xyz) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-codeword decoding of (n, 3) rows by binary search in `sorted_table`.
+
+    Scores the sorted positions 0, last, i and i - 1, i the insertion point
+    of the received direction, in that order by squared distance in R^3,
+    and keeps the first least.  Returns its lexicographic indices and the
+    mask of the rows within eps_meas of their winner.
+    """
+    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
+    rx, ry, rz = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    order, angles, cos_table, sin_table = sorted_table(params.basis)
+    last = len(angles) - 1
+    i = np.searchsorted(angles, np.arctan2(ry, rx) % (2.0 * math.pi))
+    rz_sq = rz * rz
+
+    def squared_distance(candidate):
+        dx = rx - cos_table[candidate]
+        dy = ry - sin_table[candidate]
+        return dx * dx + dy * dy + rz_sq
+
+    best = np.zeros_like(i)
+    best_sq = squared_distance(0)
+    for candidate in (last, np.minimum(i, last), np.maximum(i - 1, 0)):
+        sq = squared_distance(candidate)
+        closer = sq < best_sq
+        best = np.where(closer, candidate, best)
+        best_sq = np.where(closer, sq, best_sq)
+    return order[best], best_sq <= params.eps_meas * params.eps_meas
 
 
 def noise_events(d: int) -> list[tuple[int, int]]:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from framebc import analysis, cli, engine, lattice, simple, so3
+from oracles import sorted_table
 
 
 @contextmanager
@@ -146,7 +147,7 @@ def test_criterion_7_finite_precision():
             zero_checked += 1
 
         # midway between adjacent codewords also scores zero
-        table = params.basis._angles
+        table = sorted_table(params.basis)[1]
         mid = so3.planar_unit((table[100] + table[101]) / 2)
         assert analysis.binding_search_finite_precision(params, mid).overall == 0
 

@@ -16,6 +16,7 @@ from oracles import (
     noise_events,
     parity_class,
     record_state,
+    sorted_table,
     soundness_by_point_decoding,
 )
 
@@ -473,7 +474,7 @@ def test_finite_precision_near_codeword_equals_codeword(fp_params):
 
 def test_finite_precision_midpoint_scores_zero(fp_params):
     params = fp_params
-    angles = params.basis._angles
+    angles = sorted_table(params.basis)[1]
     mid = so3.planar_unit((angles[100] + angles[101]) / 2)
     result = analysis.binding_search_finite_precision(params, mid)
     assert result.anchor is None
@@ -574,9 +575,10 @@ def test_finite_precision_matches_scalar_reference(fp_params, predicate):
     v = lattice.encode(params, (2, 3, 4))
     near = v + np.array([-v[1], v[0], 0.0]) * (params.eps_meas / 2)
     formal = so3.planar_unit(-theta[0] + 3 * theta[1] + 4 * theta[2])
+    table = sorted_table(params.basis)[1]
     vectors = [
         near / np.linalg.norm(near),
-        so3.planar_unit((params.basis._angles[100] + params.basis._angles[101]) / 2),
+        so3.planar_unit((table[100] + table[101]) / 2),
         np.array([0.0, 0.0, 1.0]),
         formal,
     ]
@@ -654,7 +656,7 @@ def test_certified_soundness_builds_no_decode_table():
     params = lattice.make_params(3, 8)
     assert params.eps_meas >= lattice.soundness_floor(3)
     assert analysis.lattice_soundness_exact(params) == 1
-    assert not {"_order", "_angles", "_cos", "_sin"} & record_state(params.basis)
+    assert "_split" not in record_state(params.basis)
 
 
 @pytest.mark.parametrize(
@@ -685,15 +687,18 @@ def test_soundness_builds_no_point_table(run):
     params = lattice.make_params(3, 8)
     run(params)
     assert record_state(params.basis) == {
-        "d", "L", "angles", "min_gap", "_order", "_angles", "_cos", "_sin", "_mu",
+        "d", "L", "angles", "min_gap", "_split", "_mu",
     }
 
 
 def test_lattice_soundness_exact_memory_bound():
-    # 10^6 codewords: the decode tables (_order, _angles, _cos, _sin) take
-    # 32 MB; the int64 point table (48 MB), or any other full-length (N, d)
-    # int64 array, would pass the bound.  It runs at the largest eps below
-    # the certificate's floor, which the enumeration decides; soundness is 1
+    # 10^6 codewords: the split table holds 10^5 tail angles and indices
+    # (1.5 MiB), and the whole enumeration peaks at 5.6 MiB traced; the
+    # bound adds 2.4 MiB of margin.  A sorted table of all codewords (32 MB
+    # with its order, cosines and sines), the int64 point table (48 MB) or
+    # any full-length (N, d) int64 array would pass it.  It runs at the
+    # largest eps below the certificate's floor, which the enumeration
+    # decides; soundness is 1
     params = lattice.make_params(6, 8, eps_meas=math.nextafter(lattice.soundness_floor(6), 0.0))
     tracemalloc.start()
     try:
@@ -701,7 +706,7 @@ def test_lattice_soundness_exact_memory_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_soundness_budget_guard():
@@ -712,7 +717,7 @@ def test_soundness_budget_guard():
     with pytest.raises(lattice.BudgetExceededError, match="size 64 exceeds budget 10"):
         analysis.lattice_soundness_exact(below, budget=10)
     assert analysis.lattice_soundness_exact(params, budget=10) == 1
-    assert not {"_order", "_angles"} & record_state(params.basis)
+    assert "_split" not in record_state(params.basis)
 
 
 def test_lattice_soundness_monte_carlo():

@@ -22,6 +22,8 @@ from oracles import (
     record_state,
     sorted_exact_gap,
     sorted_min_gap,
+    sorted_table,
+    sorted_table_decode,
 )
 
 TOL = 1e-9
@@ -46,7 +48,7 @@ def test_basis_d1_l2_closed_form():
     assert basis.min_gap == pytest.approx(math.pi / 6, abs=TOL)
     params = lattice.LatticeParams(basis, eps_meas=0.0)
     expected = [k * math.pi / 6 for k in range(4)]
-    assert np.allclose(params.basis._angles, expected, atol=TOL)
+    assert np.allclose(sorted_table(params.basis)[1], expected, atol=TOL)
 
 
 def test_min_gap_matches_pairwise_oracle(params_d2_l4):
@@ -114,43 +116,58 @@ def test_codebook_angles_match_single_product(d, L):
 
 
 BASIS_FIELDS = {"d", "L", "angles", "min_gap"}
-# every table a decode builds: no point table is among them
-BASIS_TABLES = {"_order", "_angles", "_cos", "_sin"}
+# the one table a decode builds: no point table, and no table of all (L+2)^d codewords
+BASIS_TABLES = {"_split"}
 
 
-# small sizes, L + 1 on both sides of 255 and codebooks of several angle chunks
+def assert_tables_within_split(basis):
+    # from d = 3 up, no array the basis caches holds more than the
+    # (L+2)^(d-1) entries of the split table's tail
+    assert basis.d >= 3
+    cached = [value for name in BASIS_TABLES & set(vars(basis)) for value in vars(basis)[name]]
+    arrays = [value for value in cached if isinstance(value, np.ndarray)]
+    assert arrays
+    assert max(a.size for a in arrays) <= (basis.L + 2) ** (basis.d - 1)
+
+
+# small sizes, L + 1 on both sides of 255 and tails of several angle chunks
 @pytest.mark.parametrize(
     "d,L",
     [(1, 2), (2, 4), (2, 5), (3, 8), (4, 3), (5, 4), (1, 253), (1, 254), (1, 255),
-     (2, 254), (2, 300), (4, 16), (6, 5), (6, 8)],
+     (2, 254), (2, 300), (4, 16), (6, 5), (6, 8), (7, 8)],
 )
 def test_decode_tables_match_int64_reference(d, L):
-    # reference: the int64 codebook times the basis angles, sorted
+    # reference: the int64 grid of the trailing d - h coordinates times their
+    # angles, sorted, and the lookup shifts from the leads fl(c * angles[0])
     params = lattice.make_params(d, L)
-    points = codebook_points(d, L)
+    h = min(1, d - 1)
+    points = codebook_points(d - h, L)
     assert points.dtype == np.int64
-    alphas = points @ np.asarray(params.angles)
+    alphas = points @ np.asarray(params.angles[h:])
     order = np.argsort(alphas)
-    reference = alphas[order]
-    assert np.array_equal(params.basis._angles.view(np.int64), reference.view(np.int64))
-    assert np.array_equal(params.basis._order, order)
-    assert np.array_equal(params.basis._cos.view(np.int64), np.cos(reference).view(np.int64))
-    assert np.array_equal(params.basis._sin.view(np.int64), np.sin(reference).view(np.int64))
+    angles, shifts, window, tail, tail_lex = params.basis._split
+    assert np.array_equal(angles, params.angles)
+    assert np.array_equal(tail.view(np.int64), alphas[order].view(np.int64))
+    assert np.array_equal(tail_lex, order)
+    leads = np.arange(L + 2) * params.angles[0] if h else np.zeros(1)
+    reach = lattice._decode_window(params.basis)[1]
+    assert window == lattice._decode_window(params.basis)[0] < reach
+    assert np.array_equal(shifts, np.concatenate([leads + reach, leads - reach]))
     assert record_state(params.basis) == BASIS_FIELDS | BASIS_TABLES
 
 
 # d = 1, both sides of L + 1 = 255, several angle chunks and 10^6 codewords
 @pytest.mark.parametrize("d,L", [(1, 2), (2, 5), (3, 8), (1, 254), (4, 16), (6, 8)])
 def test_decoded_points_are_int64_codebook_rows(d, L):
-    # decoding the k-th sorted codeword gives codebook_points(d, L)[_order[k]]
+    # decoding the k-th entry of the sorted table gives codebook_points(d, L)[order[k]]
     params = lattice.make_params(d, L)
-    basis = params.basis
+    order, _, cos_table, sin_table = sorted_table(params.basis)
     n = lattice.codebook_size(d, L)
     positions = np.unique(
         np.concatenate([[0, 1, n - 2, n - 1], np.random.default_rng(d * L).integers(n, size=3000)])
     )
-    xyz = np.column_stack([basis._cos[positions], basis._sin[positions], np.zeros(len(positions))])
-    expected = codebook_points(d, L)[basis._order[positions]]
+    xyz = np.column_stack([cos_table[positions], sin_table[positions], np.zeros(len(positions))])
+    expected = codebook_points(d, L)[order[positions]]
     decoded, ok = lattice.decode_batch(params, xyz)
     assert ok.all()
     assert decoded.dtype == np.int64
@@ -166,6 +183,40 @@ def test_session_at_d6_l8_builds_only_the_decode_tables_and_channel():
     spec = lattice.lattice_protocol(params, 1)
     assert engine.run_session(spec, np.random.default_rng(5)).outcome == engine.Accepted(1)
     assert record_state(params.basis) == BASIS_FIELDS | BASIS_TABLES | {"_mu"}
+    assert_tables_within_split(params.basis)
+
+
+def test_first_decode_at_d7_l8_holds_only_the_split_table():
+    # the 10^7 codewords of (7, 8) as a sorted table of angles, order, cos
+    # and sin would hold 305 MiB; the split table holds 10^6 angles and
+    # their indices, 15.3 MiB, and building it peaks at 22.9 MiB traced
+    params = lattice.make_params(7, 8)
+    tracemalloc.start()
+    try:
+        decoded = lattice.decode_commit(params, lattice.encode(params, (1, 2, 3, 4, 5, 6, 7)))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tuple(decoded) == (1, 2, 3, 4, 5, 6, 7)
+    assert held < 16 * 2**20
+    assert peak < 28 * 2**20
+    assert_tables_within_split(params.basis)
+
+
+def test_monte_carlo_soundness_at_d7_l8_in_bounded_memory():
+    # Monte Carlo soundness past the sorted table: building the split table
+    # and 2000 trials peak at 24.0 MiB traced, where the 10^7 codewords'
+    # sorted angles alone would take 76 MiB
+    params = lattice.make_params(7, 8)
+    tracemalloc.start()
+    try:
+        estimate = analysis.lattice_soundness_mc(params, 2000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimate.successes == estimate.trials == 2000
+    assert peak < 28 * 2**20
+    assert_tables_within_split(params.basis)
 
 
 def test_decode_tables_built_on_first_decode_and_shared(monkeypatch):
@@ -228,7 +279,7 @@ def test_make_params_holds_no_table():
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not {"_order", "_angles"} & record_state(params.basis)
+        assert not BASIS_TABLES & record_state(params.basis)
         assert held < 2**20
         assert peak < peak_bound
 
@@ -498,7 +549,7 @@ def test_decode_out_of_plane_aborts(params_d2_l4):
 
 def test_decode_far_angle_aborts(params_d2_l4):
     # halfway between two adjacent codebook angles, beyond eps of both
-    angles = params_d2_l4.basis._angles
+    angles = sorted_table(params_d2_l4.basis)[1]
     mid = so3.planar_unit((angles[3] + angles[4]) / 2)
     assert lattice.decode_commit(params_d2_l4, mid) is None
 
@@ -506,7 +557,7 @@ def test_decode_far_angle_aborts(params_d2_l4):
 def _decode_cases(params, rng) -> np.ndarray:
     """Vectors at the edges of decode_commit's rule, one per row."""
     eps = params.eps_meas
-    angles = params.basis._angles
+    angles = sorted_table(params.basis)[1]
     cases = []
     # codewords nudged along the circle to just inside and just outside eps,
     # on both sides, so the nearest codeword is angular neighbour i or i - 1
@@ -568,6 +619,86 @@ def test_decode_batch_rotated_codewords(params_d3_l8):
             expected = lattice.decode_commit(params_d3_l8, row)
             assert good == (expected is not None)
             assert not good or tuple(point) == tuple(expected)
+
+
+AGREEMENT_SIZES = [(1, 2), (1, 254), (2, 5), (3, 8), (4, 16), (6, 5), (6, 8)]
+
+
+def _agreement_tolerances(basis) -> list[float]:
+    # eps = 0, the default, the soundness floor and just below the certified maximum
+    return [0.0, basis.max_safe_eps / 4, lattice.soundness_floor(basis.d),
+            math.nextafter(basis.max_safe_eps, 0.0)]
+
+
+def _agreement_cases(params, rng, picks: int = 2000) -> np.ndarray:
+    """Every codeword position, then vectors near and far from picked codewords."""
+    _, angles, cos_table, sin_table = sorted_table(params.basis)
+    eps = params.eps_meas
+    codewords = np.column_stack([cos_table, sin_table, np.zeros(len(angles))])
+    index = rng.integers(len(angles), size=picks)
+    cases = [codewords]
+    # every channel rotation of the picked codewords: an honest receiver's inputs
+    cases += [codewords[index] @ rotation.T for rotation in lattice.lattice_mu(params).rotations]
+    # along the circle by a chord of 0 to 2.2 eps, either way
+    chords = rng.uniform(0.0, 2.2, size=picks) * eps
+    steps = 2.0 * np.arcsin(np.minimum(1.0, chords / 2.0)) * rng.choice([-1.0, 1.0], size=picks)
+    cases.append(np.column_stack([np.cos(angles[index] + steps), np.sin(angles[index] + steps),
+                                  np.zeros(picks)]))
+    # out of the plane and shrunken by 0 to 2.2 eps
+    lifts = rng.uniform(0.0, 2.2, size=picks) * eps
+    cases.append(codewords[index] + np.outer(lifts, [0.0, 0.0, 1.0]))
+    cases.append(codewords[index] * (1.0 - lifts)[:, None])
+    # random directions in R^3 and in the plane
+    cases.append(rng.normal(size=(picks, 3)))
+    turns = rng.uniform(0.0, 2.0 * math.pi, size=picks)
+    cases.append(np.column_stack([np.cos(turns), np.sin(turns), np.zeros(picks)]))
+    # just below angle 0, where codeword 0 is the only candidate near
+    below = -np.array([2.0**-60, 1e-15, 0.5 * eps, eps, 1.5 * eps, 2.2 * eps])
+    cases.append(np.column_stack([np.cos(below), np.sin(below), np.zeros(len(below))]))
+    return np.concatenate(cases)
+
+
+@pytest.mark.parametrize("d,L", AGREEMENT_SIZES)
+def test_decode_batch_matches_sorted_table(d, L):
+    # bit for bit where the sorted table decodes; eps = 0 accepts only
+    # table entries recomputed bit for bit, so it also catches a candidate
+    # block whose product rounds otherwise, such as a transposed one
+    basis = lattice.build_angle_basis(d, L)
+    rng = np.random.default_rng(d * 1000 + L)
+    for eps in _agreement_tolerances(basis):
+        params = lattice.LatticeParams(basis, eps)
+        cases = _agreement_cases(params, rng)
+        expected_lex, expected_ok = sorted_table_decode(params, cases)
+        decoded, ok = lattice.decode_batch(params, cases)
+        assert np.array_equal(ok, expected_ok), eps
+        lex = np.ravel_multi_index(tuple(decoded[ok].T), (L + 2,) * d)
+        assert np.array_equal(lex, expected_lex[ok]), eps
+        # every codeword decodes to itself at every tolerance
+        assert expected_ok[:lattice.codebook_size(d, L)].all()
+        assert 0 < np.count_nonzero(~ok)
+        # a batch whose directions, just below angle 0, meet no tail angle at all
+        decoded, ok = lattice.decode_batch(params, cases[-6:])
+        assert np.array_equal(ok, expected_ok[-6:])
+        assert np.array_equal(decoded[ok], codebook_points(d, L)[expected_lex[-6:][ok]])
+
+
+@pytest.mark.parametrize("d,L", AGREEMENT_SIZES)
+def test_decode_commit_matches_sorted_table(d, L):
+    basis = lattice.build_angle_basis(d, L)
+    rng = np.random.default_rng(d * 1000 + L + 1)
+    for eps in _agreement_tolerances(basis):
+        params = lattice.LatticeParams(basis, eps)
+        cases = _agreement_cases(params, rng, picks=40)
+        n = lattice.codebook_size(d, L)
+        # a sample of the codeword positions, then every other case
+        cases = np.concatenate([cases[rng.integers(n, size=min(n, 200))], cases[n:]])
+        expected_lex, expected_ok = sorted_table_decode(params, cases)
+        for row, lex, good in zip(cases, expected_lex.tolist(), expected_ok.tolist()):
+            decoded = lattice.decode_commit(params, row)
+            assert (decoded is not None) == good, (eps, row)
+            if good:
+                assert decoded.dtype == np.int64
+                assert np.ravel_multi_index(tuple(decoded), (L + 2,) * d) == lex, (eps, row)
 
 
 def test_encode_batch_matches_encode(params_d3_l8):
@@ -662,7 +793,8 @@ def test_libm_within_soundness_floor_ulps():
     angles = [0.0, math.pi / 2, math.pi]
     for d, L in ((2, 5), (3, 4)):
         params = lattice.make_params(d, L)
-        angles += params.basis._angles.tolist() + [m * t for t in params.angles for m in (1, 2)]
+        angles += sorted_table(params.basis)[1].tolist()
+        angles += [m * t for t in params.angles for m in (1, 2)]
     angles += np.random.default_rng(23).uniform(0.0, math.pi, size=10_000).tolist()
     sines, cosines = zip(*map(_sin_cos_reference, angles))
     t = np.array(angles)

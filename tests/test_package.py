@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -103,6 +104,26 @@ def test_records_equal_only_records_of_their_own_class():
     assert repr(mixture) == "TwoPointAngleMixture(angles=(0.2, 0.5))"
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (engine.Accepted(0), engine.Accepted(1)),
+        (engine.Accepted(0), (1,)),
+        ((1,), engine.Accepted(0)),
+        (engine.Aborted("x"), engine.Accepted(1)),
+        (so3.CyclicZ(2), so3.CyclicZ(3)),
+        (so3.CyclicZ(2), 3),
+    ],
+)
+def test_records_have_no_order(left, right):
+    # as with frozen dataclasses, ordering raises with a record on either side
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(left, right)
+        with pytest.raises(TypeError):
+            compare(right, left)
+
+
 def test_finite_support_compares_by_identity():
     elements = ((so3.identity_rotation(), Fraction(1)),)
     mu = so3.FiniteSupport(elements)
@@ -133,7 +154,7 @@ def _records():
     transcript = engine.Transcript((message,), (message,), engine.Accepted(1))
     return {
         "LatticeParams": (params, ("basis", "eps_meas", "predicate")),
-        "AngleBasis": (params.basis, ("d", "L", "angles", "min_gap", "_order", "_mu")),
+        "AngleBasis": (params.basis, ("d", "L", "angles", "min_gap", "_split", "_mu")),
         "CyclicZ": (so3.CyclicZ(8), ("n",)),
         "Message": (message, ("sender", "kind", "payload")),
         "Transcript": (transcript, ("alice_view", "bob_view", "outcome")),
