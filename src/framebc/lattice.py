@@ -23,13 +23,14 @@ The certified basis owns all derived state.  Certification keeps no table: a
 meet-in-the-middle search names the few pair differences k that can attain
 the gap, and min_gap is their least |k . theta|, exactly
 (`build_angle_basis`).  Decoding keeps no table of the (L+2)^d codewords
-either.  Its split table (`AngleBasis._split`), built on the first decode,
-holds the sorted angles of the trailing d - 1 coordinates, (L+2)^(d-1) of
-them, with their lexicographic indices.  A decode looks up the received
-direction once per leading value and recomputes the few hits' angles
-exactly, so it reaches the same verdict and point as a search of the
-sorted full table (`decode_commit`, `_decode_window`).  The channel is
-built on its first use, and both are cached on the basis.
+either.  A codeword's table angle is its leading product plus the table
+angle of its trailing coordinates, rounded (`codebook_angles`), so the
+split table (`AngleBasis._split`), built on the first decode, holds the
+leading products and the sorted angles of the trailing d - 1 coordinates
+with their lexicographic indices.  A decode finds the received direction's
+exact neighbours with one lookup per leading value, as a search of the
+sorted full table would (`decode_commit`).  The channel is built on its
+first use, and both are cached on the basis.
 No point table exists: a decoded point is its codeword's lexicographic
 index, unravelled.  A parameter set is a plain validated record over the
 basis, so every parameter set over one basis shares one copy of each, and
@@ -39,7 +40,6 @@ work that never decodes (binding, concealing) never pays for either.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -75,32 +75,29 @@ class AngleBasis(Record, NamedTuple("AngleBasis", [
     distance between exact codeword angles over these float angles,
     exactly, certified at construction with no table.  The basis
     is the only owner of derived state: the decoder's split table
-    (`_split`) and the channel `_mu` are built on first use and then
-    cached here, in the instance's `__dict__`.
+    (`_split`: leading products, sorted trailing table angles) and the
+    channel `_mu` are built on first use and then cached here, in the
+    instance's `__dict__`.
     """
 
     @functools.cached_property
-    def _split(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-        """The decoder's split table: (angles, shifts, window, tail, tail_lex).
+    def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The decoder's split table: (leads, tail, tail_lex).
 
-        With h = min(1, d - 1) leading coordinates, tail holds the angles of
-        the trailing d - h coordinates of every codeword, (L+2)^(d-h) of
-        them as `codebook_angles` computes them, sorted, and tail_lex[k] is
-        the lexicographic index, among the trailing points, of the one at
-        tail[k].  For each leading value c, lead = fl(c * angles[0]) (the
-        one lead 0.0 when h = 0): shifts holds every lead + reach, then every
-        lead - reach, so phi - shifts gives a decode's lower lookup bounds,
-        then its upper ones.  window and reach are `_decode_window`'s, and
-        angles is the basis angles as an array.
+        With h = min(1, d - 1) leading coordinates, leads holds the table
+        angles of the (L+2)^h leading values (the one angle 0.0 when h = 0)
+        and tail the sorted table angles of the trailing d - h coordinates,
+        (L+2)^(d-h) of them, as `codebook_angles` defines both; tail_lex[k]
+        is the lexicographic index, among the trailing points, of the one at
+        tail[k].  The codeword with leading value c and trailing index r has
+        the table angle fl(leads[c] + the tail angle of r), by that
+        definition.
         """
         h = min(1, self.d - 1)
         angles = np.asarray(self.angles)
         partial = codebook_angles(self.d - h, self.L, angles[h:])
         order = np.argsort(partial)
-        leads = np.arange(self.L + 2) * angles[0] if h else np.zeros(1)
-        window, reach = _decode_window(self)
-        shifts = np.concatenate([leads + reach, leads - reach])
-        return angles, shifts, window, partial[order], order
+        return codebook_angles(h, self.L, angles[:h]), partial[order], order
 
     @functools.cached_property
     def _mu(self) -> TwoPointAngleMixture:
@@ -125,40 +122,28 @@ def codebook_size(d: int, L: int) -> int:
     return (L + 2) ** d
 
 
-#: rows per angle product; bounds the temporaries of every pass over codebook points
+#: lookups per `_decode_lex` block; bounds the temporaries of a batch decode
 ANGLE_CHUNK = 1 << 16
 
 
-def _box_chunks(lo, hi):
-    """The points lo <= a < hi in lexicographic order, as rewrites of one float64 buffer.
-
-    Each chunk fixes the leading coordinates and holds the grid of the
-    trailing ones: at most ANGLE_CHUNK rows, or one coordinate's range if larger.
-    """
-    d, lead = len(lo), 0
-    while lead < d - 1 and math.prod(hi[j] - lo[j] for j in range(lead, d)) > ANGLE_CHUNK:
-        lead += 1
-    grid = np.empty([hi[j] - lo[j] for j in range(lead, d)] + [d])
-    for j in range(lead, d):  # coordinate j runs along grid axis j - lead
-        grid[..., j] = np.arange(lo[j], hi[j]).reshape((-1,) + (1,) * (d - 1 - j))
-    chunk = grid.reshape(math.prod(grid.shape[:-1]), d)
-    for prefix in itertools.product(*map(range, lo[:lead], hi[:lead])):
-        chunk[:, :lead] = prefix
-        yield chunk
+def _grid_angles(lo, hi, angles) -> np.ndarray:
+    """`codebook_angles`' angles over the points lo <= a < hi, by iterated outer sums."""
+    t = np.zeros(1)
+    for low, high, theta in zip(reversed(lo), reversed(hi), reversed(list(angles))):
+        t = np.add.outer(np.arange(low, high) * theta, t).ravel()
+    return t
 
 
 def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
-    """The (L+2)^d codebook angles in lexicographic order, one `_box_chunks` chunk at a time.
+    """The (L+2)^d codebook table angles in lexicographic order.
 
-    The table angles that decoding reads: each a d-term dot product,
-    within gamma_d*A of its exact angle in any summation order (see
-    `soundness_floor`), and independent of the chunking, since matmul
-    computes each row of a product of two or more rows on its own.
+    The angles that decoding reads, defined right to left: t_c =
+    fl(fl(c_0*theta_0) + t_tail), t_tail the table angle of c's trailing
+    d - 1 coordinates, and 0.0 for no coordinates.  A d-term sum in one
+    fixed order, so it is within gamma_d*A of the exact angle (see
+    `soundness_floor`) and depends on no matmul kernel.
     """
-    out = np.empty(codebook_size(d, L))
-    for k, chunk in enumerate(_box_chunks((0,) * d, (L + 2,) * d)):
-        np.matmul(chunk, angles, out=out[k * len(chunk):(k + 1) * len(chunk)])
-    return out
+    return _grid_angles((0,) * d, (L + 2,) * d, angles)
 
 
 def _gap_candidates(d: int, L: int, angles: np.ndarray) -> tuple[float, float, list]:
@@ -174,8 +159,8 @@ def _gap_candidates(d: int, L: int, angles: np.ndarray) -> tuple[float, float, l
     span, n = L + 1, d - d // 2
     lo, hi = (0,) + (-span,) * (d - 1), (span + 1,) * d
     head = ((2 * span + 1) ** (n - 1) + 1) // 2  # the zero query's successor: first q kept
-    queries, sums = (np.concatenate([c @ angles[part] for c in _box_chunks(lo[part], hi[part])])
-                     for part in (slice(n), slice(n, d)))
+    queries = _grid_angles(lo[:n], hi[:n], angles[:n])
+    sums = _grid_angles(lo[n:], hi[n:], angles[n:])
     queries = queries[head:]
     order = np.argsort(sums)
     ranked = np.concatenate([[-math.inf], sums[order], [math.inf]])  # two neighbours for every q
@@ -266,9 +251,10 @@ def soundness_floor(d: int) -> float:
       gamma_3*(1 + 2Ku)^2 (Cauchy-Schwarz over |row|*|x|), and the third
       row (0, 0, 1) meets x's exact zero, so y moves at most
       sqrt(2)*gamma_3*(1 + 2Ku)^2.
-    The table angle t_c is the d-term dot product c . theta, whose terms
-    sum to below A, so it is within gamma_d*A of alpha(c), and its table
-    cos and sin put the entry T_c within delta_t = gamma_d*A + 2Ku of P(c).
+    The table angle t_c of `codebook_angles` sums the d rounded products
+    c_i*theta_i in one fixed order, and they sum to below A, so it is within
+    gamma_d*A of alpha(c), and its table cos and sin put the entry T_c
+    within delta_t = gamma_d*A + 2Ku of P(c).
     The floor is 2*delta, delta = delta_rx + delta_t, times 1 + 2^-20,
     which covers the rounding of this formula, the second-order terms
     dropped below and the absolute error of subnormal results.
@@ -408,7 +394,7 @@ ENCODE_QUANTUM = 2.0**-51
 
 
 def encode_batch(params: LatticeParams, points) -> np.ndarray:
-    """`encode` over the rows of an (n, d) point array, as an (n, 3) array.
+    """`encode` over the rows of an (n, d) integer point array, as an (n, 3) array.
 
     Each row is bit-identical to `encode`'s, with no per-row Python call.
     Every product p = a_i * theta_i lies in [0, pi/2], so it splits exactly
@@ -419,9 +405,18 @@ def encode_batch(params: LatticeParams, points) -> np.ndarray:
     Both row sums are therefore exact, and their sum is rounded once: the
     correctly rounded sum that `math.fsum` returns.  np.cos and np.sin then
     give math.cos and math.sin's doubles on this platform, which the tests
-    check.  Callers pass in-range points.
+    check.  Refuses what `encode` refuses: an array that is not (n, d)
+    raises ValueError, a dtype that is not integral TypeError and a
+    coordinate outside 0..L+1 ValueError.
     """
-    products = np.asarray(points, dtype=float).reshape(-1, params.d) * params.angles
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != params.d:
+        raise ValueError(f"expected an (n, {params.d}) point array, got shape {points.shape}")
+    if not np.issubdtype(points.dtype, np.integer):
+        raise TypeError(f"coordinates must be integers, got dtype {points.dtype}")
+    if not ((0 <= points) & (points <= params.L + 1)).all():
+        raise ValueError("coordinates must lie in 0..L+1")
+    products = points * np.asarray(params.angles)
     hi = np.floor(products / ENCODE_QUANTUM) * ENCODE_QUANTUM
     alphas = hi.sum(axis=1) + (products - hi).sum(axis=1)
     return np.column_stack([np.cos(alphas), np.sin(alphas), np.zeros(len(alphas))])
@@ -464,52 +459,6 @@ def commit(
     return a, encode(params, a)
 
 
-def _decode_window(basis: AngleBasis) -> tuple[float, float]:
-    """The decoder's angular window w and the reach of its split-table lookups.
-
-    Claim: let eps be any tolerance the basis certifies.  Suppose a table
-    entry T_c = (cos t_c, sin t_c) lies within eps of the received vector
-    y in float squared distance, t_c being the table angle of codeword c
-    (as `codebook_angles` computes it).  Suppose also that the sorted-table
-    rule of `decode_commit` would score it as neighbour i or i - 1 of phi,
-    and that c is neither codeword 0 nor the last.  Then |phi - t_c| <= w.
-
-    Assumed as in `soundness_floor`: u = 2^-53, K = LIBM_ULPS and every
-    table angle in [0, A), A = 2.  eps < max_safe_eps < sin(pi/12) < 0.26,
-    since min_gap is at most angles[0] <= pi/6.
-    1. The distance.  The float squared distance is fl(fl(dx^2 + dy^2) +
-       fl(rz^2)), with dx = fl(rx - cos t_c) and dy likewise.  So it is at
-       least (1 - u)^5 times the exact one, less a few subnormal units of
-       2^-1074, and the planar distance |(rx, ry) - T_c| is at most
-       eps*(1 + 3.01u) + 2^-500.
-    2. The entry.  T_c lies within 2Ku of P(t_c), the unit vector at the
-       float t_c.  So (rx, ry) lies within rho = max_safe_eps*(1 + 2^-40) +
-       4Ku < 1 of P(t_c), and its exact direction psi lies within asin(rho)
-       <= rho / sqrt(1 - rho^2) of t_c on the circle.
-    3. The direction.  As i or i - 1 with c neither end, 0 < i < N, so
-       t_0 = 0 < phi <= t_last < A.  So atan2 returned phi itself, not phi
-       - 2*pi, within 2Ku*A = 4Ku of psi to first order.  Then psi lies in
-       (-4Ku, A + 4Ku) and t_c in [0, A), so |psi - t_c| < pi is their
-       distance on the circle, and |phi - t_c| <= rho / sqrt(1 - rho^2) +
-       4Ku.
-    w is that bound times 1 + 2^-20, which covers the rounding of its
-    formula and the second-order terms.
-
-    The reach is w + (d + 4)*2^-50, that is (8d + 32)u more than w.  t_c lies
-    within (gamma_d + gamma_(d-h) + u)*A <= (4d + 3)u of lead + tail angle,
-    the float angles of its two parts (see `AngleBasis._split`).  Forming
-    the bounds phi - (lead -+ reach) rounds by at most 17u more.  So every
-    t_c with fl(|phi - t_c|) <= w, which is within w*(1 + u) of phi, has
-    its tail angle strictly inside the bounds for its leading value: the
-    hits a decode keeps are exactly those table angles, an interval about
-    phi that holds every t_c within w of it.
-    """
-    trig = 2 * LIBM_ULPS * 2.0**-53
-    rho = basis.max_safe_eps * (1.0 + 2.0**-40) + 2 * trig
-    window = (rho / math.sqrt(1.0 - rho * rho) + 2 * trig) * (1.0 + 2.0**-20)
-    return window, window + (basis.d + 4) * 2.0**-50
-
-
 def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     """Nearest-codeword decoding within eps_meas; None means abort.
 
@@ -520,58 +469,67 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     and accept it within eps.  Out-of-plane or shrunken vectors fail the
     distance test on their own.
 
-    No table of (L+2)^d entries is built.  One searchsorted in the split
-    table (`AngleBasis._split`) finds, for every leading value, the tail
-    angles within the reach of phi - lead (`_decode_window`).  The hits'
-    table angles are recomputed as `codebook_angles` computes them, in one
-    product with codewords 0 and last, and the hits within w of phi are
-    kept.  The decode then scores codeword 0, the last, the nearest kept
-    angle at or above phi and the nearest below, in that order.  Those are
-    the rule's candidates i and i - 1 when they lie within w of phi, and
-    otherwise neither is within eps (`_decode_window`).  So the decode
-    scores the rule's candidates in the rule's order, less some that fail
-    the tolerance, and every verdict and every accepted point match the
-    rule's bit for bit.  `decode_batch` applies the same rule to many
-    vectors at once; this scalar form stays for the per-session decodes of
-    `engine.run_session`.
+    No table of (L+2)^d entries is built.  Within one leading value c of
+    the split table (`AngleBasis._split`), the table angle fl(leads[c] + x)
+    is monotone in the tail angle x, so one searchsorted of phi - leads[c]
+    finds, up to rounding, where the lead's table angles pass phi, and a
+    short step that compares them with phi corrects it.  A lead at or
+    above phi starts there, so only the first such lead is scored, by its
+    own angle, and the leads below phi are looked up.  Over the leads,
+    the least table angle at or above phi is then position i and the
+    greatest below it i - 1: the decode scores the rule's candidates in the
+    rule's order, so every verdict and every decoded point is the rule's,
+    bit for bit.  `decode_batch` applies the same rule to many vectors at
+    once; this scalar form stays for the per-session decodes of
+    `engine.run_session`.  math.cos and math.sin give np.cos and np.sin's
+    doubles on this platform, which the tests check.
     """
     rx, ry, rz = np.asarray(received, dtype=float).tolist()
     phi = math.atan2(ry, rx) % (2.0 * math.pi)
     basis = params.basis
-    angles, shifts, window, tail, tail_lex = basis._split
-    bounds = tail.searchsorted(phi - shifts).tolist()
-    d, base, h, m = basis.d, basis.L + 2, min(1, basis.d - 1), len(bounds) // 2
-    powers = [base**j for j in range(d - h - 1, -1, -1)]  # unravel a tail index
-    flat = [0] * d + [base - 1] * d  # codewords 0 and last, so every product has two rows
-    for lead in [k for k in range(m) if bounds[k] < bounds[m + k]]:
-        for r in tail_lex[bounds[lead]:bounds[m + lead]].tolist():
-            flat += [lead] * h + [r // q % base for q in powers]
-    rows = np.array(flat, dtype=float).reshape(-1, d)  # as in `_decode_lex`
-    t = rows @ angles
-    cos_t, sin_t, t = np.cos(t).tolist(), np.sin(t).tolist(), t.tolist()
-    above = below = None
-    for k in range(2, len(t)):
-        if abs(phi - t[k]) <= window:
-            if t[k] >= phi:
-                if above is None or t[k] < t[above]:
-                    above = k
-            elif below is None or t[k] > t[below]:
-                below = k
-    best, best_sq = -1, math.inf
-    for k in (0, 1, above, below):
-        if k is not None:
-            dx = rx - cos_t[k]
-            dy = ry - sin_t[k]
-            sq = dx * dx + dy * dy + rz * rz
-            if sq < best_sq:
-                best, best_sq = k, sq
+    leads, tail, tail_lex = basis._split
+    n, base = len(tail), basis.L + 2
+    # from lead k on, a lead's least table angle is its own, at or above phi
+    k = max(1, int(leads.searchsorted(phi)))
+    live = leads[:k]
+    pos = tail.searchsorted(phi - live)
+    below = live + tail.take(pos - 1, mode="clip")
+    above = live + tail.take(pos, mode="clip")
+    up, down = above.argmin(), below.argmax()
+    if not above[up] >= phi > below[down]:  # a lead at an end, or a lookup rounding misplaced
+        # at an end, no table angle of the lead lies on that side
+        above[pos == n], below[pos == 0] = np.inf, -np.inf
+        for c in np.flatnonzero((above < phi) | (below >= phi)).tolist():
+            while above[c] < phi or below[c] >= phi:  # step until the neighbours straddle phi
+                j = pos[c] = pos[c] + (1 if above[c] < phi else -1)
+                below[c] = live[c] + tail[j - 1] if j > 0 else -np.inf
+                above[c] = live[c] + tail[j] if j < n else np.inf
+        up, down = above.argmin(), below.argmax()
+    t_up, lex_up = float(above[up]), up * n + int(tail_lex[min(pos[up], n - 1)])
+    t_down, lex_down = float(below[down]), down * n + int(tail_lex[max(pos[down] - 1, 0)])
+    if k < len(leads) and leads[k] < t_up:
+        t_up, lex_up = float(leads[k]), k * n
+    # the rule's candidates i and i - 1, the least table angle at or above phi and the
+    # greatest below it; with none on a side the rule scores the last or codeword 0 again
+    t_last = float(leads[-1] + tail[-1])
+    scored = [(0.0, 0), (t_last, base**basis.d - 1),
+              (t_up if phi <= t_up <= t_last else t_last, lex_up),
+              (t_down if 0.0 <= t_down < phi else 0.0, lex_down)]
+    best, best_sq = 0, math.inf
+    for t, lex in scored:
+        dx = rx - math.cos(t)
+        dy = ry - math.sin(t)
+        sq = dx * dx + dy * dy + rz * rz
+        if sq < best_sq:
+            best, best_sq = lex, sq
     if best_sq <= params.eps_meas * params.eps_meas:
-        return rows[best].astype(np.int64)
+        point = [best // base**e % base for e in range(basis.d - 1, -1, -1)]
+        return np.array(point, dtype=np.int64)
     return None
 
 
 def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
-    """`decode_commit` over the rows of an (n, 3) array in one pass.
+    """`decode_commit`'s rule over the rows of an (n, 3) array, by `_decode_lex`.
 
     Returns the decoded points as an (n, d) int array and a boolean mask of
     the rows that decode; a row whose mask is False means abort, and its
@@ -584,67 +542,58 @@ def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
 def _decode_lex(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`decode_commit`'s rule on an (..., 3) array, as lexicographic indices of codewords.
 
-    Looks up ANGLE_CHUNK bounds at a time, a row's 2(L+2) (2 when d = 1)
-    together.  Scores codewords 0 and last, then each row's nearest kept
-    angle at or above its direction, then its nearest below, each as one
+    Looks up ANGLE_CHUNK tail bounds at a time, a row's L+2 (1 when d = 1)
+    together, and steps the few that rounding put on the wrong side of phi,
+    all at once.  Scores codewords 0 and last, then each row's least table
+    angle at or above its direction, then its greatest below, each as one
     array, and keeps the first of equal minima, as `decode_commit` does.
     Returns the indices and the within-eps mask, both of shape (...).
     """
-    basis = params.basis
-    angles, shifts, window, tail, tail_lex = basis._split
-    m = len(shifts) // 2
-    ends = [0, codebook_size(basis.d, basis.L) - 1]
+    leads, tail, tail_lex = params.basis._split
+    n, lead, last = len(tail), leads[:, None], len(leads) * len(tail) - 1
+    t_last = leads[-1] + tail[-1]
     flat = xyz.reshape(-1, 3)
     best_lex, best_sq = np.empty(len(flat), dtype=np.int64), np.empty(len(flat))
-    step = max(1, ANGLE_CHUNK // len(shifts))
+    step = max(1, ANGLE_CHUNK // len(leads))
     for start in range(0, len(flat), step):
-        rx, ry, rz = flat[start:start + step].T
-        phi = np.arctan2(ry, rx) % (2.0 * math.pi)
-        # over the rows in direction order each lead's bounds ascend, which speeds the lookups
+        rows = flat[start:start + step]
+        phi = np.arctan2(rows[:, 1], rows[:, 0]) % (2.0 * math.pi)
+        # in direction order each lead's bounds ascend, which speeds the lookups
         order = np.argsort(phi)
-        bounds = phi[order] - shifts[:, None]
-        hit = tail.searchsorted(bounds[:m]).ravel()  # the first tail angle in each window
-        upper = bounds[m:].ravel()
-        cell = np.flatnonzero((hit < len(tail)) & (tail.take(hit, mode="clip") < upper))
-        cells, hits = [cell], [hit[cell]]
-        while len(cells[-1]):  # step each window on while its next tail angle is below the bound
-            cell, hit = cells[-1], hits[-1] + 1
-            inside = (hit < len(tail)) & (tail.take(hit, mode="clip") < upper[cell])
-            cells.append(cell[inside])
-            hits.append(hit[inside])
-        lead, row = np.divmod(np.concatenate(cells), len(phi))
-        row = order[row]
-        lex = tail_lex[np.concatenate(hits)] + lead * len(tail)
-        # two or more C-contiguous float64 rows, so each product row is its table angle
-        points = np.unravel_index(np.concatenate([ends, lex]), (basis.L + 2,) * basis.d)
-        t = np.stack(points, axis=1).astype(float) @ angles
-        cos_t, sin_t = np.cos(t), np.sin(t)
-        rz_sq = rz * rz
-
-        def squared_distance(k, rows=slice(None)):
-            dx = rx[rows] - cos_t[k]
-            dy = ry[rows] - sin_t[k]
-            return dx * dx + dy * dy + rz_sq[rows]
-
-        sq = squared_distance(slice(2, None), row)
-        t, phi_hit = t[2:], phi[row]
-        kept = np.abs(phi_hit - t) <= window
-        above = t >= phi_hit
-        best, least = np.zeros(len(phi), dtype=np.int64), squared_distance(0)
-        scored = [(ends[1], squared_distance(1))]
-        for side, reduce, none in ((kept & above, np.minimum, math.inf),
-                                   (kept & ~above, np.maximum, -math.inf)):
-            nearest = np.full(len(phi), none)
-            reduce.at(nearest, row[side], t[side])
-            side &= t == nearest[row]
-            side_lex, side_sq = np.zeros(len(phi), dtype=np.int64), np.full(len(phi), math.inf)
-            side_lex[row[side]], side_sq[row[side]] = lex[side], sq[side]
-            scored.append((side_lex, side_sq))
-        for candidate, candidate_sq in scored:
-            closer = candidate_sq < least
+        phi, (rx, ry, rz) = phi[order], rows[order].T
+        pos = tail.searchsorted(phi - lead)  # shape (leads, rows)
+        above, below = tail.take(pos, mode="clip"), tail.take(pos - 1, mode="clip")
+        above += lead
+        below += lead
+        # at an end, no table angle of the lead lies on that side
+        above[pos == n], below[pos == 0] = np.inf, -np.inf
+        wrong = np.flatnonzero((above < phi) | (below >= phi))
+        while len(wrong):  # step while both neighbours lie on one side of phi
+            c, r = np.divmod(wrong, len(phi))
+            j = pos.take(wrong) + np.where(above.take(wrong) < phi[r], 1, -1)
+            pos.put(wrong, j)
+            below.put(wrong, np.where(j > 0, leads[c] + tail.take(j - 1, mode="clip"), -np.inf))
+            above.put(wrong, np.where(j < n, leads[c] + tail.take(j, mode="clip"), np.inf))
+            wrong = wrong[(above.take(wrong) < phi[r]) | (below.take(wrong) >= phi[r])]
+        # the rule's candidates i and i - 1, the least table angle at or above phi and the
+        # greatest below it; with none on a side the rule scores the last or codeword 0 again
+        cols = np.arange(len(phi))
+        up, down = above.argmin(axis=0), below.argmax(axis=0)
+        t_up, t_down = above[up, cols], below[down, cols]
+        t_up = np.where((phi <= t_up) & (t_up <= t_last), t_up, t_last)
+        t_down = np.where((0.0 <= t_down) & (t_down < phi), t_down, 0.0)
+        lex_up = up * n + tail_lex[np.minimum(pos[up, cols], n - 1)]
+        lex_down = down * n + tail_lex[np.maximum(pos[down, cols] - 1, 0)]
+        best, least = np.zeros(len(phi), dtype=np.int64), np.full(len(phi), np.inf)
+        for candidate, t in ((0, 0.0), (last, t_last), (lex_up, t_up), (lex_down, t_down)):
+            dx = rx - np.cos(t)
+            dy = ry - np.sin(t)
+            sq = dx * dx + dy * dy + rz * rz
+            closer = sq < least
             best = np.where(closer, candidate, best)
-            least = np.where(closer, candidate_sq, least)
-        best_lex[start:start + step], best_sq[start:start + step] = best, least
+            least = np.where(closer, sq, least)
+        best_lex[start + order], best_sq[start + order] = best, least
+        del pos, below, above  # before the next block's lookups
     eps_sq = params.eps_meas * params.eps_meas
     return best_lex.reshape(xyz.shape[:-1]), (best_sq <= eps_sq).reshape(xyz.shape[:-1])
 

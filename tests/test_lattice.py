@@ -99,20 +99,37 @@ def test_basis_validation():
         lattice.build_angle_basis(2, 1)
 
 
-# d = 1, odd and even L+2, codebooks just below and above ANGLE_CHUNK rows,
-# and one coordinate alone wider than a chunk
+def _right_to_left_angles(d, L, angles):
+    # the table angle's definition, one codeword at a time in plain Python:
+    # t = fl(c_i * theta_i + t) from the last coordinate to the first
+    def angle(point):
+        t = 0.0
+        for c, theta in zip(reversed(point), reversed(angles)):
+            t = c * theta + t
+        return t
+
+    points = itertools.product(range(L + 2), repeat=d)
+    return np.fromiter(map(angle, points), dtype=float, count=lattice.codebook_size(d, L))
+
+
+# d = 1, odd and even L+2, mid sizes, 10^6 codewords and one long coordinate
 @pytest.mark.parametrize(
     "d,L",
     [(1, 2), (1, 3), (3, 5), (3, 6), (5, 7), (6, 5), (4, 16), (6, 8), (1, 70000)],
 )
-def test_codebook_angles_match_single_product(d, L):
-    # the chunked products equal one int64 grid @ angles product, bit for bit
-    assert 9**5 < lattice.ANGLE_CHUNK < min(7**6, 70000 + 2)
-    angles = np.asarray(lattice.build_angle_basis(d, L).angles)
-    points = codebook_points(d, L)
-    assert points.dtype == np.int64
-    chunked = lattice.codebook_angles(d, L, angles)
-    assert np.array_equal(chunked.view(np.int64), (points @ angles).view(np.int64))
+def test_codebook_angles_match_right_to_left_loop(d, L):
+    angles = lattice.build_angle_basis(d, L).angles
+    table = lattice.codebook_angles(d, L, np.asarray(angles))
+    expected = _right_to_left_angles(d, L, angles)
+    assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+    # sampled rows lie within gamma_d * A, A = 2, of their exact angle (see soundness_floor)
+    u = Fraction(1, 2**53)
+    bound = 2 * d * u / (1 - d * u)
+    exact = [Fraction(t) for t in angles]
+    for k in np.random.default_rng(d * L).integers(len(table), size=300).tolist():
+        point = np.unravel_index(k, (L + 2,) * d)
+        alpha = sum(int(c) * t for c, t in zip(point, exact))
+        assert abs(Fraction(float(table[k])) - alpha) <= bound
 
 
 BASIS_FIELDS = {"d", "L", "angles", "min_gap"}
@@ -130,33 +147,34 @@ def assert_tables_within_split(basis):
     assert max(a.size for a in arrays) <= (basis.L + 2) ** (basis.d - 1)
 
 
-# small sizes, L + 1 on both sides of 255 and tails of several angle chunks
+# small sizes, L + 1 on both sides of 255, and tails up to 10^6 angles
 @pytest.mark.parametrize(
     "d,L",
     [(1, 2), (2, 4), (2, 5), (3, 8), (4, 3), (5, 4), (1, 253), (1, 254), (1, 255),
      (2, 254), (2, 300), (4, 16), (6, 5), (6, 8), (7, 8)],
 )
 def test_decode_tables_match_int64_reference(d, L):
-    # reference: the int64 grid of the trailing d - h coordinates times their
-    # angles, sorted, and the lookup shifts from the leads fl(c * angles[0])
+    # reference: the int64 grid of the trailing d - h coordinates, its table
+    # angles summed column by column from the last, sorted; and the leads
+    # fl(c * angles[0]) (the one lead 0.0 when h = 0)
     params = lattice.make_params(d, L)
     h = min(1, d - 1)
     points = codebook_points(d - h, L)
     assert points.dtype == np.int64
-    alphas = points @ np.asarray(params.angles[h:])
+    alphas = np.zeros(len(points))
+    for j in range(d - h - 1, -1, -1):
+        alphas = points[:, j] * params.angles[h + j] + alphas
     order = np.argsort(alphas)
-    angles, shifts, window, tail, tail_lex = params.basis._split
-    assert np.array_equal(angles, params.angles)
+    leads, tail, tail_lex = params.basis._split
     assert np.array_equal(tail.view(np.int64), alphas[order].view(np.int64))
     assert np.array_equal(tail_lex, order)
-    leads = np.arange(L + 2) * params.angles[0] if h else np.zeros(1)
-    reach = lattice._decode_window(params.basis)[1]
-    assert window == lattice._decode_window(params.basis)[0] < reach
-    assert np.array_equal(shifts, np.concatenate([leads + reach, leads - reach]))
+    assert (np.diff(tail) > 0).all() and tail[0] == 0.0
+    expected = np.arange(L + 2) * params.angles[0] if h else np.zeros(1)
+    assert np.array_equal(leads.view(np.int64), expected.view(np.int64))
     assert record_state(params.basis) == BASIS_FIELDS | BASIS_TABLES
 
 
-# d = 1, both sides of L + 1 = 255, several angle chunks and 10^6 codewords
+# d = 1, both sides of L + 1 = 255, and up to 10^6 codewords
 @pytest.mark.parametrize("d,L", [(1, 2), (2, 5), (3, 8), (1, 254), (4, 16), (6, 8)])
 def test_decoded_points_are_int64_codebook_rows(d, L):
     # decoding the k-th entry of the sorted table gives codebook_points(d, L)[order[k]]
@@ -271,7 +289,7 @@ def test_lattice_mu_shared_by_params_over_one_basis():
 def test_make_params_holds_no_table():
     # certification builds no codebook-sized array: the 8 MB angle table of
     # the 10^6 codewords of (6, 8), or the 80 MB of the 10^7 of (7, 8), would
-    # break these peaks, which leave room for bounded chunks only
+    # break these peaks, which leave room for the half-sums only
     for d, L, peak_bound in ((6, 8, 6 * 2**20), (7, 8, 12 * 2**20)):
         tracemalloc.start()
         try:
@@ -285,7 +303,7 @@ def test_make_params_holds_no_table():
 
 
 # every d from 1 to 6 against L in {2, 3, 4, 5, 6, 8, 16} within the default
-# budget, one coordinate wider than an angle chunk, and larger L and d
+# budget, one long coordinate, and larger L and d
 CERTIFIED_SIZES = [
     (d, L) for d in range(1, 7) for L in (2, 3, 4, 5, 6, 8, 16)
     if lattice.codebook_size(d, L) <= engine.DEFAULT_ENUM_BUDGET
@@ -386,6 +404,24 @@ def test_encode_and_parity_never_truncate(params_d2_l4):
         with pytest.raises(TypeError):
             lattice.parity(point)
     assert lattice.parity(np.array([1, 2])) == 1
+
+
+@pytest.mark.parametrize(
+    "points,error",
+    [
+        ([[9, 0]], ValueError), ([[-1, 0]], ValueError), ([[0, 6], [0, 0]], ValueError),
+        ([[0.5, 1]], TypeError), ([[0.0, 1.0]], TypeError),
+        ([1, 2, 3, 4], ValueError), ([[1, 2, 3]], ValueError), ([[[1, 2]]], ValueError),
+    ],
+)
+def test_encode_batch_refuses_what_encode_refuses(params_d2_l4, points, error):
+    # out of range, fractional, or not (n, d): a flat list of 2d values is not two rows
+    with pytest.raises(error):
+        lattice.encode_batch(params_d2_l4, points)
+    if np.ndim(points) == 2:  # encode refuses the offending row alike
+        with pytest.raises(error):
+            for row in points:
+                lattice.encode(params_d2_l4, row)
 
 
 def test_encode_injective_on_codebook(params_d2_l4):
@@ -660,9 +696,8 @@ def _agreement_cases(params, rng, picks: int = 2000) -> np.ndarray:
 
 @pytest.mark.parametrize("d,L", AGREEMENT_SIZES)
 def test_decode_batch_matches_sorted_table(d, L):
-    # bit for bit where the sorted table decodes; eps = 0 accepts only
-    # table entries recomputed bit for bit, so it also catches a candidate
-    # block whose product rounds otherwise, such as a transposed one
+    # bit for bit where the sorted table decodes; eps = 0 accepts only a
+    # received vector that lands on its table entry bit for bit
     basis = lattice.build_angle_basis(d, L)
     rng = np.random.default_rng(d * 1000 + L)
     for eps in _agreement_tolerances(basis):
@@ -699,6 +734,37 @@ def test_decode_commit_matches_sorted_table(d, L):
             if good:
                 assert decoded.dtype == np.int64
                 assert np.ravel_multi_index(tuple(decoded), (L + 2,) * d) == lex, (eps, row)
+
+
+@pytest.mark.parametrize("d,L", [(3, 8), (4, 16)])
+def test_agreement_cases_need_the_rounding_step(d, L):
+    # the on-table rows the agreement tests decode include some where one
+    # searchsorted of phi - lead, uncorrected, lands on the wrong side of phi
+    # in some lead: 164 of the 1000 at (3, 8) and 6139 of the 104976 at
+    # (4, 16), counts that follow the platform's atan2
+    basis = lattice.build_angle_basis(d, L)
+    _, _, cos_table, sin_table = sorted_table(basis)
+    phi = np.arctan2(sin_table, cos_table) % (2.0 * math.pi)
+    leads, tail, _ = basis._split
+    pos = tail.searchsorted(phi - leads[:, None])
+    below = leads[:, None] + tail.take(pos - 1, mode="clip")
+    above = leads[:, None] + tail.take(pos, mode="clip")
+    wrong = (above < phi) & (pos < len(tail)) | (below >= phi) & (pos > 0)
+    assert 0 < np.count_nonzero(wrong.any(axis=0)) < len(phi)
+
+
+@pytest.mark.parametrize("d,L", [(1, 2), (2, 5), (3, 8), (4, 16)])
+def test_non_finite_and_zero_vectors_abort(d, L):
+    # a NaN direction steps no lookup, and an infinite or zero vector is
+    # beyond every tolerance, at the largest certified one too
+    basis = lattice.build_angle_basis(d, L)
+    cases = [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
+             [0.0, math.nan, 0.0], [1.0, 0.0, math.nan], [-math.inf, math.inf, 0.0]]
+    for eps in (0.0, math.nextafter(basis.max_safe_eps, 0.0)):
+        params = lattice.LatticeParams(basis, eps)
+        assert all(lattice.decode_commit(params, row) is None for row in cases)
+        assert not lattice.decode_batch(params, cases)[1].any()
+        assert not sorted_table_decode(params, cases)[1].any()
 
 
 def test_encode_batch_matches_encode(params_d3_l8):
@@ -830,9 +896,9 @@ def _kernel_named() -> str:
 
 
 def test_matmul_rounding_model():
-    # the pinned eps = 0 soundness Fractions rest on two properties of
-    # numpy's matmul on this platform, which no standard fixes
-    # (a) exact soundness's stacked 3x3 @ 3x1 product rounds each row as
+    # the pinned eps = 0 soundness Fractions rest on one property of
+    # numpy's matmul on this platform, which no standard fixes: exact
+    # soundness's stacked 3x3 @ 3x1 product rounds each row as
     # fma(r0, x, r1 * y) + r2 * z; checked with Fractions on every 16th
     # honest point of (4, 16) under all eight channel rotations
     params = lattice.make_params(4, 16)
@@ -849,23 +915,6 @@ def test_matmul_rounding_model():
     assert np.array_equal(received.view(np.int64), model.view(np.int64)), (
         f"stacked rotation product is not fma(r0, x, r1 * y) + r2 * z under {_kernel_named()}"
     )
-    # (b) an integer chunk @ angles product of two or more rows computes each
-    # row on its own: gathered rows equal the full codebook's, so the decode
-    # table does not depend on how `codebook_angles` chunks the codebook (a
-    # one-row product may take another kernel, and no chunk holds one row)
-    rng = np.random.default_rng(5)
-    for d, L in ((2, 100), (4, 16), (6, 8), (7, 3)):
-        angles = np.asarray(lattice.build_angle_basis(d, L).angles)
-        full = lattice.codebook_angles(d, L, angles)
-        grid = codebook_points(d, L)
-        for rows in (2, 3, 5, 8, 33, 1000):
-            index = rng.integers(len(full), size=rows)
-            expected = full[index].view(np.int64)
-            for dtype in (np.int64, np.int8, float):
-                product = grid[index].astype(dtype) @ angles
-                assert np.array_equal(product.view(np.int64), expected), (
-                    f"matmul rows depend on their neighbours under {_kernel_named()}"
-                )
 
 
 @pytest.mark.parametrize("predicate", lattice.PREDICATES)
