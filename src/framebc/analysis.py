@@ -10,7 +10,8 @@ alone, and the codeword binding figures are closed forms in d and the
 reveal predicate, proved in `binding_search`.  Lattice soundness is 1 by
 proof from `lattice.soundness_floor(d)` up; below it, eps = 0 included, it
 enumerates every honest point through the channel geometry, and only that
-enumeration is capped by the enumeration budget.
+enumeration is capped by the enumeration budget.  The four-symbol figures
+are read from the engine's exact session laws over `simple.four_symbol_mu`.
 
 Binding is formalized as the best acceptance probability over non-adaptive
 cheating strategies (commit action fixed up front, reveal pair fixed before
@@ -30,6 +31,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import engine
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
@@ -53,8 +55,8 @@ from .simple import (
     arc_accepts,
     codeword_angle,
     four_symbol_channel,
-    four_symbol_channel_law,
-    four_symbol_received_distribution,
+    four_symbol_protocol,
+    four_symbol_spec,
     four_symbol_verify,
     interpolation_acceptance,
 )
@@ -405,19 +407,25 @@ def lattice_soundness_mc(
 # ---------------------------------------------------------------------------
 
 def four_symbol_concealing_exact() -> Fraction:
-    return distribution_distance(
-        four_symbol_received_distribution(0), four_symbol_received_distribution(1)
-    )
+    """sum_x |P(x|0) - P(x|1)| over Bob's commit message x, a uniform, from `four_symbol_mu`."""
+    laws = ({}, {})
+    for codeword in map(FourSymbolCodeword.from_symbol, range(4)):
+        for view, p in engine.bob_wire_view_distribution(four_symbol_protocol(codeword)).items():
+            laws[codeword.b][view[0]] = laws[codeword.b].get(view[0], Fraction(0)) + p / 2
+    return distribution_distance(*laws)
 
 
-def _acceptance(commit_symbol: int, reveal: FourSymbolCodeword) -> Fraction:
-    """Probability that Bob accepts `reveal` after Alice sends `commit_symbol`."""
-    law = four_symbol_channel_law(commit_symbol)
-    return sum((p for r, p in law.items() if four_symbol_verify(r, reveal)), Fraction(0))
+def _accept_probability(commit_symbol: int, reveal: FourSymbolCodeword) -> Fraction:
+    """Probability that Bob accepts `reveal` after Alice sends `commit_symbol`.
+
+    It is the Accepted mass of the engine's exact session law over `four_symbol_mu`.
+    """
+    law = engine.transcript_distribution(four_symbol_spec(commit_symbol, reveal))
+    return sum((p for key, p in law.items() if key[-1] == engine.Accepted(reveal.b)), Fraction(0))
 
 
 def four_symbol_soundness_exact() -> Fraction:
-    return sum(_acceptance(s, FourSymbolCodeword.from_symbol(s)) for s in range(4)) / 4
+    return sum(_accept_probability(s, FourSymbolCodeword.from_symbol(s)) for s in range(4)) / 4
 
 
 def four_symbol_flip_cheat() -> tuple[Fraction, tuple[int, FourSymbolCodeword]]:
@@ -426,14 +434,14 @@ def four_symbol_flip_cheat() -> tuple[Fraction, tuple[int, FourSymbolCodeword]]:
     The witness is the first maximum, by commit symbol and then reveal index a.
     """
     flips = [(s, FourSymbolCodeword(a, 1 - s % 2)) for s in range(4) for a in (0, 1)]
-    witness = max(flips, key=lambda flip: _acceptance(*flip))
-    return _acceptance(*witness), witness
+    witness = max(flips, key=lambda flip: _accept_probability(*flip))
+    return _accept_probability(*witness), witness
 
 
 def four_symbol_sum_max() -> Fraction:
     """Max over commit symbols of best-reveal-0 plus best-reveal-1."""
     return max(
-        sum(max(_acceptance(s, FourSymbolCodeword(a, b)) for a in (0, 1)) for b in (0, 1))
+        sum(max(_accept_probability(s, FourSymbolCodeword(a, b)) for a in (0, 1)) for b in (0, 1))
         for s in range(4)
     )
 

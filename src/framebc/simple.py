@@ -15,6 +15,10 @@ the continuous one admits a one-parameter interpolation attack: committing
 the vector at angle alpha*pi/2 lets Alice reveal 0 with acceptance
 probability 1 - alpha/2 and 1 with probability (1 + alpha)/2, hence either
 bit with probability 3/4 at alpha = 1/2.
+
+The discrete channel's one noise law is the rotation law `four_symbol_mu`:
+`analysis` reads the exact four-symbol figures from it through the engine,
+and `four_symbol_channel` is only its Monte Carlo sampler.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from .so3 import (
     FiniteSupport,
     Record,
     UniformSegment,
-    enumerate_support,
     identity_rotation,
     plane_angle,
     planar_unit,
     rot_z,
+    unit3,
 )
 
 QUARTER = math.pi / 2.0
@@ -74,15 +78,12 @@ def symbol_vector(symbol: int) -> np.ndarray:
 
 
 def _unit_in_plane(v: np.ndarray) -> np.ndarray | None:
-    """v normalised, or None when v is near zero or leaves the z = 0 plane."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
+    """v normalised, or None when v is near zero, not finite or leaves the z = 0 plane."""
+    try:
+        u = unit3(*v)
+    except ValueError:
         return None
-    u = v / norm
-    if abs(u[2]) > PLANE_TOL:
-        return None
-    return u
+    return u if abs(u[2]) <= PLANE_TOL else None
 
 
 def decode_symbol(v: np.ndarray) -> int | None:
@@ -97,7 +98,7 @@ def decode_symbol(v: np.ndarray) -> int | None:
 
 
 def four_symbol_channel(symbols, rng: np.random.Generator) -> np.ndarray:
-    """Symbol channel: outputs i or i+1 (mod 4), each with probability 1/2.
+    """Sampler of `four_symbol_mu`'s symbol law: i or i+1 (mod 4), each with probability 1/2.
 
     Passes every symbol i of an array independently, one draw per symbol.
     """
@@ -107,29 +108,14 @@ def four_symbol_channel(symbols, rng: np.random.Generator) -> np.ndarray:
     return (symbols + rng.integers(2, size=symbols.shape)) % 4
 
 
-def four_symbol_channel_law(i: int) -> dict[int, Fraction]:
-    return {i % 4: Fraction(1, 2), (i + 1) % 4: Fraction(1, 2)}
-
-
 def four_symbol_mu() -> FiniteSupport:
-    """Rotation realization: identity or a quarter turn about z, each 1/2."""
+    """The discrete channel's noise law: identity or a quarter turn about z, each 1/2."""
     return FiniteSupport(
         (
             (identity_rotation(), Fraction(1, 2)),
             (rot_z(QUARTER), Fraction(1, 2)),
         )
     )
-
-
-def four_symbol_rotation_law(i: int) -> dict[int, Fraction]:
-    """Exact symbol law induced by sending symbol i through the rotation channel."""
-    law: dict[int, Fraction] = {}
-    for rotation, prob in enumerate_support(four_symbol_mu()):
-        out = decode_symbol(rotation @ symbol_vector(i))
-        if out is None:
-            raise RuntimeError("rotation realization left the codeword set")
-        law[out] = law.get(out, Fraction(0)) + prob
-    return law
 
 
 def four_symbol_verify(received, revealed: FourSymbolCodeword):
@@ -140,27 +126,21 @@ def four_symbol_verify(received, revealed: FourSymbolCodeword):
     return (received - revealed.symbol) % 4 <= 1
 
 
-def four_symbol_received_distribution(b: int) -> dict[int, Fraction]:
-    """Exact law of Bob's received symbol given the committed bit."""
-    dist: dict[int, Fraction] = {}
-    for a in (0, 1):
-        law = four_symbol_channel_law(FourSymbolCodeword(a, b).symbol)
-        for symbol, prob in law.items():
-            dist[symbol] = dist.get(symbol, Fraction(0)) + Fraction(1, 2) * prob
-    return dist
-
-
-def four_symbol_protocol(codeword: FourSymbolCodeword) -> engine.ProtocolSpec:
+def four_symbol_spec(commit_symbol: int, reveal: FourSymbolCodeword) -> engine.ProtocolSpec:
+    """Alice commits the axis vector of `commit_symbol` and then reveals `reveal`."""
     return engine.commit_reveal_protocol(
         four_symbol_mu(),
-        engine.commit_reveal_script(
-            symbol_vector(codeword.symbol), codeword.b, codeword.a
-        ),
+        engine.commit_reveal_script(symbol_vector(commit_symbol), reveal.b, reveal.a),
         decode_symbol,
         lambda received, b, a: four_symbol_verify(
             received, FourSymbolCodeword(operator.index(a), b)
         ),
     )
+
+
+def four_symbol_protocol(codeword: FourSymbolCodeword) -> engine.ProtocolSpec:
+    """The honest session: commit the codeword's own symbol, then reveal it."""
+    return four_symbol_spec(codeword.symbol, codeword)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from framebc import lattice, so3
+from framebc import engine, lattice, simple, so3
 
 
 def record_state(record) -> set[str]:
@@ -247,3 +247,53 @@ def haar_twirl_moments_one_shot(samples: int, seed: int) -> dict[str, float]:
         "cross_mean_max": float(np.abs(mean_d - mean_c).max()),
         "cross_second_max": float(np.abs(second_d - second_c).max()),
     }
+
+
+def four_symbol_channel_law(i: int) -> dict[int, Fraction]:
+    """The four-symbol channel's law, written by hand: i or i+1 (mod 4), each 1/2."""
+    return {i % 4: Fraction(1, 2), (i + 1) % 4: Fraction(1, 2)}
+
+
+def four_symbol_rotation_law(i: int) -> dict[int, Fraction]:
+    """The symbol law of `simple.four_symbol_mu`, by rotating symbol i's vector and decoding it."""
+    law: dict[int, Fraction] = {}
+    for rotation, prob in so3.enumerate_support(simple.four_symbol_mu()):
+        out = simple.decode_symbol(rotation @ simple.symbol_vector(i))
+        if out is None:
+            raise RuntimeError("rotation realization left the codeword set")
+        law[out] = law.get(out, Fraction(0)) + prob
+    return law
+
+
+def four_symbol_received_distribution(b: int) -> dict[int, Fraction]:
+    """Law of Bob's received symbol given the committed bit b, a uniform, by the hand-written law."""
+    dist: dict[int, Fraction] = {}
+    for a in (0, 1):
+        law = four_symbol_channel_law(simple.FourSymbolCodeword(a, b).symbol)
+        for symbol, prob in law.items():
+            dist[symbol] = dist.get(symbol, Fraction(0)) + Fraction(1, 2) * prob
+    return dist
+
+
+def engine_acceptance(params, payload, b: int, a) -> Fraction:
+    """Bob's exact acceptance of the reveal (b, a) after Alice commits `payload`.
+
+    The Accepted mass of `engine.transcript_distribution` over the session
+    rotations of `lattice.lattice_mu(params)`, with Alice scripted.
+    """
+    script = engine.commit_reveal_script(payload, b, a)
+    spec = lattice.lattice_protocol(params, b)._replace(
+        make_alice=lambda: engine.ScriptedParty(engine.ALICE, script),
+    )
+    law = engine.transcript_distribution(spec)
+    return sum((p for key, p in law.items() if key[-1] == engine.Accepted(b)), Fraction(0))
+
+
+def soundness_by_engine(params) -> Fraction:
+    """Honest acceptance, b uniform, by `engine_acceptance` of every honest point in {0..L-1}^d."""
+    d, L = params.d, params.L
+    accepted = [Fraction(0), Fraction(0)]
+    for a in itertools.product(range(L), repeat=d):
+        b = sum(a) % 2
+        accepted[b] += engine_acceptance(params, lattice.encode(params, a), b, a)
+    return sum(accepted[b] / lattice.parity_class_size(d, L, b) for b in (0, 1)) / 2

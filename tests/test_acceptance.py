@@ -95,8 +95,6 @@ def test_criterion_5_four_symbol_scheme():
         assert analysis.four_symbol_concealing_exact() == Fraction(0)
         assert analysis.four_symbol_soundness_exact() == Fraction(1)
         assert analysis.four_symbol_flip_cheat()[0] == Fraction(1, 2)
-        for s in range(4):
-            assert simple.four_symbol_rotation_law(s) == simple.four_symbol_channel_law(s)
 
 
 def test_criterion_6_twirl_compiler():

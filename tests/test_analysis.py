@@ -12,11 +12,14 @@ import pytest
 from framebc import analysis, engine, lattice, simple, so3
 from oracles import (
     concealing_by_enumeration,
+    engine_acceptance,
+    four_symbol_rotation_law,
     histogram_laws,
     noise_events,
     parity_class,
     record_state,
     sorted_table,
+    soundness_by_engine,
     soundness_by_point_decoding,
 )
 
@@ -636,6 +639,26 @@ def test_lattice_soundness_exact_matches_point_decoding(d, L):
 
 
 @pytest.mark.parametrize(
+    "d,L,zero_eps",
+    [(1, 4, Fraction(3, 8)), (2, 5, Fraction(595, 1248)), (3, 4, Fraction(23, 64)),
+     (3, 8, Fraction(1057, 3072))],
+)
+def test_lattice_figures_match_engine_laws(d, L, zero_eps):
+    # soundness and the flip witness from the engine's exact session laws
+    # under lattice_mu, with every honest commit scripted, at eps = 0 and the default
+    for predicate in lattice.PREDICATES:
+        for eps, expected in ((0.0, zero_eps), (None, 1)):
+            params = lattice.make_params(d, L, eps_meas=eps, predicate=predicate)
+            exact = analysis.lattice_soundness_exact(params)
+            assert soundness_by_engine(params) == exact == expected
+        witness = analysis.binding_search(params)
+        payload = lattice.encode(params, witness.commit_point)
+        accepted = engine_acceptance(params, payload, witness.reveal_bit, witness.reveal_point)
+        share = Fraction(2 if predicate == "lenient" else 1, 2 * d)
+        assert accepted == witness.probability == share
+
+
+@pytest.mark.parametrize(
     "d,L",
     [(1, 2), (2, 4), (2, 5), (3, 4), (3, 8), (4, 3), (3, 16), (4, 16), (5, 4), (6, 5), (1, 4),
      (5, 8)],
@@ -816,11 +839,12 @@ def test_four_symbol_exact_figures():
 
 
 def test_four_symbol_figures_match_rotation_law():
-    # independent oracle: both laws come from the rotation realization of the
-    # channel, and Bob accepts a reveal iff the received symbol is possible under it
+    # independent oracle: both laws come from rotating the symbol vectors by
+    # four_symbol_mu's rotations, with no session, and Bob accepts a reveal iff
+    # the received symbol is possible under it
     def accept(commit_symbol, reveal):
-        possible = simple.four_symbol_rotation_law(reveal.symbol)
-        law = simple.four_symbol_rotation_law(commit_symbol)
+        possible = four_symbol_rotation_law(reveal.symbol)
+        law = four_symbol_rotation_law(commit_symbol)
         return sum((p for r, p in law.items() if r in possible), Fraction(0))
 
     codewords = [simple.FourSymbolCodeword(a, b) for a in (0, 1) for b in (0, 1)]

@@ -310,6 +310,24 @@ def test_commit_reveal_decider_malformed_sessions(scheme):
     assert t.outcome == engine.Aborted("malformed-reveal")
 
 
+@pytest.mark.parametrize(
+    "payload", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]], ids=["nan", "inf"]
+)
+@pytest.mark.parametrize("scheme", sorted(COMMIT_REVEAL_SPECS))
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_commit_reveal_decider_non_finite_commit(scheme, payload):
+    # a commit that is not a finite vector decodes nowhere, whatever the reveal;
+    # rotating it makes numpy warn of the 0 * inf and nan entries
+    spec = COMMIT_REVEAL_SPECS[scheme]()
+    honest = engine.run_session(spec, np.random.default_rng(17))
+    reveal = honest.alice_view[1].payload
+    cheat = engine.ScriptedParty(engine.ALICE, engine.commit_reveal_script(payload, *reveal))
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        t = engine.run_session(spec, rng, alice=cheat)
+        assert t.outcome == engine.Aborted("commit-decode")
+
+
 @pytest.mark.parametrize("scheme", sorted(COMMIT_REVEAL_SPECS))
 def test_commit_reveal_decider_malformed_reveals(scheme):
     # Bob aborts every reveal that is not a pair (b, a) with b the integer

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framebc import simple
+from framebc import engine, simple
 from framebc.so3 import planar_unit
+from oracles import four_symbol_channel_law, four_symbol_received_distribution
 
 
 # --- four-symbol scheme ------------------------------------------------------
@@ -48,10 +49,32 @@ def test_channel_rejects_non_symbols(symbols):
         simple.four_symbol_channel(symbols, np.random.default_rng(0))
 
 
+class FixedStep:
+    """An rng stand-in whose every integers(2) draw is `step`."""
 
-def test_rotation_realization_matches_channel_exactly():
+    def __init__(self, step):
+        self.step = step
+
+    def integers(self, high, size):
+        assert high == 2
+        return np.full(size, self.step)
+
+
+def test_channel_sampler_matches_mu_through_engine():
+    # the sampler's one-step law, each of its two integers(2) draws taken with
+    # probability 1/2, is mu's symbol law read from Bob's exact wire view
     for s in range(4):
-        assert simple.four_symbol_rotation_law(s) == simple.four_symbol_channel_law(s)
+        sampled = {}
+        for k in (0, 1):
+            out = int(simple.four_symbol_channel([s], FixedStep(k))[0])
+            sampled[out] = sampled.get(out, Fraction(0)) + Fraction(1, 2)
+        spec = simple.four_symbol_protocol(simple.FourSymbolCodeword.from_symbol(s))
+        through_mu = {}
+        for view, p in engine.bob_wire_view_distribution(spec).items():
+            out = simple.decode_symbol(np.array(view[0][2]))
+            through_mu[out] = through_mu.get(out, Fraction(0)) + p
+        assert sampled == through_mu == four_symbol_channel_law(s)
+        assert sampled == {(s + k) % 4: Fraction(1, 2) for k in (0, 1)}
 
 
 def test_verify_on_channel_support():
@@ -73,7 +96,7 @@ def test_honest_acceptance_exact():
     for a in (0, 1):
         for b in (0, 1):
             codeword = simple.FourSymbolCodeword(a, b)
-            law = simple.four_symbol_channel_law(codeword.symbol)
+            law = four_symbol_channel_law(codeword.symbol)
             assert all(simple.four_symbol_verify(r, codeword) for r in law)
 
 
@@ -81,7 +104,7 @@ def test_flip_cheat_exactly_half():
     # enumerate every commit symbol and every flipped reveal
     best = Fraction(0)
     for s in range(4):
-        law = simple.four_symbol_channel_law(s)
+        law = four_symbol_channel_law(s)
         for reveal_a in (0, 1):
             reveal = simple.FourSymbolCodeword(reveal_a, 1 - s % 2)
             prob = sum(
@@ -93,8 +116,8 @@ def test_flip_cheat_exactly_half():
 
 
 def test_four_symbol_concealing_perfect():
-    d0 = simple.four_symbol_received_distribution(0)
-    d1 = simple.four_symbol_received_distribution(1)
+    d0 = four_symbol_received_distribution(0)
+    d1 = four_symbol_received_distribution(1)
     assert d0 == d1
     assert d0 == {s: Fraction(1, 4) for s in range(4)}
 
@@ -103,6 +126,9 @@ def test_decode_symbol_rejects_junk():
     assert simple.decode_symbol(np.array([0.0, 0.0, 1.0])) is None
     assert simple.decode_symbol(np.array([1.0, 1.0, 0.0])) is None
     assert simple.decode_symbol(2.0 * simple.symbol_vector(2)) == 2
+    for junk in ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0]):
+        assert simple.decode_symbol(np.array(junk)) is None
+        assert simple.continuous_receive_angle(np.array(junk)) is None
 
 
 # --- continuous scheme -------------------------------------------------------
@@ -201,8 +227,6 @@ def test_arc_boundaries_closed():
 # --- full sessions through the engine ------------------------------------------
 
 def test_four_symbol_protocol_sessions():
-    from framebc import engine
-
     rng = np.random.default_rng(6)
     for a in (0, 1):
         for b in (0, 1):
@@ -212,8 +236,6 @@ def test_four_symbol_protocol_sessions():
 
 
 def test_continuous_protocol_sessions():
-    from framebc import engine
-
     rng = np.random.default_rng(7)
     for a in (0, 1):
         for b in (0, 1):
@@ -223,8 +245,6 @@ def test_continuous_protocol_sessions():
 
 
 def test_interpolating_alice_through_engine():
-    from framebc import engine
-
     rng = np.random.default_rng(8)
     spec = simple.continuous_protocol(0, 0)
     strategy = simple.InterpolationStrategy(0.5)
@@ -242,8 +262,6 @@ def test_interpolating_alice_through_engine():
 
 
 def test_out_of_plane_payload_aborts_session():
-    from framebc import engine
-
     class OffPlaneAlice(engine.Party):
         role = engine.ALICE
 
