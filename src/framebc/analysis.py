@@ -25,6 +25,7 @@ reported, never silently resolved.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -96,10 +97,14 @@ class MonteCarloEstimate(Record, NamedTuple("MonteCarloEstimate", [
         return wilson_interval(self.successes, self.trials)
 
 
-def _sampler(trials: int, seed: int) -> np.random.Generator:
-    """The generator of a Monte Carlo estimator, after refusing a run with no trials."""
+def _sampler(trials: int, seed: int) -> tuple[np.random.Generator, Iterable[int]]:
+    """A Monte Carlo estimator's generator and chunk sizes; a run with no trials is refused.
+
+    Every estimator draws its trials SOUNDNESS_CHUNK at a time, so memory stays bounded.
+    """
     _check_trials(trials)
-    return np.random.default_rng(seed)
+    chunks = range(0, trials, SOUNDNESS_CHUNK)
+    return np.random.default_rng(seed), (min(SOUNDNESS_CHUNK, trials - s) for s in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +393,11 @@ def lattice_soundness_mc(
     encodes, rotates, decodes and verifies every trial as a session does it,
     row by row in arrays.
     """
-    rng = _sampler(trials, seed)
+    rng, chunks = _sampler(trials, seed)
     rotations = lattice_mu(params).rotations
     weights = _lex_weights(params.d, params.L)
     successes = 0
-    for start in range(0, trials, SOUNDNESS_CHUNK):
-        n = min(SOUNDNESS_CHUNK, trials - start)
+    for n in chunks:
         bits = rng.integers(2, size=n)
         points = honest_points(params, bits, rng)
         events = rng.integers(len(rotations), size=n)
@@ -415,10 +419,12 @@ def four_symbol_concealing_exact() -> Fraction:
     return distribution_distance(*laws)
 
 
+@functools.cache
 def _accept_probability(commit_symbol: int, reveal: FourSymbolCodeword) -> Fraction:
     """Probability that Bob accepts `reveal` after Alice sends `commit_symbol`.
 
-    It is the Accepted mass of the engine's exact session law over `four_symbol_mu`.
+    It is the Accepted mass of the engine's exact session law over
+    `four_symbol_mu`, enumerated once per pair and process.
     """
     law = engine.transcript_distribution(four_symbol_spec(commit_symbol, reveal))
     return sum((p for key, p in law.items() if key[-1] == engine.Accepted(reveal.b)), Fraction(0))
@@ -447,14 +453,15 @@ def four_symbol_sum_max() -> Fraction:
 
 
 def four_symbol_soundness_mc(trials: int = 10_000, seed: int = 42) -> MonteCarloEstimate:
-    """Seeded honest acceptance rate; draws the trials' bits a, then b, then the channel."""
-    rng = _sampler(trials, seed)
-    symbols = 2 * rng.integers(2, size=trials) + rng.integers(2, size=trials)
-    received = four_symbol_channel(symbols, rng)
+    """Seeded honest acceptance rate; each chunk draws its bits a, then b, then the channel."""
+    rng, chunks = _sampler(trials, seed)
     successes = 0
-    for s in range(4):
-        honest = FourSymbolCodeword.from_symbol(s)
-        successes += int(np.count_nonzero(four_symbol_verify(received[symbols == s], honest)))
+    for n in chunks:
+        symbols = 2 * rng.integers(2, size=n) + rng.integers(2, size=n)
+        received = four_symbol_channel(symbols, rng)
+        for s in range(4):
+            honest = FourSymbolCodeword.from_symbol(s)
+            successes += int(np.count_nonzero(four_symbol_verify(received[symbols == s], honest)))
     return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
 
 
@@ -477,12 +484,16 @@ def continuous_acceptance_mc(
 ) -> MonteCarloEstimate:
     """Seeded acceptance rate of reveal_b when Alice sends the angle alpha*pi/2.
 
-    The channel shift is uniform on [0, pi]; one batched draw gives the same
-    doubles as one scalar draw per trial.
+    The channel shift is uniform on [0, pi]; drawn in chunks, it gives the
+    same doubles as one scalar draw per trial.
     """
-    shifts = _sampler(trials, seed).uniform(0.0, math.pi, size=trials)
-    accepted = arc_accepts(alpha * math.pi / 2.0 + shifts, codeword_angle(0, reveal_b))
-    return MonteCarloEstimate(int(np.count_nonzero(accepted)), trials, seed)
+    rng, chunks = _sampler(trials, seed)
+    successes = 0
+    for n in chunks:
+        shifts = rng.uniform(0.0, math.pi, size=n)
+        accepted = arc_accepts(alpha * math.pi / 2.0 + shifts, codeword_angle(0, reveal_b))
+        successes += int(np.count_nonzero(accepted))
+    return MonteCarloEstimate(successes, trials, seed)
 
 
 def cheat_curve_continuous(

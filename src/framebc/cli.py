@@ -11,8 +11,9 @@ exceeded, 3 certification or equivalence check failure.  The enumeration
 budget defaults to 10^7 points and can be overridden with --budget, which
 every subcommand takes, or the FRAMEBC_ENUM_BUDGET environment variable (a
 budget below 1 is invalid); it caps the codebook's (L+2)^d codewords,
-exact lattice soundness below `soundness_floor(d)` and twirl-check's z<N>
-enumeration of N^2 compiled sessions; each is refused before it runs.
+exact lattice soundness below `soundness_floor(d)`, twirl-check's z<N>
+enumeration of N^2 compiled sessions and its Haar --samples; each is
+refused before it runs.
 """
 
 from __future__ import annotations
@@ -150,6 +151,10 @@ def cmd_twirl_check(args) -> int:
         ]
         ok = equal and frame_uniform
     elif isinstance(group, so3.HaarSO3):
+        if args.samples > budget:  # the moments hold a (samples, 3) buffer
+            raise lattice.BudgetExceededError(
+                f"Haar sample count {args.samples} exceeds budget {budget}"
+            )
         deltas = engine.haar_twirl_moments(args.samples, args.seed)
         results = [("method", "moment-test"), *sorted(deltas.items()),
                    ("threshold", args.threshold)]

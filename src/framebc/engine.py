@@ -7,12 +7,12 @@ classical payloads (tuples of plain data) pass through untouched.  Each
 party records its own view: messages exactly as its strategy produced or
 consumed them.
 
-The module also provides the group-twirl compiler: given a protocol meant
-for a uniform-group channel, it wraps both parties so that each privately
-conjugates its traffic by a uniformly drawn group element, after which the
-protocol runs over a noiseless channel with the same per-session law.
-Exact transcript-distribution enumeration helpers make that equivalence a
-checkable statement for finite groups.
+The module also provides the group-twirl compiler: a compiled spec runs over
+a noiseless channel, and each session gives each party a private frame u,
+uniform over the group, by which its traffic is conjugated unseen by its
+strategy; the session then has the original's law over the group channel.
+Exact transcript-distribution enumeration helpers, which fix the frames,
+make that equivalence a checkable statement for finite groups.
 """
 
 from __future__ import annotations
@@ -195,16 +195,33 @@ def commit_reveal_decider(
     return decide
 
 
+TwirlGroup = CyclicZ | HaarSO3
+
+
+def _require_group(group: MisalignmentDistribution) -> None:
+    if not isinstance(group, (CyclicZ, HaarSO3)):
+        raise ValueError(
+            "not a uniform group distribution: twirling requires the uniform "
+            f"distribution over a rotation group, got {group!r}"
+        )
+
+
 class ProtocolSpec(Record, NamedTuple("ProtocolSpec", [
     ("schedule", tuple[tuple[str, str], ...]), ("mu", MisalignmentDistribution),
     # bare: typing caches Callable[[], Party], and this module with it, past a re-import
-    ("make_alice", Callable), ("make_bob", Callable),
+    ("make_alice", Callable), ("make_bob", Callable), ("twirl", TwirlGroup | None),
 ])):
-    """A runnable protocol: schedule, channel law, and honest party factories.
+    """A runnable protocol: schedule, channel law, honest party factories, twirl.
 
     The schedule is a tuple of (role, action) pairs, action "send" or
     "decide"; all implemented protocols end with a single decide step.
+    `twirl` is None or the uniform group of `twirl_compile`; no other law.
     """
+
+    def __new__(cls, schedule, mu, make_alice, make_bob, twirl=None) -> ProtocolSpec:
+        if twirl is not None:
+            _require_group(twirl)
+        return super().__new__(cls, schedule, mu, make_alice, make_bob, twirl)
 
 
 def commit_reveal_protocol(
@@ -241,31 +258,47 @@ def run_session(
     rotation: np.ndarray | None = None,
     alice: Party | None = None,
     bob: Party | None = None,
+    frames: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> Transcript:
     """Run one session of `spec` and return the transcript.
 
     One rotation is sampled (or taken from `rotation`) and applied to every
     vector payload of the session: forward for Alice-to-Bob, inverse for
-    Bob-to-Alice.  A party's exception propagates to the caller: a cheat is
-    judged only by the decider's verdict, never by a fault, so a bug in an
-    honest party cannot pass as a rejected cheat.
+    Bob-to-Alice.  A party's private frame u is its entry of `frames`, or, if
+    that is None and the spec made the party, a draw from `spec.twirl` just
+    before it begins; a vector travels as u_recv^T @ (rotation @ (u_send @ v))
+    and views hold unframed vectors.  A party's exception propagates to the
+    caller: a cheat is judged only by the decider's verdict, never by a
+    fault, so a bug in an honest party cannot pass as a rejected cheat.
     """
     if rotation is None:
         if rng is None:
             raise ValueError("need an rng when no explicit rotation is given")
         rotation = sample(spec.mu, rng)
-    alice = alice if alice is not None else spec.make_alice()
-    bob = bob if bob is not None else spec.make_bob()
-    parties = {ALICE: alice, BOB: bob}
+    u_a, u_b = frames
+    if alice is None:
+        alice = spec.make_alice()
+        if u_a is None and spec.twirl is not None:
+            u_a = _draw_frame(spec.twirl, rng)
     alice.begin(rng)
+    if bob is None:
+        bob = spec.make_bob()
+        if u_b is None and spec.twirl is not None:
+            u_b = _draw_frame(spec.twirl, rng)
     bob.begin(rng)
+    sides = {ALICE: (alice, u_a, bob, u_b), BOB: (bob, u_b, alice, u_a)}
 
     outcome: ProtocolOutcome | None = None
     for role, action in spec.schedule:
-        party = parties[role]
-        other = parties[BOB if role == ALICE else ALICE]
+        party, frame, other, other_frame = sides[role]
         if action == "send":
-            other.receive(_deliver(party.send(rng), rotation))
+            message = party.send(rng)
+            if message.is_vec():
+                v = message.payload if frame is None else frame @ message.payload
+                v = (rotation if message.sender == ALICE else rotation.T) @ v
+                v = v if other_frame is None else other_frame.T @ v
+                message = vec_message(message.sender, v)
+            other.receive(message)
         elif action == "decide":
             outcome = party.decide()
         else:
@@ -275,83 +308,15 @@ def run_session(
     return Transcript(tuple(alice.view), tuple(bob.view), outcome)
 
 
-def _deliver(message: Message, rotation: np.ndarray) -> Message:
-    if not message.is_vec():
-        return message
-    if message.sender == ALICE:
-        return vec_message(message.sender, rotation @ message.payload)
-    return vec_message(message.sender, rotation.T @ message.payload)
+def _draw_frame(group: TwirlGroup, rng: np.random.Generator | None) -> np.ndarray:
+    if rng is None:
+        raise ValueError("a twirled party needs an rng or a fixed element")
+    return sample(group, rng)
 
 
 # ---------------------------------------------------------------------------
 # group twirl compiler
 # ---------------------------------------------------------------------------
-
-TwirlGroup = CyclicZ | HaarSO3
-
-
-def _require_group(group: MisalignmentDistribution) -> None:
-    if not isinstance(group, (CyclicZ, HaarSO3)):
-        raise ValueError(
-            "not a uniform group distribution: twirling requires the uniform "
-            f"distribution over a rotation group, got {group!r}"
-        )
-
-
-class TwirledParty:
-    """Wraps a party so its traffic is privately conjugated by a group element.
-
-    At session start the wrapper draws u uniformly from the group (or uses a
-    fixed `element`, which enumeration helpers rely on).  Outgoing vector
-    payloads are premultiplied by u, incoming ones by u^-1, and the inner
-    strategy never sees the difference.  `view` is the inner view, so the
-    compiled protocol's transcripts are directly comparable with runs of the
-    original protocol over the group channel.
-    """
-
-    def __init__(
-        self,
-        inner: Party,
-        group: TwirlGroup,
-        element: np.ndarray | None = None,
-    ) -> None:
-        _require_group(group)
-        self.inner = inner
-        self.group = group
-        self._fixed = None if element is None else np.asarray(element, dtype=float)
-        self.element: np.ndarray | None = None
-
-    @property
-    def role(self) -> str:
-        return self.inner.role
-
-    @property
-    def view(self) -> list[Message]:
-        return self.inner.view
-
-    def begin(self, rng) -> None:
-        if self._fixed is not None:
-            self.element = self._fixed
-        else:
-            if rng is None:
-                raise ValueError("twirled party needs an rng or a fixed element")
-            self.element = sample(self.group, rng)
-        self.inner.begin(rng)
-
-    def send(self, rng) -> Message:
-        msg = self.inner.send(rng)
-        if not msg.is_vec():
-            return msg
-        return vec_message(msg.sender, self.element @ msg.payload)
-
-    def receive(self, message: Message) -> None:
-        if message.is_vec():
-            message = vec_message(message.sender, self.element.T @ message.payload)
-        self.inner.receive(message)
-
-    def decide(self) -> ProtocolOutcome:
-        return self.inner.decide()
-
 
 def noiseless_channel() -> FiniteSupport:
     return FiniteSupport(((identity_rotation(), Fraction(1)),))
@@ -360,19 +325,15 @@ def noiseless_channel() -> FiniteSupport:
 def twirl_compile(spec: ProtocolSpec, group: TwirlGroup) -> ProtocolSpec:
     """Compile a protocol for a uniform-group channel into a noiseless one.
 
-    Both parties independently draw a uniform group element per session and
-    conjugate their own traffic by it; the effective relative frame is then
-    itself uniform over the group, so the compiled protocol over a noiseless
-    channel simulates the original over the group channel.  Rejects any
-    channel distribution that is not the uniform distribution over a group.
+    The compiled spec sets `twirl = group`, so `run_session` gives each party
+    an independent uniform frame from the group; the relative frame
+    u_bob^T u_alice is then itself uniform over the group, so the compiled
+    protocol over a noiseless channel simulates the original over the group
+    channel.  Rejects a non-group law and an already compiled spec.
     """
-    _require_group(group)
-    return ProtocolSpec(
-        schedule=spec.schedule,
-        mu=noiseless_channel(),
-        make_alice=lambda: TwirledParty(spec.make_alice(), group),
-        make_bob=lambda: TwirledParty(spec.make_bob(), group),
-    )
+    if spec.twirl is not None:
+        raise ValueError(f"the spec is already twirl-compiled over {spec.twirl!r}")
+    return spec._replace(mu=noiseless_channel(), twirl=group)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +377,12 @@ def _session_law(
     alice_twirl: CyclicZ | None = None,
     bob_twirl: CyclicZ | None = None,
 ) -> dict[tuple, Fraction]:
-    """Exact law of `key(transcript)` over every (rotation, Alice, Bob, weight).
+    """Exact law of `key(transcript)` over every (rotation, u_alice, u_bob, weight).
 
-    An untwirled party is the spec's own party.  A twirled party is one
-    `TwirledParty` per group element, and the channel is then noiseless.
-    Raises BudgetExceededError before the first session when the session
-    count exceeds the budget.
+    An untwirled party runs unframed.  A twirled party runs once with each
+    element of its group as its fixed frame (`run_session`'s `frames`), and
+    the channel is then noiseless.  Raises BudgetExceededError before the
+    first session when the session count exceeds the budget.
     """
     for group in (alice_twirl, bob_twirl):
         if group is not None and not isinstance(group, CyclicZ):
@@ -441,9 +402,7 @@ def _session_law(
         for u_a, p_a in alice_law:
             weight = prob * p_a
             for u_b, p_b in bob_law:
-                alice = None if u_a is None else TwirledParty(spec.make_alice(), alice_twirl, u_a)
-                bob = None if u_b is None else TwirledParty(spec.make_bob(), bob_twirl, u_b)
-                k = key(run_session(spec, rotation=rotation, alice=alice, bob=bob))
+                k = key(run_session(spec, rotation=rotation, frames=(u_a, u_b)))
                 tally[k] = tally.get(k, 0) + weight * p_b
     return {k: Fraction(count, d_c * d_a * d_b) for k, count in tally.items()}
 

@@ -863,6 +863,38 @@ def test_four_symbol_figures_match_rotation_law():
     assert analysis.four_symbol_sum_max() == sum_max == Fraction(3, 2)
 
 
+def test_four_symbol_report_enumerates_each_law_once(monkeypatch):
+    # 16 (commit symbol, reveal) pairs, each one engine law, however many
+    # figures read it
+    calls = []
+    original = engine.transcript_distribution
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "transcript_distribution", counted)
+    analysis._accept_probability.cache_clear()
+    analysis.four_symbol_report()
+    assert len(calls) == 16
+    assert analysis.four_symbol_flip_cheat() == (
+        Fraction(1, 2), (0, simple.FourSymbolCodeword(0, 1))
+    )
+    assert len(calls) == 16
+
+
+def test_chunked_mc_estimators_match_the_default_chunk(monkeypatch):
+    # chunks of 7 split 1000 trials unevenly; the estimates cannot move
+    default = (
+        analysis.four_symbol_soundness_mc(1000, seed=5),
+        analysis.continuous_acceptance_mc(0.3, 1, 1000, seed=5),
+    )
+    monkeypatch.setattr(analysis, "SOUNDNESS_CHUNK", 7)
+    assert analysis.four_symbol_soundness_mc(1000, seed=5) == default[0]
+    assert analysis.continuous_acceptance_mc(0.3, 1, 1000, seed=5) == default[1]
+    assert 0 < default[1].successes < 1000 == default[0].successes
+
+
 def test_four_symbol_mc_agrees_with_exact():
     estimate = analysis.four_symbol_soundness_mc(trials=10_000, seed=1)
     assert estimate.successes == estimate.trials

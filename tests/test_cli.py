@@ -807,3 +807,19 @@ def test_over_budget_twirl_check_runs_no_session(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert "budget exceeded" in err and "10000000000 exceeds budget 1" in err
     assert calls == []
+
+
+def test_haar_twirl_check_samples_capped_by_budget(capsys, monkeypatch):
+    # the moment test holds a (samples, 3) buffer: a count over the budget
+    # exits 2 before any draw, as an over-budget z<N> runs no session
+    draws, original = [], engine.haar_rotations
+    monkeypatch.setattr(engine, "haar_rotations", lambda n, g: draws.append(n) or original(n, g))
+    haar = ("twirl-check", "--group", "haar", "--budget", "10")
+    assert run_cli(capsys, *haar, "--samples", "11") == (
+        2, "", "framebc: budget exceeded: Haar sample count 11 exceeds budget 10\n",
+    )
+    assert draws == []
+    code, out, err = run_cli(capsys, *haar, "--samples", "10", "--threshold", "2")
+    assert (code, err) == (0, "")
+    assert "samples = 10\n" in out and "verdict = pass" in out
+    assert draws == [10, 10, 10]

@@ -281,6 +281,84 @@ def test_twirl_compiled_sessions_sample_the_group_channel_law():
         engine.run_session(spec, rotation=so3.identity_rotation())
 
 
+def _view_bytes(view):
+    return [(m.sender, m.kind, m.payload.tobytes() if m.is_vec() else m.payload) for m in view]
+
+
+COMPILED_SPECS = {
+    "probe": engine.probe_protocol,
+    "four-symbol": lambda group: simple.four_symbol_protocol(simple.FourSymbolCodeword(1, 0)),
+    # Alice draws her commit at begin, so a frame drawn on the wrong side of it shows
+    "lattice": lambda group: lattice.lattice_protocol(lattice.make_params(2, 4), 1),
+}
+
+
+@pytest.mark.parametrize("group", [so3.CyclicZ(8), so3.HaarSO3()], ids=["z8", "haar"])
+@pytest.mark.parametrize("name", sorted(COMPILED_SPECS))
+def test_compiled_session_replays_frames_bit_for_bit(name, group):
+    # by hand: the channel rotation, Alice's frame, Alice begins, Bob's frame,
+    # Bob begins; a vector then meets sender frame, channel, receiver frame^T
+    spec = COMPILED_SPECS[name](group)
+    rng, replay = np.random.default_rng(41), np.random.default_rng(41)
+    for _ in range(5):
+        t = engine.run_session(engine.twirl_compile(spec, group), rng)
+        channel = so3.sample(engine.noiseless_channel(), replay)
+        parties, frames = {}, {}
+        for role, make in ((engine.ALICE, spec.make_alice), (engine.BOB, spec.make_bob)):
+            frames[role] = so3.sample(group, replay)
+            parties[role] = make()
+            parties[role].begin(replay)
+        for role, action in spec.schedule:
+            if action == "decide":
+                outcome = parties[role].decide()
+                continue
+            other = engine.BOB if role == engine.ALICE else engine.ALICE
+            message = parties[role].send(replay)
+            if message.is_vec():
+                wire = channel if role == engine.ALICE else channel.T
+                payload = frames[other].T @ (wire @ (frames[role] @ message.payload))
+                message = engine.vec_message(role, payload)
+            parties[other].receive(message)
+        assert _view_bytes(t.alice_view) == _view_bytes(parties[engine.ALICE].view)
+        assert _view_bytes(t.bob_view) == _view_bytes(parties[engine.BOB].view)
+        assert t.outcome == outcome
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_explicit_party_on_compiled_spec_sees_the_raw_wire():
+    # a party passed in draws no frame; Bob, made from the spec, still draws his
+    group = so3.HaarSO3()
+    spec = engine.probe_protocol(group)
+    rng, replay = np.random.default_rng(43), np.random.default_rng(43)
+    t = engine.run_session(engine.twirl_compile(spec, group), rng, alice=spec.make_alice())
+    so3.sample(engine.noiseless_channel(), replay)
+    u_b = so3.sample(group, replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    sent_a, got_b = t.alice_view[1].payload, t.bob_view[0].payload
+    assert got_b.tobytes() == (u_b.T @ t.alice_view[0].payload).tobytes()
+    assert sent_a.tobytes() == (u_b @ t.bob_view[1].payload).tobytes()
+    # a frame passed in frames it, on a spec with no twirl too
+    t = engine.run_session(spec, rotation=np.eye(3), alice=spec.make_alice(), frames=(u_b, None))
+    assert t.bob_view[0].payload.tobytes() == (u_b @ t.alice_view[0].payload).tobytes()
+
+
+def test_twirl_compile_refuses_a_compiled_spec():
+    group = so3.CyclicZ(4)
+    compiled = engine.twirl_compile(engine.probe_protocol(group), group)
+    assert compiled.twirl == group and engine.probe_protocol(group).twirl is None
+    with pytest.raises(ValueError, match="already twirl-compiled over CyclicZ"):
+        engine.twirl_compile(compiled, group)
+
+
+def test_protocol_spec_refuses_a_non_group_twirl():
+    spec = engine.probe_protocol(so3.CyclicZ(4))
+    for law in (so3.TwoPointAngleMixture((0.2, 0.5)), so3.FiniteSupport(((np.eye(3), 1.0),))):
+        with pytest.raises(ValueError, match="not a uniform group distribution"):
+            spec._replace(twirl=law)
+        with pytest.raises(ValueError, match="not a uniform group distribution"):
+            engine.ProtocolSpec(spec.schedule, spec.mu, spec.make_alice, spec.make_bob, law)
+
+
 # --- shared commit/reveal decider ------------------------------------------------
 
 COMMIT_REVEAL_SPECS = {
