@@ -9,9 +9,11 @@ concealing distance is a closed-form O(d^2) sum that depends on (d, L)
 alone, and the codeword binding figures are closed forms in d and the
 reveal predicate, proved in `binding_search`.  Lattice soundness is 1 by
 proof from `lattice.soundness_floor(d)` up; below it, eps = 0 included, it
-enumerates every honest point through the channel geometry, and only that
-enumeration is capped by the enumeration budget.  The four-symbol figures
-are read from the engine's exact session laws over `simple.four_symbol_mu`.
+enumerates every honest point through the channel geometry and, by the
+floor's lemma, tests each received vector against its own bumped codeword
+with the decoder's float test, decoding nothing.  Only that enumeration is
+capped by the enumeration budget.  The four-symbol figures are read from
+the engine's exact session laws over `simple.four_symbol_mu`.
 
 Binding is formalized as the best acceptance probability over non-adaptive
 cheating strategies (commit action fixed up front, reveal pair fixed before
@@ -49,6 +51,7 @@ from .lattice import (
     parity,
     parity_class_size,
     soundness_floor,
+    table_angles,
 )
 from .simple import (
     FourSymbolCodeword,
@@ -286,8 +289,8 @@ def binding_search_finite_precision(
 # lattice scheme: soundness
 # ---------------------------------------------------------------------------
 
-#: honest points encoded per soundness chunk; each is decoded under all 2d events
-#: in the exact enumeration and under one drawn event in the Monte Carlo estimate
+#: honest points encoded per soundness chunk; each is tested under all 2d events
+#: in the exact enumeration and decoded under one drawn event in the Monte Carlo estimate
 SOUNDNESS_CHUNK = 4096
 
 
@@ -311,70 +314,55 @@ def _reveal_steps(params: LatticeParams) -> np.ndarray:
     return -(reveals @ _lex_weights(params.d, params.L))
 
 
-def _honest_accepts(
-    params: LatticeParams, points: np.ndarray, lex: np.ndarray, rotations: np.ndarray
-) -> np.ndarray:
-    """Bob's verdict on the honest reveals of `points`, shape (n, d), sent through `rotations`.
-
-    Encodes the points, rotates the payloads by one stacked product, decodes
-    each received vector to the lexicographic index of its codeword
-    (`lattice._decode_lex`) and tests it with `_reveal_steps` against `lex`,
-    the points' own indices.  `rotations` broadcasts against the n
-    payloads: shape (k, 1, 3, 3) sends every point through each of k
-    rotations, with a verdict of shape (k, n), and shape (n, 3, 3) sends
-    point i through rotation i.
-    """
-    payloads = encode_batch(params, points)
-    # the stacked matmul computes each row exactly as rotation @ payload does
-    received = (rotations @ payloads[:, :, None])[..., 0]
-    decoded, ok = _decode_lex(params, received)
-    return ok & np.isin(decoded - lex, _reveal_steps(params))
-
-
-def lattice_soundness_exact(
-    params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET
-) -> Fraction:
+def lattice_soundness_exact(params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
     """Exact honest acceptance through the channel geometry, b uniform.
 
     From `lattice.soundness_floor(d)` up, it is 1 by proof: the floor's
     docstring shows that every honest point, under every noise event,
     decodes to itself plus the event's bump, whatever the summation order
-    of the rotation and the table angles, so nothing is decoded.  Below
-    the floor, eps = 0 included, rounding decides, and
-    `_soundness_enumerated` counts every honest decode; a size it could not
-    run within the budget is refused before it starts.
+    of the rotation and the table angles.  Below the floor, eps = 0
+    included, rounding decides, and `_soundness_enumerated` counts every
+    honest acceptance by the floor's float test alone.  Neither decodes.
+    A size the enumeration could not run within the budget is refused
+    before it starts, as is a basis outside the floor's lemma.
     """
     d, L = params.d, params.L
     if params.eps_meas >= soundness_floor(d):
         return Fraction(1)
-    cost = (L**d) * 2 * d
-    if cost > budget:
-        raise BudgetExceededError(
-            f"soundness enumeration size {cost} exceeds budget {budget}"
-        )
+    if (cost := L**d * 2 * d) > budget:
+        raise BudgetExceededError(f"soundness enumeration size {cost} exceeds budget {budget}")
     return _soundness_enumerated(params)
 
 
 def _soundness_enumerated(params: LatticeParams) -> Fraction:
     """`lattice_soundness_exact` by enumerating {0..L-1}^d against the full noise support.
 
-    Walks the honest points in lexicographic order, SOUNDNESS_CHUNK at a
-    time, and sends each chunk through `_honest_accepts` under all 2d
-    rotations rot_z(m*theta_j) at once, which verifies the honest reveal
-    (its own parity and point).  Counts acceptances per parity class and
-    returns the exact acceptance probability with b uniform.
+    Encodes the honest points in lexicographic order, SOUNDNESS_CHUNK at a
+    time, and rotates each chunk by all 2d channel rotations in one stacked
+    product, as a session does.  By `soundness_floor`'s lemma, point a
+    under the event (j, m) then decodes to c = a + m*e_j, whose honest
+    reveal passes, or to nothing, so Bob accepts exactly when the decoder's
+    own squared distance from the received y to c's table entry is at most
+    eps_meas^2.  A basis outside the lemma raises ValueError.
     """
     d, L = params.d, params.L
+    if not params.basis.max_safe_eps > (floor := soundness_floor(d)):
+        raise ValueError(f"exact soundness below the floor needs max_safe_eps "
+                         f"{params.basis.max_safe_eps!r} above soundness_floor({d}) = {floor!r}")
     rotations = lattice_mu(params).rotations
-    weights = _lex_weights(d, L)
+    bumps = np.kron(np.eye(d, dtype=np.int64), [[1], [2]])  # row 2j + m - 1 is m*e_j
     accepted = [0, 0]
     for start in range(0, L**d, SOUNDNESS_CHUNK):
         flat = np.arange(start, min(start + SOUNDNESS_CHUNK, L**d))
         points = np.stack(np.unravel_index(flat, (L,) * d), axis=1)
-        ok = _honest_accepts(params, points, points @ weights, rotations[:, None])
-        bits = points.sum(axis=1) % 2
+        # the stacked matmul computes each row exactly as rotation @ payload does;
+        # rx, ry, rz and t have one row per point and one column per event
+        rx, ry, rz = (rotations[:, None] @ encode_batch(params, points)[:, :, None])[..., 0].T
+        t = table_angles(params, (points[:, None] + bumps).reshape(-1, d)).reshape(-1, 2 * d)
+        dx, dy = rx - np.cos(t), ry - np.sin(t)
+        ok = dx * dx + dy * dy + rz * rz <= params.eps_meas * params.eps_meas
         for b in (0, 1):
-            accepted[b] += int(np.count_nonzero(ok & (bits == b)))
+            accepted[b] += int(np.count_nonzero(ok[points.sum(axis=1) % 2 == b]))
     # P(accept) = 1/2 * sum_b accepted_b / (|class b| * 2d)
     n0, n1 = (parity_class_size(d, L, b) * 2 * d for b in (0, 1))
     return Fraction(accepted[0] * n1 + accepted[1] * n0, 2 * n0 * n1)
@@ -388,21 +376,23 @@ def lattice_soundness_mc(
     Trials run SOUNDNESS_CHUNK at a time.  Each chunk of n draws, from one
     generator seeded with `seed`, in this order: the n committed bits, the
     honest points (by `honest_points`, as a session's `commit` draws them),
-    and the n noise events.  A noise event is a row of the channel's 2d
-    `rotations`, row 2j + m - 1 for the event (j, m).  `_honest_accepts` then
-    encodes, rotates, decodes and verifies every trial as a session does it,
-    row by row in arrays.
+    and the n noise events, each a row 2j + m - 1 of the channel's 2d
+    `rotations` for the event (j, m).  Each trial is then encoded, rotated,
+    decoded and verified as a session does it, in arrays: the received
+    vector decodes to its codeword's lexicographic index
+    (`lattice._decode_lex`), tested by `_reveal_steps` against the point's.
     """
     rng, chunks = _sampler(trials, seed)
     rotations = lattice_mu(params).rotations
-    weights = _lex_weights(params.d, params.L)
+    weights, steps = _lex_weights(params.d, params.L), _reveal_steps(params)
     successes = 0
     for n in chunks:
-        bits = rng.integers(2, size=n)
-        points = honest_points(params, bits, rng)
+        points = honest_points(params, rng.integers(2, size=n), rng)
         events = rng.integers(len(rotations), size=n)
-        ok = _honest_accepts(params, points, points @ weights, rotations[events])
-        successes += int(np.count_nonzero(ok))
+        # the stacked matmul computes each row exactly as rotation @ payload does
+        received = (rotations[events] @ encode_batch(params, points)[:, :, None])[..., 0]
+        decoded, ok = _decode_lex(params, received)
+        successes += int(np.count_nonzero(ok & np.isin(decoded - points @ weights, steps)))
     return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
 
 

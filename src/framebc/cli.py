@@ -13,7 +13,8 @@ every subcommand takes, or the FRAMEBC_ENUM_BUDGET environment variable (a
 budget below 1 is invalid); it caps the codebook's (L+2)^d codewords,
 exact lattice soundness below `soundness_floor(d)`, twirl-check's z<N>
 enumeration of N^2 compiled sessions and its Haar --samples; each is
-refused before it runs.
+refused before it runs.  Exact soundness below the floor on a basis whose
+max_safe_eps does not exceed the floor is refused too, with exit 1.
 """
 
 from __future__ import annotations

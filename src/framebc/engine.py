@@ -294,9 +294,10 @@ def run_session(
         if action == "send":
             message = party.send(rng)
             if message.is_vec():
-                v = message.payload if frame is None else frame @ message.payload
-                v = (rotation if message.sender == ALICE else rotation.T) @ v
-                v = v if other_frame is None else other_frame.T @ v
+                with np.errstate(invalid="ignore"):  # the decider judges a non-finite payload
+                    v = message.payload if frame is None else frame @ message.payload
+                    v = (rotation if message.sender == ALICE else rotation.T) @ v
+                    v = v if other_frame is None else other_frame.T @ v
                 message = vec_message(message.sender, v)
             other.receive(message)
         elif action == "decide":

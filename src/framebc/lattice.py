@@ -22,19 +22,17 @@ honest commitment, under every noise event, to its own bumped point.
 The certified basis owns all derived state.  Certification keeps no table: a
 meet-in-the-middle search names the few pair differences k that can attain
 the gap, and min_gap is their least |k . theta|, exactly
-(`build_angle_basis`).  Decoding keeps no table of the (L+2)^d codewords
-either.  A codeword's table angle is its leading product plus the table
-angle of its trailing coordinates, rounded (`codebook_angles`), so the
-split table (`AngleBasis._split`), built on the first decode, holds the
-leading products and the sorted angles of the trailing d - 1 coordinates
-with their lexicographic indices.  A decode finds the received direction's
-exact neighbours with one lookup per leading value, as a search of the
-sorted full table would (`decode_commit`).  The channel is built on its
-first use, and both are cached on the basis.
-No point table exists: a decoded point is its codeword's lexicographic
-index, unravelled.  A parameter set is a plain validated record over the
-basis, so every parameter set over one basis shares one copy of each, and
-work that never decodes (binding, concealing) never pays for either.
+(`build_angle_basis`).  Nor does decoding keep a table of the (L+2)^d
+codewords or points.  A codeword's table angle is its leading product plus
+the table angle of its trailing coordinates, rounded (`codebook_angles`),
+so the split table (`AngleBasis._split`), built on the first decode, holds
+the leading products and the sorted angles of the trailing d - 1
+coordinates with their lexicographic indices.  A decode finds the received
+direction's exact neighbours with one lookup per leading value, as a search
+of the sorted full table would (`decode_commit`), and unravels its
+codeword's index.  The split table and the channel are built on first use
+and cached on the basis, which every parameter set over it shares, so work
+that never decodes, exact soundness included, never builds the table.
 """
 
 from __future__ import annotations
@@ -144,6 +142,14 @@ def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
     `soundness_floor`) and depends on no matmul kernel.
     """
     return _grid_angles((0,) * d, (L + 2,) * d, angles)
+
+
+def table_angles(params: LatticeParams, points: np.ndarray) -> np.ndarray:
+    """`codebook_angles`' table angle of each row of an (n, d) point array, right to left."""
+    t = np.zeros(len(points))
+    for x, theta in zip(points.T[::-1], params.angles[::-1]):
+        t = x * theta + t
+    return t
 
 
 def _gap_candidates(d: int, L: int, angles: np.ndarray) -> tuple[float, float, list]:
@@ -285,7 +291,10 @@ def soundness_floor(d: int) -> float:
     Steps 1 to 3 read the sorted-table rule of `decode_commit`, whose
     verdicts and accepted points the split-table decode matches bit for
     bit.  Only d enters; L and the angles enter through A and the
-    certificate.
+    certificate.  Steps 1, 2 and 4 never read eps: they need only
+    separation > 4*delta, which holds on every basis whose max_safe_eps
+    exceeds the floor.  There, at every certified eps, eps = 0 included, an
+    honest y decodes to c or to nothing, as step 3's float test alone decides.
     """
     u, k, top = 2.0**-53, LIBM_ULPS, 2.0
 
@@ -540,23 +549,22 @@ def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decode_lex(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`decode_commit`'s rule on an (..., 3) array, as lexicographic indices of codewords.
+    """`decode_commit`'s rule on an (n, 3) array, as lexicographic indices of codewords.
 
     Looks up ANGLE_CHUNK tail bounds at a time, a row's L+2 (1 when d = 1)
     together, and steps the few that rounding put on the wrong side of phi,
     all at once.  Scores codewords 0 and last, then each row's least table
     angle at or above its direction, then its greatest below, each as one
     array, and keeps the first of equal minima, as `decode_commit` does.
-    Returns the indices and the within-eps mask, both of shape (...).
+    Returns the indices and the within-eps mask, both of shape (n,).
     """
     leads, tail, tail_lex = params.basis._split
     n, lead, last = len(tail), leads[:, None], len(leads) * len(tail) - 1
     t_last = leads[-1] + tail[-1]
-    flat = xyz.reshape(-1, 3)
-    best_lex, best_sq = np.empty(len(flat), dtype=np.int64), np.empty(len(flat))
+    best_lex, best_sq = np.empty(len(xyz), dtype=np.int64), np.empty(len(xyz))
     step = max(1, ANGLE_CHUNK // len(leads))
-    for start in range(0, len(flat), step):
-        rows = flat[start:start + step]
+    for start in range(0, len(xyz), step):
+        rows = xyz[start:start + step]
         phi = np.arctan2(rows[:, 1], rows[:, 0]) % (2.0 * math.pi)
         # in direction order each lead's bounds ascend, which speeds the lookups
         order = np.argsort(phi)
@@ -594,8 +602,7 @@ def _decode_lex(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.
             least = np.where(closer, sq, least)
         best_lex[start + order], best_sq[start + order] = best, least
         del pos, below, above  # before the next block's lookups
-    eps_sq = params.eps_meas * params.eps_meas
-    return best_lex.reshape(xyz.shape[:-1]), (best_sq <= eps_sq).reshape(xyz.shape[:-1])
+    return best_lex, best_sq <= params.eps_meas * params.eps_meas
 
 
 def verify_reveal(

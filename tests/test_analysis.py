@@ -632,7 +632,8 @@ def test_lattice_soundness_exact_matches_point_decoding(d, L):
     # codeword to its point and testing the reveal coordinate by coordinate
     basis = lattice.build_angle_basis(d, L)
     floor = lattice.soundness_floor(d)
-    for eps in (0.0, floor, basis.max_safe_eps / 4, 0.9999 * basis.max_safe_eps):
+    below = (0.0, floor / 2, math.nextafter(floor, 0.0))  # where rounding decides
+    for eps in below + (floor, basis.max_safe_eps / 4, 0.9999 * basis.max_safe_eps):
         for predicate in lattice.PREDICATES:
             params = lattice.LatticeParams(basis, eps, predicate)
             assert analysis.lattice_soundness_exact(params) == soundness_by_point_decoding(params)
@@ -698,30 +699,27 @@ def test_lattice_soundness_exact_pinned_at_zero_eps(d, L, predicate, expected):
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run,tables",
     [
-        # eps = 0 lies below the certificate's floor, so this enumerates
-        lambda p: analysis.lattice_soundness_exact(lattice.LatticeParams(p.basis, 0.0)),
-        lambda p: analysis.lattice_soundness_mc(p, 5000, seed=2),
+        # eps = 0 lies below the certificate's floor, so this enumerates, decoding nothing
+        (lambda p: analysis.lattice_soundness_exact(lattice.LatticeParams(p.basis, 0.0)), set()),
+        (lambda p: analysis.lattice_soundness_mc(p, 5000, seed=2), {"_split"}),
     ],
     ids=["exact", "mc"],
 )
-def test_soundness_builds_no_point_table(run):
+def test_soundness_builds_no_point_table(run, tables):
     params = lattice.make_params(3, 8)
     run(params)
-    assert record_state(params.basis) == {
-        "d", "L", "angles", "min_gap", "_split", "_mu",
-    }
+    assert record_state(params.basis) == {"d", "L", "angles", "min_gap", "_mu"} | tables
 
 
 def test_lattice_soundness_exact_memory_bound():
-    # 10^6 codewords: the split table holds 10^5 tail angles and indices
-    # (1.5 MiB), and the whole enumeration peaks at 6.8 MiB traced; the
-    # bound adds 1.2 MiB of margin.  A sorted table of all codewords (32 MB
+    # 10^6 codewords, but the enumeration builds no decode table and peaks
+    # at 5.6 MiB traced.  A sorted table of all codewords (32 MB
     # with its order, cosines and sines), the int64 point table (48 MB) or
-    # any full-length (N, d) int64 array would pass it.  It runs at the
-    # largest eps below the certificate's floor, which the enumeration
-    # decides; soundness is 1
+    # any full-length (N, d) int64 array would pass the 8 MiB bound.  It runs
+    # at the largest eps below the certificate's floor, which the
+    # enumeration decides; soundness is 1
     params = lattice.make_params(6, 8, eps_meas=math.nextafter(lattice.soundness_floor(6), 0.0))
     tracemalloc.start()
     try:
@@ -730,6 +728,19 @@ def test_lattice_soundness_exact_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    assert "_split" not in record_state(params.basis)
+
+
+def test_soundness_below_the_floor_refuses_an_uncovered_basis():
+    # a basis whose max_safe_eps does not exceed the floor is outside the
+    # lemma the enumeration rests on, so it is refused before any point is encoded
+    basis = lattice.build_angle_basis(3, 8)
+    forged = lattice.AngleBasis(3, 8, basis.angles, min_gap=1e-15)
+    assert forged.max_safe_eps <= lattice.soundness_floor(3)
+    params = lattice.LatticeParams(forged, eps_meas=0.0)
+    with pytest.raises(ValueError, match=r"soundness_floor\(3\)"):
+        analysis.lattice_soundness_exact(params)
+    assert record_state(forged) == {"d", "L", "angles", "min_gap"}
 
 
 def test_soundness_budget_guard():

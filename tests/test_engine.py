@@ -392,10 +392,10 @@ def test_commit_reveal_decider_malformed_sessions(scheme):
     "payload", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]], ids=["nan", "inf"]
 )
 @pytest.mark.parametrize("scheme", sorted(COMMIT_REVEAL_SPECS))
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_commit_reveal_decider_non_finite_commit(scheme, payload):
-    # a commit that is not a finite vector decodes nowhere, whatever the reveal;
-    # rotating it makes numpy warn of the 0 * inf and nan entries
+    # a commit that is not a finite vector decodes nowhere, whatever the reveal,
+    # and rotating it (0 * inf, nan entries) warns of nothing
     spec = COMMIT_REVEAL_SPECS[scheme]()
     honest = engine.run_session(spec, np.random.default_rng(17))
     reveal = honest.alice_view[1].payload

@@ -118,15 +118,21 @@ def _right_to_left_angles(d, L, angles):
     [(1, 2), (1, 3), (3, 5), (3, 6), (5, 7), (6, 5), (4, 16), (6, 8), (1, 70000)],
 )
 def test_codebook_angles_match_right_to_left_loop(d, L):
-    angles = lattice.build_angle_basis(d, L).angles
+    basis = lattice.build_angle_basis(d, L)
+    angles = basis.angles
     table = lattice.codebook_angles(d, L, np.asarray(angles))
     expected = _right_to_left_angles(d, L, angles)
     assert np.array_equal(table.view(np.int64), expected.view(np.int64))
-    # sampled rows lie within gamma_d * A, A = 2, of their exact angle (see soundness_floor)
+    # table_angles gives sampled rows' entries bit for bit, and they lie within
+    # gamma_d * A, A = 2, of their exact angle (see soundness_floor)
+    sample = np.random.default_rng(d * L).integers(len(table), size=300)
+    rows = np.stack(np.unravel_index(sample, (L + 2,) * d), axis=1)
+    by_row = lattice.table_angles(lattice.LatticeParams(basis, 0.0), rows)
+    assert np.array_equal(by_row.view(np.int64), table[sample].view(np.int64))
     u = Fraction(1, 2**53)
     bound = 2 * d * u / (1 - d * u)
     exact = [Fraction(t) for t in angles]
-    for k in np.random.default_rng(d * L).integers(len(table), size=300).tolist():
+    for k in sample.tolist():
         point = np.unravel_index(k, (L + 2,) * d)
         alpha = sum(int(c) * t for c, t in zip(point, exact))
         assert abs(Fraction(float(table[k])) - alpha) <= bound
