@@ -11,8 +11,11 @@ reveal predicate, proved in `binding_search`.  Lattice soundness is 1 by
 proof from `lattice.soundness_floor(d)` up; below it, eps = 0 included, it
 enumerates every honest point through the channel geometry and, by the
 floor's lemma, tests each received vector against its own bumped codeword
-with the decoder's float test, decoding nothing.  Only that enumeration is
-capped by the enumeration budget.  The four-symbol figures are read from
+with the decoder's float test, decoding nothing.  The Monte Carlo estimate
+accepts its drawn trials by the same test (`_floor_test`), so no soundness
+figure decodes; finite-precision binding decodes with the one decoder,
+`lattice.decode_commit`.  Only the exact enumeration is capped by the
+enumeration budget.  The four-symbol figures are read from
 the engine's exact session laws over `simple.four_symbol_mu`.
 
 Binding is formalized as the best acceptance probability over non-adaptive
@@ -40,10 +43,8 @@ from .lattice import (
     BudgetExceededError,
     LatticeParams,
     _check_size,
-    _decode_lex,
     _resolve_predicate,
     accepting_reveals,
-    decode_batch,
     decode_commit,
     encode_batch,
     honest_points,
@@ -245,26 +246,28 @@ def binding_search_finite_precision(
 ) -> FinitePrecisionBinding:
     """Exact acceptance probabilities when Alice commits an arbitrary unit vector.
 
-    Pushes w through each of the 2d noise rotations, decodes with the real
-    tolerance-ball rule, and scores every reveal that could accept at least
-    one event.  A vector within eps of a codeword behaves exactly like that
-    codeword; vectors beyond eps of every codeword decode nowhere under
-    almost every rotation and score zero, except for the thin family sitting
-    within eps of the codebook's out-of-range formal extension, which can
-    reach the same 1/d (lenient) and 1/(2d) (strict) caps as codeword
-    commits.  That off-codebook vectors never exceed those caps is checked
-    on sampled angles only, not proved.  `anchor` decodes w itself,
-    unrotated; when it decodes nowhere, `flip_probability` falls back to
-    `overall`, the best reveal of either bit, so a vector just outside every
-    tolerance ball whose rotated copies still decode can read above the caps.
+    Pushes w through each of the 2d noise rotations, decodes each with
+    `decode_commit`, the real tolerance-ball rule, and scores every reveal
+    that could accept at least one event.  A vector within eps of a codeword
+    behaves exactly like that codeword; vectors beyond eps of every codeword
+    decode nowhere under almost every rotation and score zero, except for
+    the thin family sitting within eps of the codebook's out-of-range formal
+    extension, which can reach the same 1/d (lenient) and 1/(2d) (strict)
+    caps as codeword commits.  That off-codebook vectors never exceed those
+    caps is checked on sampled angles only, not proved.  `anchor` decodes w
+    itself, unrotated; when it decodes nowhere, `flip_probability` falls
+    back to `overall`, the best reveal of either bit, so a vector just
+    outside every tolerance ball whose rotated copies still decode can read
+    above the caps.
     """
     w = np.asarray(w, dtype=float)
     if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-9:
         raise ValueError("committed payload must be a unit vector")
-    points, ok = decode_batch(params, lattice_mu(params).rotations @ w)
+    decoded = [decode_commit(params, y) for y in lattice_mu(params).rotations @ w]
+    points = np.array([x for x in decoded if x is not None], dtype=np.int64).reshape(-1, params.d)
     reveals, in_range = accepting_reveals(params, points, predicate)
     # np.unique sorts the reveals, so the first maximum is the smallest reveal reaching it
-    reveals, counts = np.unique(reveals[in_range & ok[:, None]], axis=0, return_counts=True)
+    reveals, counts = np.unique(reveals[in_range], axis=0, return_counts=True)
     best = dict.fromkeys((0, 1), (Fraction(0), None))
     bits = reveals.sum(axis=1) % 2
     for bit in (0, 1):
@@ -290,28 +293,8 @@ def binding_search_finite_precision(
 # ---------------------------------------------------------------------------
 
 #: honest points encoded per soundness chunk; each is tested under all 2d events
-#: in the exact enumeration and decoded under one drawn event in the Monte Carlo estimate
+#: in the exact enumeration and under one drawn event in the Monte Carlo estimate
 SOUNDNESS_CHUNK = 4096
-
-
-def _lex_weights(d: int, L: int) -> np.ndarray:
-    """Place values of the lexicographic index lex(x) = sum_j x_j (L+2)^(d-1-j) of {0..L+1}^d."""
-    return (L + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-
-
-def _reveal_steps(params: LatticeParams) -> np.ndarray:
-    """The differences lex(decoded) - lex(a) at which Bob accepts an honest reveal of a.
-
-    An honest reveal (parity(a), a), a in {0..L-1}^d, passes `verify_reveal`
-    exactly when decoded = a + m*e_k, m in {1, 2} (or decoded = a, under
-    lenient).  All of these lie in the codebook, on which lex is a
-    bijection, so the test is lex(decoded) - lex(a) in {m*(L+2)^(d-1-k)}
-    (plus 0 under lenient): 2d distinct values, since L+2 > 2.  The shifts
-    are read from `accepting_reveals`, whose reveals from the origin are
-    the negated accepted differences decoded - a.
-    """
-    reveals, _ = accepting_reveals(params, np.zeros(params.d, dtype=np.int64))
-    return -(reveals @ _lex_weights(params.d, params.L))
 
 
 def lattice_soundness_exact(params: LatticeParams, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
@@ -334,35 +317,48 @@ def lattice_soundness_exact(params: LatticeParams, budget: int = DEFAULT_ENUM_BU
     return _soundness_enumerated(params)
 
 
-def _soundness_enumerated(params: LatticeParams) -> Fraction:
-    """`lattice_soundness_exact` by enumerating {0..L-1}^d against the full noise support.
+def _floor_test(params: LatticeParams, points: np.ndarray, events: np.ndarray) -> np.ndarray:
+    """Whether Bob accepts each honest point of an (n, d) array sent through its events.
 
-    Encodes the honest points in lexicographic order, SOUNDNESS_CHUNK at a
-    time, and rotates each chunk by all 2d channel rotations in one stacked
-    product, as a session does.  By `soundness_floor`'s lemma, point a
-    under the event (j, m) then decodes to c = a + m*e_j, whose honest
-    reveal passes, or to nothing, so Bob accepts exactly when the decoder's
-    own squared distance from the received y to c's table entry is at most
-    eps_meas^2.  A basis outside the lemma raises ValueError.
+    `events` holds rows 2j + m - 1 of the channel's `rotations`, one per
+    point, shape (n,), or the same k for every point, shape (k, 1); the
+    verdicts take the shape of `events` broadcast against the n points.
+    Each point is encoded and rotated as a session does it.  By
+    `soundness_floor`'s lemma, point a under the event (j, m) then decodes
+    to c = a + m*e_j, whose honest reveal passes, or to nothing, so Bob
+    accepts exactly when the decoder's own squared distance from the
+    received y to c's table entry is at most eps_meas^2.  Nothing is
+    decoded.  A basis outside the lemma raises ValueError, before the
+    channel is built.
     """
-    d, L = params.d, params.L
+    d = params.d
     if not params.basis.max_safe_eps > (floor := soundness_floor(d)):
-        raise ValueError(f"exact soundness below the floor needs max_safe_eps "
+        raise ValueError(f"soundness below the floor needs max_safe_eps "
                          f"{params.basis.max_safe_eps!r} above soundness_floor({d}) = {floor!r}")
     rotations = lattice_mu(params).rotations
     bumps = np.kron(np.eye(d, dtype=np.int64), [[1], [2]])  # row 2j + m - 1 is m*e_j
+    # the stacked matmul computes each row exactly as rotation @ payload does
+    received = (rotations[events] @ encode_batch(params, points)[:, :, None])[..., 0]
+    t = table_angles(params, points + bumps[events])
+    dx, dy, rz = received[..., 0] - np.cos(t), received[..., 1] - np.sin(t), received[..., 2]
+    return dx * dx + dy * dy + rz * rz <= params.eps_meas * params.eps_meas
+
+
+def _soundness_enumerated(params: LatticeParams) -> Fraction:
+    """`lattice_soundness_exact` by enumerating {0..L-1}^d against the full noise support.
+
+    Tests the honest points in lexicographic order, SOUNDNESS_CHUNK at a
+    time, each under all 2d events by `_floor_test`.
+    """
+    d, L = params.d, params.L
+    events = np.arange(2 * d)[:, None]
     accepted = [0, 0]
     for start in range(0, L**d, SOUNDNESS_CHUNK):
         flat = np.arange(start, min(start + SOUNDNESS_CHUNK, L**d))
         points = np.stack(np.unravel_index(flat, (L,) * d), axis=1)
-        # the stacked matmul computes each row exactly as rotation @ payload does;
-        # rx, ry, rz and t have one row per point and one column per event
-        rx, ry, rz = (rotations[:, None] @ encode_batch(params, points)[:, :, None])[..., 0].T
-        t = table_angles(params, (points[:, None] + bumps).reshape(-1, d)).reshape(-1, 2 * d)
-        dx, dy = rx - np.cos(t), ry - np.sin(t)
-        ok = dx * dx + dy * dy + rz * rz <= params.eps_meas * params.eps_meas
+        ok = _floor_test(params, points, events)
         for b in (0, 1):
-            accepted[b] += int(np.count_nonzero(ok[points.sum(axis=1) % 2 == b]))
+            accepted[b] += int(np.count_nonzero(ok[:, points.sum(axis=1) % 2 == b]))
     # P(accept) = 1/2 * sum_b accepted_b / (|class b| * 2d)
     n0, n1 = (parity_class_size(d, L, b) * 2 * d for b in (0, 1))
     return Fraction(accepted[0] * n1 + accepted[1] * n0, 2 * n0 * n1)
@@ -377,22 +373,19 @@ def lattice_soundness_mc(
     generator seeded with `seed`, in this order: the n committed bits, the
     honest points (by `honest_points`, as a session's `commit` draws them),
     and the n noise events, each a row 2j + m - 1 of the channel's 2d
-    `rotations` for the event (j, m).  Each trial is then encoded, rotated,
-    decoded and verified as a session does it, in arrays: the received
-    vector decodes to its codeword's lexicographic index
-    (`lattice._decode_lex`), tested by `_reveal_steps` against the point's.
+    `rotations` for the event (j, m).  Each trial is then encoded and
+    rotated as a session does it, in arrays, and accepted by the floor
+    lemma's float test, as in the exact enumeration (`_floor_test`): the
+    session's decode would return the trial's bumped point, whose reveal
+    passes, or nothing.  Nothing is decoded; a basis outside the lemma
+    raises ValueError.
     """
     rng, chunks = _sampler(trials, seed)
-    rotations = lattice_mu(params).rotations
-    weights, steps = _lex_weights(params.d, params.L), _reveal_steps(params)
     successes = 0
     for n in chunks:
         points = honest_points(params, rng.integers(2, size=n), rng)
-        events = rng.integers(len(rotations), size=n)
-        # the stacked matmul computes each row exactly as rotation @ payload does
-        received = (rotations[events] @ encode_batch(params, points)[:, :, None])[..., 0]
-        decoded, ok = _decode_lex(params, received)
-        successes += int(np.count_nonzero(ok & np.isin(decoded - points @ weights, steps)))
+        events = rng.integers(2 * params.d, size=n)
+        successes += int(np.count_nonzero(_floor_test(params, points, events)))
     return MonteCarloEstimate(successes=successes, trials=trials, seed=seed)
 
 

@@ -375,22 +375,21 @@ def _session_law(
     key: Callable[[Transcript], tuple],
     budget: int,
     *,
-    alice_twirl: CyclicZ | None = None,
-    bob_twirl: CyclicZ | None = None,
+    frame_bob: bool = True,
 ) -> dict[tuple, Fraction]:
     """Exact law of `key(transcript)` over every (rotation, u_alice, u_bob, weight).
 
-    An untwirled party runs unframed.  A twirled party runs once with each
-    element of its group as its fixed frame (`run_session`'s `frames`), and
-    the channel is then noiseless.  Raises BudgetExceededError before the
-    first session when the session count exceeds the budget.
+    The rotation ranges over `spec.mu`.  With no `spec.twirl` both parties
+    run unframed; otherwise each runs once with each element of the twirl
+    as its fixed frame (`run_session`'s `frames`), except that Bob, made
+    explicitly, runs unframed when `frame_bob` is False.  Raises
+    BudgetExceededError before the first session when the session count
+    exceeds the budget.
     """
-    for group in (alice_twirl, bob_twirl):
-        if group is not None and not isinstance(group, CyclicZ):
-            _require_group(group)
-            raise ValueError("exact enumeration needs a finite group")
-    twirled = alice_twirl is not None or bob_twirl is not None
-    laws = (noiseless_channel() if twirled else spec.mu, alice_twirl, bob_twirl)
+    group = spec.twirl
+    if group is not None and not isinstance(group, CyclicZ):
+        raise ValueError("exact enumeration needs a finite group")
+    laws = (spec.mu, group, group if frame_bob else None)
     size = math.prod(_support_size(mu) for mu in laws)
     if size > budget:
         raise BudgetExceededError(f"session enumeration size {size} exceeds budget {budget}")
@@ -403,7 +402,8 @@ def _session_law(
         for u_a, p_a in alice_law:
             weight = prob * p_a
             for u_b, p_b in bob_law:
-                k = key(run_session(spec, rotation=rotation, frames=(u_a, u_b)))
+                bob = None if frame_bob else spec.make_bob()
+                k = key(run_session(spec, rotation=rotation, frames=(u_a, u_b), bob=bob))
                 tally[k] = tally.get(k, 0) + weight * p_b
     return {k: Fraction(count, d_c * d_a * d_b) for k, count in tally.items()}
 
@@ -423,7 +423,8 @@ def transcript_distribution(
 ) -> dict[tuple, Fraction]:
     """Exact transcript distribution of a deterministic protocol over finite mu.
 
-    Parties must not consume randomness; everything random is the channel.
+    Parties must not consume randomness; everything random is the channel
+    and, for a twirl-compiled spec, each party's frame over its finite group.
     """
     return _session_law(spec, transcript_key, budget)
 
@@ -431,14 +432,14 @@ def transcript_distribution(
 def compiled_transcript_distribution(
     spec: ProtocolSpec, group: CyclicZ, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[tuple, Fraction]:
-    """Exact transcript distribution of the twirl-compiled protocol.
+    """`transcript_distribution` of `twirl_compile(spec, group)`.
 
     Enumerates both parties' private group elements over group x group with
     a noiseless channel; views are the inner (untwirled) views, so equality
     with `transcript_distribution(spec)` is the compiler's simulation claim
     at finite-group scale.
     """
-    return _session_law(spec, transcript_key, budget, alice_twirl=group, bob_twirl=group)
+    return transcript_distribution(twirl_compile(spec, group), budget=budget)
 
 
 def bob_wire_view_distribution(
@@ -449,13 +450,17 @@ def bob_wire_view_distribution(
 ) -> dict[tuple, Fraction]:
     """Exact distribution of Bob's raw (wire-level) view.
 
-    With `alice_twirl` set, Alice alone twirls over the given group and the
-    channel is noiseless; otherwise the protocol runs over its own channel.
-    A plain Bob records wire payloads directly, so comparing the two
-    distributions states that Alice's private twirl alone randomizes her
-    frame exactly like the group channel does.
+    Bob always runs unframed.  With `alice_twirl` set, the spec is first
+    twirl-compiled over that group, so Alice alone twirls and the channel is
+    noiseless; otherwise the protocol runs over its own channel, with Alice
+    framed over the spec's own twirl, if it has one.  A plain Bob records
+    wire payloads directly, so comparing the two distributions states that
+    Alice's private twirl alone randomizes her frame exactly like the group
+    channel does.
     """
-    return _session_law(spec, lambda t: transcript_key(t)[1], budget, alice_twirl=alice_twirl)
+    if alice_twirl is not None:
+        spec = twirl_compile(spec, alice_twirl)
+    return _session_law(spec, lambda t: transcript_key(t)[1], budget, frame_bob=False)
 
 
 def probe_protocol(mu: MisalignmentDistribution) -> ProtocolSpec:

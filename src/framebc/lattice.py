@@ -32,7 +32,8 @@ direction's exact neighbours with one lookup per leading value, as a search
 of the sorted full table would (`decode_commit`), and unravels its
 codeword's index.  The split table and the channel are built on first use
 and cached on the basis, which every parameter set over it shares, so work
-that never decodes, exact soundness included, never builds the table.
+that never decodes, exact and Monte Carlo soundness included, never builds
+the table.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ def codebook_size(d: int, L: int) -> int:
     return (L + 2) ** d
 
 
-#: lookups per `_decode_lex` block; bounds the temporaries of a batch decode
-ANGLE_CHUNK = 1 << 16
-
-
 def _grid_angles(lo, hi, angles) -> np.ndarray:
     """`codebook_angles`' angles over the points lo <= a < hi, by iterated outer sums."""
     t = np.zeros(1)
@@ -145,9 +142,9 @@ def codebook_angles(d: int, L: int, angles: np.ndarray) -> np.ndarray:
 
 
 def table_angles(params: LatticeParams, points: np.ndarray) -> np.ndarray:
-    """`codebook_angles`' table angle of each row of an (n, d) point array, right to left."""
-    t = np.zeros(len(points))
-    for x, theta in zip(points.T[::-1], params.angles[::-1]):
+    """`codebook_angles`' table angle of each point of an (..., d) array, right to left."""
+    t = np.zeros(points.shape[:-1])
+    for x, theta in zip(np.moveaxis(points, -1, 0)[::-1], params.angles[::-1]):
         t = x * theta + t
     return t
 
@@ -488,10 +485,10 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
     the least table angle at or above phi is then position i and the
     greatest below it i - 1: the decode scores the rule's candidates in the
     rule's order, so every verdict and every decoded point is the rule's,
-    bit for bit.  `decode_batch` applies the same rule to many vectors at
-    once; this scalar form stays for the per-session decodes of
-    `engine.run_session`.  math.cos and math.sin give np.cos and np.sin's
-    doubles on this platform, which the tests check.
+    bit for bit.  This is the one decoder: sessions and
+    `analysis.binding_search_finite_precision` call it one vector at a
+    time.  math.cos and math.sin give np.cos and np.sin's doubles on this
+    platform, which the tests check.
     """
     rx, ry, rz = np.asarray(received, dtype=float).tolist()
     phi = math.atan2(ry, rx) % (2.0 * math.pi)
@@ -535,74 +532,6 @@ def decode_commit(params: LatticeParams, received) -> np.ndarray | None:
         point = [best // base**e % base for e in range(basis.d - 1, -1, -1)]
         return np.array(point, dtype=np.int64)
     return None
-
-
-def decode_batch(params: LatticeParams, xyz) -> tuple[np.ndarray, np.ndarray]:
-    """`decode_commit`'s rule over the rows of an (n, 3) array, by `_decode_lex`.
-
-    Returns the decoded points as an (n, d) int array and a boolean mask of
-    the rows that decode; a row whose mask is False means abort, and its
-    point is only the nearest of the codewords it scored.
-    """
-    lex, ok = _decode_lex(params, np.asarray(xyz, dtype=float).reshape(-1, 3))
-    return np.stack(np.unravel_index(lex, (params.L + 2,) * params.d), axis=1), ok
-
-
-def _decode_lex(params: LatticeParams, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`decode_commit`'s rule on an (n, 3) array, as lexicographic indices of codewords.
-
-    Looks up ANGLE_CHUNK tail bounds at a time, a row's L+2 (1 when d = 1)
-    together, and steps the few that rounding put on the wrong side of phi,
-    all at once.  Scores codewords 0 and last, then each row's least table
-    angle at or above its direction, then its greatest below, each as one
-    array, and keeps the first of equal minima, as `decode_commit` does.
-    Returns the indices and the within-eps mask, both of shape (n,).
-    """
-    leads, tail, tail_lex = params.basis._split
-    n, lead, last = len(tail), leads[:, None], len(leads) * len(tail) - 1
-    t_last = leads[-1] + tail[-1]
-    best_lex, best_sq = np.empty(len(xyz), dtype=np.int64), np.empty(len(xyz))
-    step = max(1, ANGLE_CHUNK // len(leads))
-    for start in range(0, len(xyz), step):
-        rows = xyz[start:start + step]
-        phi = np.arctan2(rows[:, 1], rows[:, 0]) % (2.0 * math.pi)
-        # in direction order each lead's bounds ascend, which speeds the lookups
-        order = np.argsort(phi)
-        phi, (rx, ry, rz) = phi[order], rows[order].T
-        pos = tail.searchsorted(phi - lead)  # shape (leads, rows)
-        above, below = tail.take(pos, mode="clip"), tail.take(pos - 1, mode="clip")
-        above += lead
-        below += lead
-        # at an end, no table angle of the lead lies on that side
-        above[pos == n], below[pos == 0] = np.inf, -np.inf
-        wrong = np.flatnonzero((above < phi) | (below >= phi))
-        while len(wrong):  # step while both neighbours lie on one side of phi
-            c, r = np.divmod(wrong, len(phi))
-            j = pos.take(wrong) + np.where(above.take(wrong) < phi[r], 1, -1)
-            pos.put(wrong, j)
-            below.put(wrong, np.where(j > 0, leads[c] + tail.take(j - 1, mode="clip"), -np.inf))
-            above.put(wrong, np.where(j < n, leads[c] + tail.take(j, mode="clip"), np.inf))
-            wrong = wrong[(above.take(wrong) < phi[r]) | (below.take(wrong) >= phi[r])]
-        # the rule's candidates i and i - 1, the least table angle at or above phi and the
-        # greatest below it; with none on a side the rule scores the last or codeword 0 again
-        cols = np.arange(len(phi))
-        up, down = above.argmin(axis=0), below.argmax(axis=0)
-        t_up, t_down = above[up, cols], below[down, cols]
-        t_up = np.where((phi <= t_up) & (t_up <= t_last), t_up, t_last)
-        t_down = np.where((0.0 <= t_down) & (t_down < phi), t_down, 0.0)
-        lex_up = up * n + tail_lex[np.minimum(pos[up, cols], n - 1)]
-        lex_down = down * n + tail_lex[np.maximum(pos[down, cols] - 1, 0)]
-        best, least = np.zeros(len(phi), dtype=np.int64), np.full(len(phi), np.inf)
-        for candidate, t in ((0, 0.0), (last, t_last), (lex_up, t_up), (lex_down, t_down)):
-            dx = rx - np.cos(t)
-            dy = ry - np.sin(t)
-            sq = dx * dx + dy * dy + rz * rz
-            closer = sq < least
-            best = np.where(closer, candidate, best)
-            least = np.where(closer, sq, least)
-        best_lex[start + order], best_sq[start + order] = best, least
-        del pos, below, above  # before the next block's lookups
-    return best_lex, best_sq <= params.eps_meas * params.eps_meas
 
 
 def verify_reveal(

@@ -10,6 +10,9 @@ import numpy as np
 
 from framebc import engine, lattice, simple, so3
 
+#: table angles per block of the sorted certificates' neighbour gaps
+ANGLE_CHUNK = 1 << 16
+
 
 def record_state(record) -> set[str]:
     """The names of all a record holds: its fields and what its __dict__ caches."""
@@ -31,8 +34,8 @@ def sorted_min_gap(d: int, L: int, angles) -> float:
     alphas = lattice.codebook_angles(d, L, np.asarray(angles))
     alphas.sort()
     return min(
-        float(np.diff(alphas[i:i + lattice.ANGLE_CHUNK + 1]).min())
-        for i in range(0, len(alphas) - 1, lattice.ANGLE_CHUNK)
+        float(np.diff(alphas[i:i + ANGLE_CHUNK + 1]).min())
+        for i in range(0, len(alphas) - 1, ANGLE_CHUNK)
     )
 
 
@@ -50,11 +53,11 @@ def sorted_exact_gap(d: int, L: int, angles) -> Fraction:
     angles = np.asarray(angles)
     alphas = lattice.codebook_angles(d, L, angles)
     alphas.sort()
-    starts = range(0, len(alphas) - 1, lattice.ANGLE_CHUNK)
-    least = min(float(np.diff(alphas[i:i + lattice.ANGLE_CHUNK + 1]).min()) for i in starts)
+    starts = range(0, len(alphas) - 1, ANGLE_CHUNK)
+    least = min(float(np.diff(alphas[i:i + ANGLE_CHUNK + 1]).min()) for i in starts)
     window = least + 4 * (2 * d + 1) * 2.0**-53 * (L + 1) * float(angles.sum())
     near = np.concatenate([
-        i + np.flatnonzero(np.diff(alphas[i:i + lattice.ANGLE_CHUNK + 1]) <= window)
+        i + np.flatnonzero(np.diff(alphas[i:i + ANGLE_CHUNK + 1]) <= window)
         for i in starts
     ])
     pairs = alphas[near], alphas[near + 1]
@@ -62,8 +65,8 @@ def sorted_exact_gap(d: int, L: int, angles) -> Fraction:
     # the lexicographic index of each pair end; the table's angles are distinct
     wanted, index = np.unique(np.concatenate(pairs)), {}
     table = lattice.codebook_angles(d, L, angles)
-    for i in range(0, len(table), lattice.ANGLE_CHUNK):
-        part = table[i:i + lattice.ANGLE_CHUNK]
+    for i in range(0, len(table), ANGLE_CHUNK):
+        part = table[i:i + ANGLE_CHUNK]
         hit = wanted[np.minimum(np.searchsorted(wanted, part), len(wanted) - 1)] == part
         index.update(zip(part[hit].tolist(), (i + np.flatnonzero(hit)).tolist()))
     lo, hi = ([index[v] for v in values.tolist()] for values in pairs)
@@ -203,7 +206,7 @@ def soundness_by_point_decoding(params) -> Fraction:
 
     Encodes all of {0..L-1}^d, rotates each payload by every channel
     rotation, decodes the L^d * 2d vectors to points with
-    `lattice.decode_batch` and tests each honest reveal with `verify_rows`.
+    `sorted_table_decode` and tests each honest reveal with `verify_rows`.
     """
     d, L = params.d, params.L
     points = np.array(list(itertools.product(range(L), repeat=d)))
@@ -212,7 +215,8 @@ def soundness_by_point_decoding(params) -> Fraction:
     received = np.concatenate([(r @ payloads[:, :, None])[:, :, 0] for r in rotations])
     revealed = np.tile(points, (len(rotations), 1))
     bits = revealed.sum(axis=1) % 2
-    decoded, ok = lattice.decode_batch(params, received)
+    lex, ok = sorted_table_decode(params, received)
+    decoded = np.stack(np.unravel_index(lex, (L + 2,) * d), axis=1)
     accepted = ok & verify_rows(params, decoded, bits, revealed)
     counts = [int(np.count_nonzero(accepted & (bits == b))) for b in (0, 1)]
     n0, n1 = (lattice.parity_class_size(d, L, b) * 2 * d for b in (0, 1))

@@ -699,18 +699,19 @@ def test_lattice_soundness_exact_pinned_at_zero_eps(d, L, predicate, expected):
 
 
 @pytest.mark.parametrize(
-    "run,tables",
+    "run",
     [
         # eps = 0 lies below the certificate's floor, so this enumerates, decoding nothing
-        (lambda p: analysis.lattice_soundness_exact(lattice.LatticeParams(p.basis, 0.0)), set()),
-        (lambda p: analysis.lattice_soundness_mc(p, 5000, seed=2), {"_split"}),
+        lambda p: analysis.lattice_soundness_exact(lattice.LatticeParams(p.basis, 0.0)),
+        # the estimator takes the same float test, and decodes nothing either
+        lambda p: analysis.lattice_soundness_mc(p, 5000, seed=2),
     ],
     ids=["exact", "mc"],
 )
-def test_soundness_builds_no_point_table(run, tables):
+def test_soundness_builds_no_point_table(run):
     params = lattice.make_params(3, 8)
     run(params)
-    assert record_state(params.basis) == {"d", "L", "angles", "min_gap", "_mu"} | tables
+    assert record_state(params.basis) == {"d", "L", "angles", "min_gap", "_mu"}
 
 
 def test_lattice_soundness_exact_memory_bound():
@@ -740,6 +741,9 @@ def test_soundness_below_the_floor_refuses_an_uncovered_basis():
     params = lattice.LatticeParams(forged, eps_meas=0.0)
     with pytest.raises(ValueError, match=r"soundness_floor\(3\)"):
         analysis.lattice_soundness_exact(params)
+    # the Monte Carlo estimate takes the same test, and is refused the same way
+    with pytest.raises(ValueError, match=r"soundness_floor\(3\)"):
+        analysis.lattice_soundness_mc(params, 100, seed=1)
     assert record_state(forged) == {"d", "L", "angles", "min_gap"}
 
 
@@ -795,11 +799,11 @@ def test_lattice_soundness_mc_stream_pinned():
     assert analysis.lattice_soundness_mc(params, trials=20_000, seed=1).successes == 6867
 
 
-@pytest.mark.parametrize("d, L", [(3, 8), (2, 5)])
+@pytest.mark.parametrize("d, L", [(3, 8), (2, 5), (4, 16)])
 def test_lattice_soundness_mc_replays_scalar_path(d, L):
     # replay the documented draw order of one chunk through the scalar encode,
-    # rotation, decode_commit and verify_reveal: every trial must agree
-    params = lattice.make_params(d, L, eps_meas=0.0)
+    # rotation, decode_commit and verify_reveal: every trial must agree, at
+    # eps = 0 and at tolerances below the floor where rounding still decides
     n = 1500
     rng = np.random.default_rng(3)
     bits = rng.integers(2, size=n)
@@ -809,14 +813,18 @@ def test_lattice_soundness_mc_replays_scalar_path(d, L):
         points[redraw] = rng.integers(L, size=(len(redraw), d))
         redraw = redraw[points[redraw].sum(axis=1) % 2 != bits[redraw]]
     events = rng.integers(2 * d, size=n)
-    rotations = [so3.rot_z(m * params.angles[j]) for j, m in noise_events(params.d)]
-    accepted = 0
-    for b, a, k in zip(bits.tolist(), points.tolist(), events.tolist()):
-        assert sum(a) % 2 == b and all(0 <= x < L for x in a)
-        decoded = lattice.decode_commit(params, rotations[k] @ lattice.encode(params, a))
-        accepted += decoded is not None and lattice.verify_reveal(params, decoded, b, a)
-    assert 0 < accepted < n
-    assert analysis.lattice_soundness_mc(params, trials=n, seed=3).successes == accepted
+    basis = lattice.build_angle_basis(d, L)
+    rotations = [so3.rot_z(m * basis.angles[j]) for j, m in noise_events(d)]
+    floor = lattice.soundness_floor(d)
+    for eps in (0.0, floor / 2, math.nextafter(floor, 0.0)):
+        params = lattice.LatticeParams(basis, eps)
+        accepted = 0
+        for b, a, k in zip(bits.tolist(), points.tolist(), events.tolist()):
+            assert sum(a) % 2 == b and all(0 <= x < L for x in a)
+            decoded = lattice.decode_commit(params, rotations[k] @ lattice.encode(params, a))
+            accepted += decoded is not None and lattice.verify_reveal(params, decoded, b, a)
+        assert 0 < accepted and (eps > 0 or accepted < n)
+        assert analysis.lattice_soundness_mc(params, trials=n, seed=3).successes == accepted
 
 
 @pytest.mark.parametrize("trials", [0, -3])

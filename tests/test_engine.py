@@ -202,6 +202,8 @@ def test_twirl_transcript_distribution_equality(n):
     compiled = engine.compiled_transcript_distribution(spec, group)
     assert base == compiled
     assert sum(base.values()) == 1
+    # the exact law of a compiled spec enumerates the frames of its own twirl
+    assert engine.transcript_distribution(engine.twirl_compile(spec, group)) == base
 
 
 def test_compiled_transcript_distribution_budget_guard():
@@ -220,6 +222,9 @@ def test_one_sided_twirl_randomizes_alice():
     channel_view = engine.bob_wire_view_distribution(spec)
     twirl_view = engine.bob_wire_view_distribution(spec, alice_twirl=group)
     assert channel_view == twirl_view
+    # a compiled spec frames its Alice alone: Bob's view stays the raw wire
+    compiled = engine.twirl_compile(spec, group)
+    assert engine.bob_wire_view_distribution(compiled) == twirl_view
 
 
 def test_haar_twirl_moment_deltas():
@@ -348,6 +353,8 @@ def test_twirl_compile_refuses_a_compiled_spec():
     assert compiled.twirl == group and engine.probe_protocol(group).twirl is None
     with pytest.raises(ValueError, match="already twirl-compiled over CyclicZ"):
         engine.twirl_compile(compiled, group)
+    with pytest.raises(ValueError, match="already twirl-compiled over CyclicZ"):
+        engine.compiled_transcript_distribution(compiled, group)
 
 
 def test_protocol_spec_refuses_a_non_group_twirl():
