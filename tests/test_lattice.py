@@ -713,6 +713,22 @@ def _stepped_rows(basis) -> np.ndarray:
 
 
 @pytest.mark.parametrize("d,L", AGREEMENT_SIZES)
+def test_decode_commit_agrees_with_sorted_table_bit_for_bit(d, L):
+    # bit for bit where the sorted table decodes; eps = 0 accepts only a
+    # received vector that lands on its table entry bit for bit
+    basis = lattice.build_angle_basis(d, L)
+    rng = np.random.default_rng(d * 1000 + L)
+    n = lattice.codebook_size(d, L)
+    for eps in _agreement_tolerances(basis):
+        params = lattice.LatticeParams(basis, eps)
+        cases = _agreement_cases(params, rng)
+        # every codeword decodes to itself at every tolerance
+        assert sorted_table_decode(params, cases[:n])[1].all()
+        # every case off the codeword positions, the rows just below angle 0 last
+        assert 0 < _assert_decode_commit_matches(params, cases[n:]) < len(cases) - n
+
+
+@pytest.mark.parametrize("d,L", AGREEMENT_SIZES)
 def test_decode_commit_matches_sorted_table(d, L):
     basis = lattice.build_angle_basis(d, L)
     rng = np.random.default_rng(d * 1000 + L + 1)
